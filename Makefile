@@ -30,14 +30,14 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Three iterations of the sequential/concurrent full-study pair plus
+# Three iterations of the one-worker/concurrent full-study pair plus
 # the cross-seed sweep — fast sanity that the engine and the sweep
 # orchestrator run end to end — emitted both as benchstat input
 # (bench_*.txt) and as fresh JSON artifacts for CI upload. The fresh
 # files are kept distinct from the committed BENCH_*.json baselines so
 # a smoke run never clobbers the regression reference.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='StudyRun(Sequential|Concurrent)$$' -benchtime=3x . | tee bench_pipeline.txt
+	$(GO) test -run='^$$' -bench='StudyRun(OneWorker|Concurrent)$$' -benchtime=3x . | tee bench_pipeline.txt
 	$(GO) run ./cmd/benchjson -in bench_pipeline.txt -out BENCH_pipeline.fresh.json
 	$(GO) test -run='^$$' -bench=SweepCrossSeed -benchtime=3x . | tee bench_sweep.txt
 	$(GO) run ./cmd/benchjson -in bench_sweep.txt -out BENCH_sweep.fresh.json

@@ -64,16 +64,26 @@ func setup(b *testing.B) *fixture {
 		})
 		ctx := context.Background()
 		f.ew = f.study.SelectEWhoring()
-		f.cls, fixErr = f.study.TrainAndExtract(f.ew)
-		if fixErr != nil {
+		if f.cls, fixErr = f.study.TrainAndExtract(f.ew); fixErr != nil {
 			return
 		}
-		f.links = f.study.ExtractLinks(ctx, f.cls.Extract.TOPs)
-		f.crawl = f.study.CrawlLinks(ctx, f.links.Tasks)
-		f.safe, _ = f.study.FilterAbuse(ctx, f.crawl)
-		f.nsfv = f.study.ClassifyNSFV(f.safe)
-		f.prov = f.study.Provenance(ctx, f.nsfv)
-		f.earn = f.study.AnalyzeEarnings(ctx, f.ew)
+		var whitelist *urlx.Whitelist
+		f.links, whitelist = f.study.ExtractLinks(ctx, f.cls.Extract.TOPs)
+		if f.crawl, fixErr = f.study.CrawlLinks(ctx, f.links.Tasks); fixErr != nil {
+			return
+		}
+		if f.safe, _, fixErr = f.study.FilterAbuse(ctx, f.crawl); fixErr != nil {
+			return
+		}
+		if f.nsfv, fixErr = f.study.ClassifyNSFV(ctx, f.safe); fixErr != nil {
+			return
+		}
+		if f.prov, fixErr = f.study.Provenance(ctx, f.nsfv); fixErr != nil {
+			return
+		}
+		if f.earn, fixErr = f.study.AnalyzeEarnings(ctx, f.ew, whitelist); fixErr != nil {
+			return
+		}
 		f.act = f.study.AnalyzeActors(f.ew, f.cls.Extract.TOPs, f.earn.Proofs)
 		fix = f
 	})
@@ -137,7 +147,7 @@ func BenchmarkTable3ImageSharingLinks(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		links := f.study.ExtractLinks(ctx, f.cls.Extract.TOPs)
+		links, _ := f.study.ExtractLinks(ctx, f.cls.Extract.TOPs)
 		if len(links.ImageSharing) == 0 {
 			b.Fatal("no image-sharing links")
 		}
@@ -149,7 +159,7 @@ func BenchmarkTable4CloudStorageLinks(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		links := f.study.ExtractLinks(ctx, f.cls.Extract.TOPs)
+		links, _ := f.study.ExtractLinks(ctx, f.cls.Extract.TOPs)
 		if len(links.CloudStorage) == 0 {
 			b.Fatal("no cloud-storage links")
 		}
@@ -163,7 +173,10 @@ func BenchmarkCrawl(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := f.study.CrawlLinks(ctx, f.links.Tasks)
+		results, err := f.study.CrawlLinks(ctx, f.links.Tasks)
+		if err != nil {
+			b.Fatal(err)
+		}
 		st := crawler.Summarize(results)
 		if st.ImagesFetched == 0 {
 			b.Fatal("crawl fetched nothing")
@@ -179,9 +192,10 @@ func BenchmarkPhotoDNAFilter(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hotline := f.study.Hotline
-		_ = hotline
-		safe, summary := f.study.FilterAbuse(ctx, f.crawl)
+		safe, summary, err := f.study.FilterAbuse(ctx, f.crawl)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(safe) == 0 || summary.Matches == 0 {
 			b.Fatal("filter degenerate")
 		}
@@ -205,9 +219,13 @@ func BenchmarkHashImage(b *testing.B) {
 
 func BenchmarkNSFVClassifier(b *testing.B) {
 	f := setup(b)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := f.study.ClassifyNSFV(f.safe)
+		res, err := f.study.ClassifyNSFV(ctx, f.safe)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Previews) == 0 {
 			b.Fatal("no previews")
 		}
@@ -221,7 +239,10 @@ func BenchmarkTable5ReverseSearch(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prov := f.study.Provenance(ctx, f.nsfv)
+		prov, err := f.study.Provenance(ctx, f.nsfv)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if prov.Packs.Total == 0 {
 			b.Fatal("no pack searches")
 		}
@@ -464,7 +485,9 @@ func BenchmarkAblationCrawlerConcurrency(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = f.study.CrawlLinks(ctx, tasks)
+				if _, err := f.study.CrawlLinks(ctx, tasks); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -485,8 +508,8 @@ func BenchmarkFullStudy(b *testing.B) {
 }
 
 // studyRunOptions sizes the Run benchmarks: large enough that the
-// stage work dominates setup, identical for both paths so the pair
-// measures the engine alone (DESIGN.md §3).
+// stage work dominates setup, identical for both so the pair measures
+// the worker pools alone (DESIGN.md §3).
 func studyRunOptions() core.Options {
 	return core.Options{
 		Synth:          synth.Config{Seed: 2019, Scale: 0.03},
@@ -494,23 +517,26 @@ func studyRunOptions() core.Options {
 	}
 }
 
-// BenchmarkStudyRunSequential is the stage-by-stage reference cost of
-// the full Figure 1 pipeline plus the §5/§6 analyses.
-func BenchmarkStudyRunSequential(b *testing.B) {
+// BenchmarkStudyRunOneWorker is the single-worker reference cost of
+// the full Figure 1 pipeline plus the §5/§6 analyses: Run with one
+// stage worker and one crawl worker.
+func BenchmarkStudyRunOneWorker(b *testing.B) {
+	opts := studyRunOptions()
+	opts.Workers, opts.CrawlConcurrency = 1, 1
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		study := core.NewStudy(studyRunOptions())
+		study := core.NewStudy(opts)
 		b.StartTimer()
-		if _, err := study.RunSequential(context.Background()); err != nil {
+		if _, err := study.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkStudyRunConcurrent runs the identical study through the
-// concurrent stage engine — the speedup over the sequential baseline
-// is the engine's value, with results pinned identical by
-// TestConcurrentRunMatchesSequential.
+// BenchmarkStudyRunConcurrent runs the identical study at the default
+// worker counts — the speedup over the one-worker run is what the
+// worker pools buy, with results pinned identical by
+// TestRunWorkersEquivalence.
 func BenchmarkStudyRunConcurrent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

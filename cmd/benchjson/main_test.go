@@ -9,7 +9,7 @@ const sample = `goos: linux
 goarch: amd64
 pkg: repro
 cpu: AMD EPYC 7B13
-BenchmarkStudyRunSequential-8   	       1	 244837123 ns/op
+BenchmarkStudyRunOneWorker-8   	       1	 244837123 ns/op
 BenchmarkStudyRunConcurrent-8   	       1	 199102456 ns/op	  512 B/op	       3 allocs/op
 PASS
 ok  	repro	1.234s
@@ -27,15 +27,15 @@ func TestParseBenchOutput(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 2", len(art.Benchmarks))
 	}
 	seq := art.Benchmarks[0]
-	if seq.Name != "StudyRunSequential" || seq.Procs != 8 || seq.Iterations != 1 || seq.NsPerOp != 244837123 {
-		t.Errorf("sequential = %+v", seq)
+	if seq.Name != "StudyRunOneWorker" || seq.Procs != 8 || seq.Iterations != 1 || seq.NsPerOp != 244837123 {
+		t.Errorf("one-worker = %+v", seq)
 	}
 	conc := art.Benchmarks[1]
 	if conc.NsPerOp != 199102456 || conc.Extra["B/op"] != 512 || conc.Extra["allocs/op"] != 3 {
 		t.Errorf("concurrent = %+v", conc)
 	}
 	// Raw lines reconstruct benchstat-compatible input.
-	if !strings.HasPrefix(seq.Raw, "BenchmarkStudyRunSequential-8") || !strings.Contains(seq.Raw, "ns/op") {
+	if !strings.HasPrefix(seq.Raw, "BenchmarkStudyRunOneWorker-8") || !strings.Contains(seq.Raw, "ns/op") {
 		t.Errorf("raw line mangled: %q", seq.Raw)
 	}
 }
@@ -57,7 +57,7 @@ func TestLoadSniffsJSONAndText(t *testing.T) {
 	if len(text.Benchmarks) != 2 {
 		t.Fatalf("text load parsed %d benchmarks", len(text.Benchmarks))
 	}
-	asJSON := `  {"benchmarks":[{"name":"StudyRunSequential","procs":8,"iterations":1,"ns_per_op":5,"raw":"x"}]}`
+	asJSON := `  {"benchmarks":[{"name":"StudyRunOneWorker","procs":8,"iterations":1,"ns_per_op":5,"raw":"x"}]}`
 	art, err := load(strings.NewReader(asJSON))
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,8 @@
 // Command ewpipeline runs the Figure 1 measurement pipeline with
 // progress reporting — the operational view of the study, as opposed
-// to ewreport's final tables. By default the study runs on the
-// concurrent stage engine and prints per-stage worker counts, item
-// flows and timings; -seq runs the sequential reference
-// implementation instead (both produce identical results for the same
-// seed).
+// to ewreport's final tables. The study runs on the artefact graph and
+// prints per-stage worker counts, item flows and timings; any -workers
+// count, 1 included, produces identical results for the same seed.
 //
 // With -only the run is selective: only the named tables/figures (and
 // the artefact subgraph they depend on) execute — the node table then
@@ -20,7 +18,7 @@
 //
 // Usage:
 //
-//	ewpipeline [-seed N] [-scale F] [-workers N] [-seq]
+//	ewpipeline [-seed N] [-scale F] [-workers N]
 //	ewpipeline -only table5,figure2 [-seed N] [-scale F]
 //	ewpipeline -cpuprofile cpu.pb.gz -memprofile mem.pb.gz [-seed N] [-scale F]
 //	ewpipeline -remote http://127.0.0.1:8084 [-seed N] [-scale F] [-workers N]
@@ -55,7 +53,6 @@ func run() int {
 	seed := flag.Uint64("seed", 2019, "world seed")
 	scale := flag.Float64("scale", 0.05, "corpus scale")
 	workers := flag.Int("workers", 0, "pipeline stage workers (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run the sequential reference implementation")
 	only := flag.String("only", "", "comma-separated tables/figures to compute (e.g. table5,figure2); empty = the full study")
 	remote := flag.String("remote", "", "drive a live study service at this base URL instead of running in-process")
 	faults := flag.String("faults", "", `faultx fault profile for the crawl substrate (e.g. "rot=0.3;down=oron.com"; DESIGN.md §13)`)
@@ -108,10 +105,6 @@ func run() int {
 
 	names := cliutil.SplitNames(*only)
 	if *remote != "" {
-		if *seq {
-			fmt.Fprintln(os.Stderr, "ewpipeline: -seq and -remote are mutually exclusive (the service runs the concurrent engine)")
-			return 1
-		}
 		if err := runRemote(ctx, *remote, studysvc.Request{
 			Seed: *seed, Scale: *scale, Workers: *workers, Artefacts: names,
 			Faults: *faults,
@@ -121,11 +114,6 @@ func run() int {
 		}
 		return 0
 	}
-	if *seq && len(names) > 0 {
-		fmt.Fprintln(os.Stderr, "ewpipeline: -seq and -only are mutually exclusive (selective execution runs on the artefact graph)")
-		return 1
-	}
-
 	study := core.NewStudy(core.Options{
 		Synth:   synth.Config{Seed: *seed, Scale: *scale},
 		Workers: *workers,
@@ -152,19 +140,9 @@ func run() int {
 		return 0
 	}
 
-	mode := "concurrent"
-	if *seq {
-		mode = "sequential"
-	}
-	fmt.Printf("==> running study (%s, seed=%d scale=%g)\n", mode, *seed, *scale)
+	fmt.Printf("==> running study (seed=%d scale=%g)\n", *seed, *scale)
 	start := time.Now()
-	var res *core.Results
-	var err error
-	if *seq {
-		res, err = study.RunSequential(ctx)
-	} else {
-		res, err = study.Run(ctx)
-	}
+	res, err := study.Run(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ewpipeline:", err)
 		return 1
@@ -215,7 +193,7 @@ func run() int {
 		len(res.Actors.Profiles), len(res.Actors.Key.All))
 
 	printStages("pipeline stages", study.PipelineStats())
-	fmt.Printf("\npipeline complete in %v (%s)\n", elapsed, mode)
+	fmt.Printf("\npipeline complete in %v\n", elapsed)
 	return 0
 }
 

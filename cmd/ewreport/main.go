@@ -1,8 +1,7 @@
 // Command ewreport regenerates every table and figure of the study
 // against a synthetic world and prints them in the paper's layout. The
-// study runs on the concurrent artefact engine by default; -seq runs
-// the sequential reference implementation instead (identical output
-// for the same seed).
+// study runs on the artefact graph; any -workers count, 1 included,
+// prints identical output for the same seed.
 //
 // With -only the run is selective: only the named tables/figures (and
 // the artefact subgraph they depend on) are computed and printed —
@@ -14,7 +13,7 @@
 //
 // Usage:
 //
-//	ewreport [-seed N] [-scale F] [-annotation N] [-workers N] [-seq]
+//	ewreport [-seed N] [-scale F] [-annotation N] [-workers N]
 //	ewreport -only table5,figure2 [-seed N] [-scale F]
 //	ewreport -remote http://127.0.0.1:8084 [-only table5] [-seed N] [-scale F]
 package main
@@ -42,7 +41,6 @@ func run() int {
 	scale := flag.Float64("scale", 0.1, "corpus scale (1.0 ≈ paper scale)")
 	annotation := flag.Int("annotation", 1000, "annotated-thread corpus size")
 	workers := flag.Int("workers", 0, "pipeline stage workers (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run the sequential reference implementation")
 	only := flag.String("only", "", "comma-separated tables/figures to compute and print (e.g. table5,figure2); empty = everything")
 	remote := flag.String("remote", "", "render via a live study service at this base URL instead of running in-process")
 	flag.Parse()
@@ -50,10 +48,6 @@ func run() int {
 	names := cliutil.SplitNames(*only)
 
 	if *remote != "" {
-		if *seq {
-			fmt.Fprintln(os.Stderr, "ewreport: -seq and -remote are mutually exclusive (the service runs the concurrent engine)")
-			return 1
-		}
 		start := time.Now()
 		env, err := cliutil.RunRemote(ctx, *remote, studysvc.Request{
 			Seed: *seed, Scale: *scale, AnnotationSize: *annotation,
@@ -71,11 +65,6 @@ func run() int {
 			env.ID, verdict, env.ElapsedMS, time.Since(start).Round(time.Millisecond))
 		fmt.Println(env.Report)
 		return 0
-	}
-
-	if *seq && len(names) > 0 {
-		fmt.Fprintln(os.Stderr, "ewreport: -seq and -only are mutually exclusive (selective execution runs on the artefact graph)")
-		return 1
 	}
 
 	start := time.Now()
@@ -105,13 +94,7 @@ func run() int {
 		return 0
 	}
 
-	var res *core.Results
-	var err error
-	if *seq {
-		res, err = study.RunSequential(ctx)
-	} else {
-		res, err = study.Run(ctx)
-	}
+	res, err := study.Run(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ewreport:", err)
 		return 1

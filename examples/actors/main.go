@@ -11,6 +11,7 @@ import (
 	"repro/internal/actors"
 	"repro/internal/core"
 	"repro/internal/synth"
+	"repro/internal/urlx"
 )
 
 func main() {
@@ -25,7 +26,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	earn := study.AnalyzeEarnings(ctx, ew)
+	earn, err := study.AnalyzeEarnings(ctx, ew, urlx.DefaultWhitelist())
+	if err != nil {
+		log.Fatal(err)
+	}
 	res := study.AnalyzeActors(ew, cls.Extract.TOPs, earn.Proofs)
 
 	fmt.Println("=== §6 Actor analysis ===")

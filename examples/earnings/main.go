@@ -13,6 +13,7 @@ import (
 	"repro/internal/earnings"
 	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/internal/urlx"
 )
 
 func main() {
@@ -22,11 +23,12 @@ func main() {
 	defer study.Close()
 
 	ew := study.SelectEWhoring()
-	// The earnings path needs the whitelist but not the classifier.
-	if _, err := study.TrainAndExtract(ew); err != nil {
+	// The earnings path needs a hosting whitelist but not the
+	// classifier.
+	res, err := study.AnalyzeEarnings(context.Background(), ew, urlx.DefaultWhitelist())
+	if err != nil {
 		log.Fatal(err)
 	}
-	res := study.AnalyzeEarnings(context.Background(), ew)
 
 	s := res.Summary
 	fmt.Println("=== §5 Financial profits ===")

@@ -2,6 +2,8 @@
 // manually over live HTTP — select threads, classify TOPs, extract
 // and crawl links, gate through PhotoDNA, classify NSFV, and
 // reverse-search the survivors to find where pack images come from.
+// Each call is the stage method the study's artefact graph runs, so
+// the numbers are the ones a full Run reports for the same seed.
 package main
 
 import (
@@ -31,7 +33,7 @@ func main() {
 	fmt.Printf("hybrid classifier: P=%.2f R=%.2f → %d TOPs\n",
 		cls.Metrics.Precision(), cls.Metrics.Recall(), len(cls.Extract.TOPs))
 
-	links := study.ExtractLinks(ctx, cls.Extract.TOPs)
+	links, _ := study.ExtractLinks(ctx, cls.Extract.TOPs)
 	fmt.Printf("link extraction: %d whitelisted links from %d TOPs\n",
 		len(links.Tasks), links.ThreadsWithLinks)
 	fmt.Println("top image-sharing sites:")
@@ -42,19 +44,31 @@ func main() {
 		fmt.Printf("  %-20s %d\n", dc.Domain, dc.Count)
 	}
 
-	results := study.CrawlLinks(ctx, links.Tasks)
+	results, err := study.CrawlLinks(ctx, links.Tasks)
+	if err != nil {
+		log.Fatal(err)
+	}
 	st := crawler.Summarize(results)
 	fmt.Printf("crawl: %v\n", st.OutcomeCounts())
 	fmt.Printf("downloaded %d images (%d packs)\n", st.ImagesFetched, st.PacksFetched)
 
-	safe, pdna := study.FilterAbuse(ctx, results)
+	safe, pdna, err := study.FilterAbuse(ctx, results)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("PhotoDNA: %d matches reported and deleted; %s\n", pdna.Matches, pdna.String())
 
-	nsfvRes := study.ClassifyNSFV(safe)
+	nsfvRes, err := study.ClassifyNSFV(ctx, safe)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("NSFV: %d previews, %d safe-for-viewing\n",
 		len(nsfvRes.Previews), len(nsfvRes.SFV))
 
-	prov := study.Provenance(ctx, nsfvRes)
+	prov, err := study.Provenance(ctx, nsfvRes)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("reverse search: packs %d/%d matched (%d seen before posting)\n",
 		prov.Packs.Matched, prov.Packs.Total, prov.Packs.SeenBefore)
 	fmt.Printf("matched domains: %d; zero-match packs: %d\n",

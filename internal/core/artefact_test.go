@@ -119,11 +119,6 @@ func TestMemoSharedAcrossStudies(t *testing.T) {
 	if after := store.TotalComputes(); after != before {
 		t.Errorf("warm run computed %d extra nodes, want 0", after-before)
 	}
-	// The hotline replay must survive memoization: both studies end
-	// with identical report sequences.
-	if !reflect.DeepEqual(s1.Hotline.Reports(), s2.Hotline.Reports()) {
-		t.Error("hotline reports differ between computing and memoized runs")
-	}
 }
 
 // TestComputeIdempotent pins repeat-Compute semantics on one study:

@@ -23,7 +23,6 @@ import (
 	"repro/internal/earnings"
 	"repro/internal/forum"
 	"repro/internal/logx"
-	"repro/internal/nsfv"
 	"repro/internal/photodna"
 	"repro/internal/pipeline"
 	"repro/internal/urlx"
@@ -145,14 +144,10 @@ func (s *Study) worldKey() string {
 // pools, and the determinism invariant guarantees they never move a
 // result.
 func (s *Study) studyKey() string {
-	key := s.worldKey() +
-		"|ann=" + strconv.Itoa(s.Opts.AnnotationSize) +
-		"|train=" + strconv.FormatFloat(s.Opts.TrainFrac, 'g', -1, 64) +
-		"|pack=" + strconv.Itoa(s.Opts.ImagesPerPack)
+	key := s.worldKey() + "|ann=" + strconv.Itoa(s.Opts.AnnotationSize)
 	if s.Opts.Faults != "" {
 		// Fault injection changes what the crawl can fetch, so it is
-		// part of every artefact's identity. Fault-free keys stay
-		// byte-identical to the pre-faultx era.
+		// part of every artefact's identity.
 		key += "|faults=" + s.Opts.Faults
 	}
 	return key
@@ -175,18 +170,13 @@ type (
 	photodnaValue struct {
 		safe    []SafeImage
 		summary photodna.ActionSummary
-		reports []photodna.MatchReport
-	}
-	earningsValue struct {
-		res     EarningsResult
-		reports []photodna.MatchReport
 	}
 )
 
-// studyGraph is the artefact DAG over a *Study. Nodes call the same
-// stage methods RunSequential does, in the same per-item order, so a
-// full evaluation is bit-identical to the sequential reference — the
-// equivalence tests and the golden seed-77 report pin it.
+// studyGraph is the artefact DAG over a *Study. Each node calls its
+// stage method, the stage's only body, so a node value is exactly what
+// a direct call returns; the equivalence tests and the golden seed-77
+// report pin the whole evaluation.
 var studyGraph = newStudyGraph()
 
 func newStudyGraph() *artefact.Graph[*Study] {
@@ -228,12 +218,11 @@ func newStudyGraph() *artefact.Graph[*Study] {
 		Key:  studyKey,
 		Compute: func(ctx context.Context, s *Study, d artefact.Deps) (any, error) {
 			cls := artefact.Get[ClassifierResult](d, ArtefactClassifier)
-			links := s.ExtractLinks(ctx, cls.Extract.TOPs)
-			// The snowball expansion mutated s.Whitelist; snapshot it
-			// into the value so the earnings node (and any study that
-			// receives this value from memo) classifies against the
-			// expanded list, exactly as the sequential order does.
-			return linksValue{links: links, whitelist: s.Whitelist}, nil
+			// The snowball-expanded whitelist travels in the value, so
+			// the earnings node (and any study that receives this value
+			// from memo) classifies against the expanded list.
+			links, whitelist := s.ExtractLinks(ctx, cls.Extract.TOPs)
+			return linksValue{links: links, whitelist: whitelist}, nil
 		},
 	})
 	g.MustRegister(artefact.Node[*Study]{
@@ -241,9 +230,8 @@ func newStudyGraph() *artefact.Graph[*Study] {
 		Deps: []string{ArtefactLinks},
 		Key:  studyKey,
 		Compute: func(ctx context.Context, s *Study, d artefact.Deps) (any, error) {
-			lv := artefact.Get[linksValue](d, ArtefactLinks)
-			results := pipeline.Collect(s.backend.CrawlStream(ctx, s.stats, lv.links.Tasks))
-			if err := ctx.Err(); err != nil {
+			results, err := s.CrawlLinks(ctx, artefact.Get[linksValue](d, ArtefactLinks).links.Tasks)
+			if err != nil {
 				return nil, err
 			}
 			return crawlValue{results: results, stats: crawler.Summarize(results)}, nil
@@ -254,25 +242,11 @@ func newStudyGraph() *artefact.Graph[*Study] {
 		Deps: []string{ArtefactCrawl},
 		Key:  studyKey,
 		Compute: func(ctx context.Context, s *Study, d artefact.Deps) (any, error) {
-			cv := artefact.Get[crawlValue](d, ArtefactCrawl)
-			// Hash and match under a worker pool; fold reports and the
-			// safe set in task order (Map preserves input order), so
-			// the hotline ends in the sequential state.
-			hotline := photodna.NewHotline()
-			var safe []SafeImage
-			outcomes := pipeline.Map(ctx, s.stats, "photodna §4.3", s.Opts.Workers,
-				pipeline.Emit(ctx, cv.results),
-				func(ctx context.Context, r crawler.Result) matchOutcome { return s.matchResult(ctx, r) })
-			for o := range outcomes {
-				for _, rep := range o.reports {
-					hotline.Report(rep)
-				}
-				safe = append(safe, o.safe...)
-			}
-			if err := ctx.Err(); err != nil {
+			safe, summary, err := s.FilterAbuse(ctx, artefact.Get[crawlValue](d, ArtefactCrawl).results)
+			if err != nil {
 				return nil, err
 			}
-			return photodnaValue{safe: safe, summary: hotline.Summarize(), reports: hotline.Reports()}, nil
+			return photodnaValue{safe: safe, summary: summary}, nil
 		},
 	})
 	g.MustRegister(artefact.Node[*Study]{
@@ -280,12 +254,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 		Deps: []string{ArtefactPhotoDNA},
 		Key:  studyKey,
 		Compute: func(ctx context.Context, s *Study, d artefact.Deps) (any, error) {
-			pv := artefact.Get[photodnaValue](d, ArtefactPhotoDNA)
-			nres, err := s.classifyNSFVConcurrent(ctx, pv.safe)
-			if err != nil {
-				return nil, err
-			}
-			return nres, nil
+			return s.ClassifyNSFV(ctx, artefact.Get[photodnaValue](d, ArtefactPhotoDNA).safe)
 		},
 	})
 	g.MustRegister(artefact.Node[*Study]{
@@ -293,26 +262,19 @@ func newStudyGraph() *artefact.Graph[*Study] {
 		Deps: []string{ArtefactNSFV},
 		Key:  studyKey,
 		Compute: func(ctx context.Context, s *Study, d artefact.Deps) (any, error) {
-			return s.provenanceConcurrent(ctx, artefact.Get[NSFVResult](d, ArtefactNSFV))
+			return s.Provenance(ctx, artefact.Get[NSFVResult](d, ArtefactNSFV))
 		},
 	})
 	g.MustRegister(artefact.Node[*Study]{
 		Name: ArtefactEarnings,
 		// The §5 analysis classifies links against the post-snowball
 		// whitelist, so it depends on the links artefact even though
-		// it shares no tasks with the image branch — the dependency
-		// that keeps it bit-identical to the sequential order.
+		// it shares no tasks with the image branch.
 		Deps: []string{ArtefactSelect, ArtefactLinks},
 		Key:  studyKey,
 		Compute: func(ctx context.Context, s *Study, d artefact.Deps) (any, error) {
-			ew := artefact.Get[[]forum.ThreadID](d, ArtefactSelect)
-			lv := artefact.Get[linksValue](d, ArtefactLinks)
-			hotline := photodna.NewHotline()
-			res := s.analyzeEarningsWith(ctx, ew, lv.whitelist, hotline)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return earningsValue{res: res, reports: hotline.Reports()}, nil
+			return s.AnalyzeEarnings(ctx, artefact.Get[[]forum.ThreadID](d, ArtefactSelect),
+				artefact.Get[linksValue](d, ArtefactLinks).whitelist)
 		},
 	})
 	g.MustRegister(artefact.Node[*Study]{
@@ -322,8 +284,8 @@ func newStudyGraph() *artefact.Graph[*Study] {
 		Compute: func(_ context.Context, s *Study, d artefact.Deps) (any, error) {
 			ew := artefact.Get[[]forum.ThreadID](d, ArtefactSelect)
 			cls := artefact.Get[ClassifierResult](d, ArtefactClassifier)
-			ev := artefact.Get[earningsValue](d, ArtefactEarnings)
-			return s.AnalyzeActors(ew, cls.Extract.TOPs, ev.res.Proofs), nil
+			proofs := artefact.Get[EarningsResult](d, ArtefactEarnings).Proofs
+			return s.AnalyzeActors(ew, cls.Extract.TOPs, proofs), nil
 		},
 	})
 	g.MustRegister(artefact.Node[*Study]{
@@ -337,82 +299,12 @@ func newStudyGraph() *artefact.Graph[*Study] {
 	return g
 }
 
-// classifyNSFVConcurrent is ClassifyNSFV under a worker pool: verdicts
-// fan out, the split folds in input order, so the result is identical.
-func (s *Study) classifyNSFVConcurrent(ctx context.Context, safe []SafeImage) (NSFVResult, error) {
-	clf := nsfv.New()
-	classed := pipeline.Map(ctx, s.stats, "nsfv §4.4", s.Opts.Workers,
-		pipeline.Emit(ctx, safe),
-		func(_ context.Context, si SafeImage) nsfvClass {
-			switch {
-			case si.IsPack:
-				return nsfvClass{si, classPack}
-			case clf.IsSFV(si.Image):
-				return nsfvClass{si, classSFV}
-			default:
-				return nsfvClass{si, classPreview}
-			}
-		})
-	var out NSFVResult
-	for c := range classed {
-		switch c.class {
-		case classPack:
-			out.PackImages = append(out.PackImages, c.si)
-		case classSFV:
-			out.SFV = append(out.SFV, c.si)
-		default:
-			out.Previews = append(out.Previews, c.si)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return NSFVResult{}, err
-	}
-	return out, nil
-}
-
-// provenanceConcurrent is Provenance under a worker pool: the
-// reverse searches fan out, the fold consumes outcomes in the
-// sequential order (sampled pack images first, previews second).
-func (s *Study) provenanceConcurrent(ctx context.Context, n NSFVResult) (ProvenanceResult, error) {
-	var items []provItem
-	for _, si := range samplePackImages(n.PackImages, s.Opts.ImagesPerPack) {
-		items = append(items, provItem{si, true})
-	}
-	for _, si := range n.Previews {
-		items = append(items, provItem{si, false})
-	}
-	searched := pipeline.Map(ctx, s.stats, "reverse §4.5", s.Opts.Workers,
-		pipeline.Emit(ctx, items),
-		func(ctx context.Context, it provItem) provSearched {
-			return provSearched{it.pack, s.searchImage(ctx, it.si)}
-		})
-	fold := newProvFold()
-	for o := range searched {
-		if o.pack {
-			fold.addPack(o.out)
-		} else {
-			fold.addPreview(o.out)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return ProvenanceResult{}, err
-	}
-	return fold.finish(s), nil
-}
-
 // UseMemo attaches a shared artefact memo store: node values memoize
 // into it under their canonical keys, so later runs — this study's or
 // another study's with overlapping semantics — reuse them instead of
 // recomputing. Must be set before the first Run or Compute; without
 // it the study memoizes into a private store, so reuse stops at the
 // study boundary.
-//
-// A study that receives memoized values never executes the
-// corresponding stage methods, so side effects those methods leave on
-// the study (the trained Hybrid, the snowball-expanded Whitelist) may
-// be absent — everything downstream nodes need travels inside the
-// values themselves. Mixing graph evaluation with direct stage-method
-// calls on the same study is not supported.
 func (s *Study) UseMemo(store *artefact.Store) {
 	s.memo = store
 }
@@ -490,7 +382,7 @@ func fillResults(res *Results, vals map[string]any) {
 		case ArtefactProvenance:
 			res.Provenance = v.(ProvenanceResult)
 		case ArtefactEarnings:
-			res.Earnings = v.(earningsValue).res
+			res.Earnings = v.(EarningsResult)
 		case ArtefactActors:
 			res.Actors = v.(ActorAnalysis)
 		case ArtefactExchange:

@@ -24,9 +24,9 @@ import (
 // Backends must be deterministic for a fixed world: the same call
 // sequence yields the same values, in the same order, on every run.
 type Backend interface {
-	// Crawl fetches every task, returning results in task order.
-	Crawl(ctx context.Context, tasks []crawler.Task) []crawler.Result
-	// CrawlStream is the channel form of Crawl for the stage engine.
+	// CrawlStream fetches every task, delivering results on the
+	// returned channel in task order; stats may be nil. The channel
+	// closes early, with tasks undelivered, if ctx is cancelled.
 	CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []crawler.Task) <-chan crawler.Result
 	// SearchImage reverse-searches an image.
 	SearchImage(ctx context.Context, im *imagex.Image) []reverse.Match
@@ -61,10 +61,6 @@ func (b *worldBackend) newCrawler() *crawler.Crawler {
 	}
 	return crawler.New(crawler.Config{Concurrency: b.study.Opts.CrawlConcurrency},
 		client, b.study.World.Web.Resolver(srv.URL))
-}
-
-func (b *worldBackend) Crawl(ctx context.Context, tasks []crawler.Task) []crawler.Result {
-	return b.newCrawler().Crawl(ctx, tasks)
 }
 
 func (b *worldBackend) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []crawler.Task) <-chan crawler.Result {
@@ -131,10 +127,6 @@ func (b *HTTPBackend) ErrCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.errCount
-}
-
-func (b *HTTPBackend) Crawl(ctx context.Context, tasks []crawler.Task) []crawler.Result {
-	return b.hc.Crawl(ctx, tasks)
 }
 
 func (b *HTTPBackend) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []crawler.Task) <-chan crawler.Result {

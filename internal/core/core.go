@@ -42,16 +42,12 @@ type Options struct {
 	// AnnotationSize is the size of the manually-annotated thread
 	// corpus (the paper used 1 000; scaled worlds may use less).
 	AnnotationSize int
-	// TrainFrac is the train/test split (paper: 0.8).
-	TrainFrac float64
-	// ImagesPerPack is how many images per pack go to reverse search
-	// (paper: 3 — the lowest, median and highest NSFW score).
-	ImagesPerPack int
 	// CrawlConcurrency bounds the crawler's workers.
 	CrawlConcurrency int
-	// Workers bounds each concurrent pipeline stage's worker pool in
-	// Run (default: GOMAXPROCS). The crawl stage uses
-	// CrawlConcurrency.
+	// Workers bounds each stage method's worker pool (default:
+	// GOMAXPROCS). The crawl stage uses CrawlConcurrency. Worker counts
+	// never move a result: Workers 1 with CrawlConcurrency 1 is the
+	// in-process reference every other count must reproduce.
 	Workers int
 	// Faults is a faultx profile injected into the in-process crawl
 	// seam (see faultx.ParseProfile), "" for none. It is part of the
@@ -67,23 +63,23 @@ func DefaultOptions() Options {
 	return Options{
 		Synth:            synth.DefaultConfig(),
 		AnnotationSize:   1000,
-		TrainFrac:        0.8,
-		ImagesPerPack:    3,
 		CrawlConcurrency: 8,
 	}
 }
+
+const (
+	// trainFrac is the §4.1 train/test split of the annotated sample
+	// (paper: 80% train, 20% test).
+	trainFrac = 0.8
+	// imagesPerPack is how many images per pack go to reverse search
+	// (§4.5: the lowest, median and highest NSFW score).
+	imagesPerPack = 3
+)
 
 // Study holds the generated world and everything derived from it.
 type Study struct {
 	Opts  Options
 	World *synth.World
-
-	// Hybrid is the trained TOP classifier.
-	Hybrid *topclass.Hybrid
-	// Whitelist is the (snowball-expanded) hosting whitelist.
-	Whitelist *urlx.Whitelist
-	// Hotline collects PhotoDNA reports.
-	Hotline *photodna.Hotline
 
 	serverMu sync.Mutex
 	server   *httptest.Server
@@ -101,8 +97,9 @@ type Study struct {
 	memo      *artefact.Store
 	localMemo *artefact.Store
 
-	// stats holds the stage metrics of the most recent concurrent Run
-	// or Compute.
+	// stats holds the node and stage metrics of the most recent Run or
+	// Compute; nil before the first, so a stage method called directly
+	// records nothing.
 	stats *pipeline.Stats
 
 	// faultInj injects the parsed Opts.Faults plan into the in-process
@@ -145,12 +142,6 @@ func NewStudyWithWorldContext(ctx context.Context, opts Options, world *synth.Wo
 	if opts.AnnotationSize <= 0 {
 		opts.AnnotationSize = 1000
 	}
-	if opts.TrainFrac <= 0 || opts.TrainFrac >= 1 {
-		opts.TrainFrac = 0.8
-	}
-	if opts.ImagesPerPack <= 0 {
-		opts.ImagesPerPack = 3
-	}
 	if opts.CrawlConcurrency <= 0 {
 		opts.CrawlConcurrency = 8
 	}
@@ -160,8 +151,6 @@ func NewStudyWithWorldContext(ctx context.Context, opts Options, world *synth.Wo
 	s := &Study{
 		Opts:      opts,
 		World:     world,
-		Whitelist: urlx.DefaultWhitelist(),
-		Hotline:   photodna.NewHotline(),
 		localMemo: artefact.NewStore(0),
 	}
 	if plan, err := faultx.ParseProfile(opts.Faults); err == nil {
@@ -193,7 +182,7 @@ func (s *Study) Close() {
 
 // hostingServer lazily starts the hosting world as a live HTTP
 // server. Safe for concurrent use: the image and earnings branches of
-// the concurrent Run both crawl against it.
+// Run both crawl against it.
 func (s *Study) hostingServer() *httptest.Server {
 	s.serverMu.Lock()
 	defer s.serverMu.Unlock()
@@ -204,8 +193,7 @@ func (s *Study) hostingServer() *httptest.Server {
 }
 
 // PipelineStats returns the per-stage and per-node metrics of the
-// most recent concurrent Run or Compute (nil before the first, or
-// after RunSequential).
+// most recent Run or Compute (nil before the first).
 func (s *Study) PipelineStats() []pipeline.StageSnapshot {
 	return s.stats.Snapshot()
 }
@@ -283,8 +271,9 @@ type ClassifierResult struct {
 }
 
 // TrainAndExtract reproduces §4.1: annotate a thread sample, train on
-// TrainFrac of it, evaluate on the rest, then sweep the whole
-// eWhoring corpus with the hybrid classifier.
+// trainFrac of it against the default hosting whitelist, evaluate on
+// the rest, then sweep the whole eWhoring corpus with the hybrid
+// classifier.
 func (s *Study) TrainAndExtract(ew []forum.ThreadID) (ClassifierResult, error) {
 	n := s.Opts.AnnotationSize
 	if n > len(ew) {
@@ -299,16 +288,15 @@ func (s *Study) TrainAndExtract(ew []forum.ThreadID) (ClassifierResult, error) {
 			tops++
 		}
 	}
-	cut := int(s.Opts.TrainFrac * float64(len(labeled)))
+	cut := int(trainFrac * float64(len(labeled)))
 	if cut < 1 || cut >= len(labeled) {
 		return ClassifierResult{}, fmt.Errorf("core: annotation sample too small (%d)", len(labeled))
 	}
 	train, test := labeled[:cut], labeled[cut:]
-	hybrid, err := topclass.Train(s.World.Store, s.Whitelist, train, ml.DefaultSVMConfig())
+	hybrid, err := topclass.Train(s.World.Store, urlx.DefaultWhitelist(), train, ml.DefaultSVMConfig())
 	if err != nil {
 		return ClassifierResult{}, err
 	}
-	s.Hybrid = hybrid
 	res := ClassifierResult{
 		Annotated:   len(labeled),
 		TOPsInAnno:  tops,
@@ -341,9 +329,10 @@ type LinkExtraction struct {
 }
 
 // ExtractLinks pulls URLs from every post of the given TOPs,
-// snowball-expands the whitelist against the live web, and classifies
-// the links.
-func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) LinkExtraction {
+// snowball-expands a copy of the default whitelist against the live
+// web, and classifies the links. It returns the expanded whitelist
+// too: the §5 analysis classifies its links against the same list.
+func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) (LinkExtraction, *urlx.Whitelist) {
 	store := s.World.Store
 	type located struct {
 		url    string
@@ -363,13 +352,14 @@ func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) LinkExt
 	}
 	// Snowball sampling against site landing pages.
 	visit := func(domain string) (urlx.Kind, bool) { return s.backend.VisitKind(ctx, domain) }
-	added := urlx.Snowball(s.Whitelist, urls, visit, 5)
+	whitelist := urlx.DefaultWhitelist()
+	added := urlx.Snowball(whitelist, urls, visit, 5)
 
 	out := LinkExtraction{SnowballAdded: added}
 	var links []urlx.Link
 	withLinks := make(map[forum.ThreadID]struct{})
 	for _, l := range all {
-		link := s.Whitelist.Classify(l.url)
+		link := whitelist.Classify(l.url)
 		if link.Kind == urlx.KindUnknown {
 			continue
 		}
@@ -382,16 +372,21 @@ func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) LinkExt
 	out.ThreadsWithLinks = len(withLinks)
 	out.ImageSharing = urlx.SortedCounts(urlx.CountByDomain(links, urlx.KindImageSharing))
 	out.CloudStorage = urlx.SortedCounts(urlx.CountByDomain(links, urlx.KindCloudStorage))
-	return out
+	return out, whitelist
 }
 
 // --- Step 3: crawling (§4.2) -------------------------------------------
 
 // CrawlLinks downloads every task over live HTTP through the study's
 // backend (embedded hosting server by default; remote services with an
-// HTTPBackend).
-func (s *Study) CrawlLinks(ctx context.Context, tasks []crawler.Task) []crawler.Result {
-	return s.backend.Crawl(ctx, tasks)
+// HTTPBackend) under Opts.CrawlConcurrency workers, returning results
+// in task order.
+func (s *Study) CrawlLinks(ctx context.Context, tasks []crawler.Task) ([]crawler.Result, error) {
+	results := pipeline.Collect(s.backend.CrawlStream(ctx, s.stats, tasks))
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // --- Step 4: PhotoDNA gate (§4.3) ---------------------------------------
@@ -404,25 +399,26 @@ type SafeImage struct {
 }
 
 // FilterAbuse passes every downloaded image through the PhotoDNA
-// filter. Matches are reported to the hotline (with reverse-search URL
-// reports, as in §4.3) and withheld from the returned set.
-func (s *Study) FilterAbuse(ctx context.Context, results []crawler.Result) ([]SafeImage, photodna.ActionSummary) {
-	return s.filterAbuseInto(ctx, results, s.Hotline)
-}
-
-// filterAbuseInto is FilterAbuse reporting to an explicit hotline —
-// the concurrent Run gives each branch its own so the §4.3 summary
-// stays independent of branch interleaving.
-func (s *Study) filterAbuseInto(ctx context.Context, results []crawler.Result, hotline *photodna.Hotline) ([]SafeImage, photodna.ActionSummary) {
+// filter. Matches are reported to a hotline of the call's own (with
+// reverse-search URL reports, as in §4.3), summarized, and withheld
+// from the returned set. Results are hashed and matched under
+// Opts.Workers; reports and the safe set fold in task order.
+func (s *Study) FilterAbuse(ctx context.Context, results []crawler.Result) ([]SafeImage, photodna.ActionSummary, error) {
+	hotline := photodna.NewHotline()
 	var safe []SafeImage
-	for _, r := range results {
-		o := s.matchResult(ctx, r)
+	outcomes := pipeline.Map(ctx, s.stats, "photodna §4.3", s.Opts.Workers,
+		pipeline.Emit(ctx, results),
+		func(ctx context.Context, r crawler.Result) matchOutcome { return s.matchResult(ctx, r) })
+	for o := range outcomes {
 		for _, rep := range o.reports {
 			hotline.Report(rep)
 		}
 		safe = append(safe, o.safe...)
 	}
-	return safe, hotline.Summarize()
+	if err := ctx.Err(); err != nil {
+		return nil, photodna.ActionSummary{}, err
+	}
+	return safe, hotline.Summarize(), nil
 }
 
 // matchOutcome partitions one crawl result's images into the safe set
@@ -504,22 +500,51 @@ type NSFVResult struct {
 	PackImages []SafeImage
 }
 
-// ClassifyNSFV runs Algorithm 1 over the image-site downloads.
-func (s *Study) ClassifyNSFV(safe []SafeImage) NSFVResult {
+// nsfvClass is one safe image with its NSFV verdict.
+type nsfvClass struct {
+	si    SafeImage
+	class int
+}
+
+// NSFV verdict classes.
+const (
+	classPack = iota
+	classSFV
+	classPreview
+)
+
+// ClassifyNSFV runs Algorithm 1 over the image-site downloads: the
+// verdicts fan out under Opts.Workers, and the split folds in input
+// order.
+func (s *Study) ClassifyNSFV(ctx context.Context, safe []SafeImage) (NSFVResult, error) {
 	clf := nsfv.New()
+	classed := pipeline.Map(ctx, s.stats, "nsfv §4.4", s.Opts.Workers,
+		pipeline.Emit(ctx, safe),
+		func(_ context.Context, si SafeImage) nsfvClass {
+			switch {
+			case si.IsPack:
+				return nsfvClass{si, classPack}
+			case clf.IsSFV(si.Image):
+				return nsfvClass{si, classSFV}
+			default:
+				return nsfvClass{si, classPreview}
+			}
+		})
 	var out NSFVResult
-	for _, si := range safe {
-		if si.IsPack {
-			out.PackImages = append(out.PackImages, si)
-			continue
-		}
-		if clf.IsSFV(si.Image) {
-			out.SFV = append(out.SFV, si)
-		} else {
-			out.Previews = append(out.Previews, si)
+	for c := range classed {
+		switch c.class {
+		case classPack:
+			out.PackImages = append(out.PackImages, c.si)
+		case classSFV:
+			out.SFV = append(out.SFV, c.si)
+		default:
+			out.Previews = append(out.Previews, c.si)
 		}
 	}
-	return out
+	if err := ctx.Err(); err != nil {
+		return NSFVResult{}, err
+	}
+	return out, nil
 }
 
 // --- Step 6: reverse search and provenance (§4.5, Tables 5 and 6) -------
@@ -543,19 +568,50 @@ type ProvenanceResult struct {
 	Table6    map[string][]domaincls.TagCount
 }
 
-// Provenance reverse-searches all previews and ImagesPerPack images
+// provItem is one image headed for reverse search: a sampled pack
+// image or a preview.
+type provItem struct {
+	si   SafeImage
+	pack bool
+}
+
+// provSearched pairs a search outcome with the row it belongs to.
+type provSearched struct {
+	pack bool
+	out  searchOutcome
+}
+
+// Provenance reverse-searches all previews and imagesPerPack images
 // per pack (lowest, median and highest NSFW score, per the paper),
 // checks Seen-Before against crawl dates and the Wayback archive, and
-// classifies the matched domains with the three classifiers.
-func (s *Study) Provenance(ctx context.Context, n NSFVResult) ProvenanceResult {
-	f := newProvFold()
-	for _, si := range samplePackImages(n.PackImages, s.Opts.ImagesPerPack) {
-		f.addPack(s.searchImage(ctx, si))
+// classifies the matched domains with the three classifiers. The
+// searches fan out under Opts.Workers; the fold consumes outcomes in
+// image order (sampled pack images first, previews second).
+func (s *Study) Provenance(ctx context.Context, n NSFVResult) (ProvenanceResult, error) {
+	var items []provItem
+	for _, si := range samplePackImages(n.PackImages, imagesPerPack) {
+		items = append(items, provItem{si, true})
 	}
 	for _, si := range n.Previews {
-		f.addPreview(s.searchImage(ctx, si))
+		items = append(items, provItem{si, false})
 	}
-	return f.finish(s)
+	searched := pipeline.Map(ctx, s.stats, "reverse §4.5", s.Opts.Workers,
+		pipeline.Emit(ctx, items),
+		func(ctx context.Context, it provItem) provSearched {
+			return provSearched{it.pack, s.searchImage(ctx, it.si)}
+		})
+	fold := newProvFold()
+	for o := range searched {
+		if o.pack {
+			fold.addPack(o.out)
+		} else {
+			fold.addPreview(o.out)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return ProvenanceResult{}, err
+	}
+	return fold.finish(s), nil
 }
 
 // searchOutcome is the per-image part of provenance: the reverse-search
@@ -593,8 +649,8 @@ func (s *Study) searchImage(ctx context.Context, si SafeImage) searchOutcome {
 }
 
 // provFold accumulates search outcomes into a ProvenanceResult. The
-// fold is order-sensitive (AvgMatches sums floats), so both Run paths
-// feed it the same per-row image order.
+// fold is order-sensitive (AvgMatches sums floats), so Provenance feeds
+// it in image order whatever the worker count.
 type provFold struct {
 	res       ProvenanceResult
 	domains   map[string]struct{}
@@ -756,20 +812,11 @@ type EarningsResult struct {
 
 // AnalyzeEarnings reproduces §5.1-5.2: locate earnings threads
 // (heading keywords within the eWhoring corpus plus the Bragging
-// Rights board), extract image links, crawl them, gate through
-// PhotoDNA and NSFV, OCR-annotate the survivors into structured
-// proofs, and aggregate.
-func (s *Study) AnalyzeEarnings(ctx context.Context, ew []forum.ThreadID) EarningsResult {
-	return s.analyzeEarningsWith(ctx, ew, s.Whitelist, s.Hotline)
-}
-
-// analyzeEarningsWith is AnalyzeEarnings classifying links against an
-// explicit whitelist and reporting PhotoDNA matches to an explicit
-// hotline. The earnings artefact node passes the snowball-expanded
-// whitelist snapshotted in the links value — the state the sequential
-// order leaves on the study — and its own hotline, so the §4.3
-// summary stays independent of evaluation interleaving.
-func (s *Study) analyzeEarningsWith(ctx context.Context, ew []forum.ThreadID, whitelist *urlx.Whitelist, hotline *photodna.Hotline) EarningsResult {
+// Rights board), extract image links classified against whitelist
+// (the study passes the one ExtractLinks snowballed), crawl them, gate
+// through PhotoDNA and NSFV, OCR-annotate the survivors into
+// structured proofs, and aggregate.
+func (s *Study) AnalyzeEarnings(ctx context.Context, ew []forum.ThreadID, whitelist *urlx.Whitelist) (EarningsResult, error) {
 	store := s.World.Store
 	var res EarningsResult
 
@@ -801,10 +848,15 @@ func (s *Study) analyzeEarningsWith(ctx context.Context, ew []forum.ThreadID, wh
 	}
 	res.URLs = len(tasks)
 
-	results := s.CrawlLinks(ctx, tasks)
+	results, err := s.CrawlLinks(ctx, tasks)
+	if err != nil {
+		return EarningsResult{}, err
+	}
 	res.CrawlCoverage = crawler.CoverageOf(results)
-	safe, _ := s.filterAbuseInto(ctx, results, hotline)
-	res.Downloaded = 0
+	safe, _, err := s.FilterAbuse(ctx, results)
+	if err != nil {
+		return EarningsResult{}, err
+	}
 	for _, r := range results {
 		if r.Outcome == crawler.OutcomeOK {
 			res.Downloaded += len(r.Images)
@@ -839,7 +891,7 @@ func (s *Study) analyzeEarningsWith(ctx context.Context, ew []forum.ThreadID, wh
 		res.PerActorUSD = append(res.PerActorUSD, a.TotalUSD)
 		res.PerActorProofs = append(res.PerActorProofs, float64(a.Proofs))
 	}
-	return res
+	return res, nil
 }
 
 // HeavyPosterThreshold scales the paper's ">50 eWhoring posts" cut to
@@ -968,37 +1020,17 @@ func (r *Results) Degraded() bool {
 	return r.CrawlStats.Coverage.Degraded || r.Earnings.CrawlCoverage.Degraded
 }
 
-// RunSequential executes the complete study strictly stage by stage.
-// It is the reference implementation: Run must produce identical
-// Results for the same Options, and the equivalence test holds it to
-// that.
-func (s *Study) RunSequential(ctx context.Context) (*Results, error) {
+// Run executes the complete study: it computes every artefact of the
+// graph, then releases the study's backend. Independent nodes (the
+// §4.2-§4.5 image chain and the §5/§6 branch) run concurrently, and
+// each stage method folds its fanned-out items in input order, so
+// Results depend on the options and never on the worker counts
+// (TestRunWorkersEquivalence pins it). Per-node and per-stage metrics
+// are available from PipelineStats afterwards.
+//
+// When a memo store is attached (UseMemo), node values are reused
+// from — and published to — it under their canonical keys.
+func (s *Study) Run(ctx context.Context) (*Results, error) {
 	defer s.Close()
-	s.stats = nil
-	res := &Results{}
-	res.EWhoringThreads = s.SelectEWhoring()
-	res.Table1 = s.ForumOverview(res.EWhoringThreads)
-
-	cls, err := s.TrainAndExtract(res.EWhoringThreads)
-	if err != nil {
-		return nil, err
-	}
-	res.Classifier = cls
-	for i := range res.Table1 {
-		res.Table1[i].TOPs = cls.TOPsByForum[res.Table1[i].Forum]
-	}
-
-	res.Links = s.ExtractLinks(ctx, cls.Extract.TOPs)
-	crawlResults := s.CrawlLinks(ctx, res.Links.Tasks)
-	res.CrawlStats = crawler.Summarize(crawlResults)
-
-	safe, pdnaSummary := s.FilterAbuse(ctx, crawlResults)
-	res.PhotoDNA = pdnaSummary
-	res.NSFV = s.ClassifyNSFV(safe)
-	res.Provenance = s.Provenance(ctx, res.NSFV)
-
-	res.Earnings = s.AnalyzeEarnings(ctx, res.EWhoringThreads)
-	res.Actors = s.AnalyzeActors(res.EWhoringThreads, cls.Extract.TOPs, res.Earnings.Proofs)
-	res.Table7 = s.ExchangeAnalysis(res.Actors.Profiles)
-	return res, nil
+	return s.Compute(ctx)
 }

@@ -2,67 +2,56 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/synth"
 )
 
-// TestConcurrentRunMatchesSequential holds the concurrent Run to the
-// determinism requirement: for a fixed seed it must produce Results
-// identical to the sequential reference implementation — every table,
-// summary and proof count, compared field by field.
-func TestConcurrentRunMatchesSequential(t *testing.T) {
-	opts := Options{
-		Synth:          synth.Config{Seed: 7, Scale: 0.02, ImageSize: 48},
-		AnnotationSize: 400,
-		Workers:        8,
-	}
+// TestRunWorkersEquivalence holds Run to the determinism requirement:
+// for a fixed seed and scale, every worker count must produce Results
+// identical to the single-worker reference run — every table, summary
+// and proof count, compared field by field. Each case generates its
+// world once and shares it across the worker counts.
+func TestRunWorkersEquivalence(t *testing.T) {
 	ctx := context.Background()
-
-	seqStudy := NewStudy(opts)
-	want, err := seqStudy.RunSequential(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	concStudy := NewStudy(opts)
-	got, err := concStudy.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wv := reflect.ValueOf(*want)
-	gv := reflect.ValueOf(*got)
-	rt := wv.Type()
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-			t.Errorf("Results.%s differs between sequential and concurrent runs", name)
+	for _, seed := range []uint64{7, 11} {
+		for _, scale := range []float64{0.015, 0.02} {
+			t.Run(fmt.Sprintf("seed=%d,scale=%g", seed, scale), func(t *testing.T) {
+				cfg := synth.Config{Seed: seed, Scale: scale, ImageSize: 48}
+				world := synth.Generate(cfg)
+				run := func(workers int) *Study {
+					return NewStudyWithWorld(Options{
+						Synth:            cfg,
+						AnnotationSize:   300,
+						Workers:          workers,
+						CrawlConcurrency: workers,
+					}, world)
+				}
+				ref := run(1)
+				want, err := ref.Run(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ref.PipelineStats()) == 0 {
+					t.Error("reference run recorded no pipeline stages")
+				}
+				for _, workers := range []int{2, 4, 7} {
+					got, err := run(workers).Run(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffResults(t, want, got, fmt.Sprintf("workers=%d vs workers=1", workers))
+				}
+			})
 		}
-	}
-
-	// The hotline must also end in the same state: image-branch
-	// reports in task order, then the earnings branch's.
-	if !reflect.DeepEqual(seqStudy.Hotline.Reports(), concStudy.Hotline.Reports()) {
-		t.Error("hotline reports differ between sequential and concurrent runs")
-	}
-
-	if stats := concStudy.PipelineStats(); len(stats) == 0 {
-		t.Error("concurrent run recorded no pipeline stages")
-	} else {
-		for _, sn := range stats {
-			t.Logf("stage %-18s workers=%2d in=%4d out=%4d wall=%v busy=%v",
-				sn.Name, sn.Workers, sn.In, sn.Out, sn.Wall, sn.Busy)
-		}
-	}
-	if stats := seqStudy.PipelineStats(); stats != nil {
-		t.Error("sequential run should not record pipeline stages")
 	}
 }
 
-// TestConcurrentRunDeterministic runs the concurrent pipeline twice on
-// the same seed and demands bit-identical Results: the engine's
-// ordered fan-in may not leak scheduling nondeterminism.
+// TestConcurrentRunDeterministic runs the study twice on the same seed
+// at an odd worker count and demands bit-identical Results: the
+// engine's ordered fan-in may not leak scheduling nondeterminism.
 func TestConcurrentRunDeterministic(t *testing.T) {
 	opts := Options{
 		Synth:          synth.Config{Seed: 11, Scale: 0.015, ImageSize: 48},
@@ -79,6 +68,6 @@ func TestConcurrentRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Error("two concurrent runs with the same seed produced different Results")
+		t.Error("two runs with the same seed produced different Results")
 	}
 }

@@ -59,23 +59,24 @@ func TestFaultRetryableEquivalence(t *testing.T) {
 }
 
 // TestFaultRetryableEquivalenceSequential holds the same invariant on
-// the sequential reference path, under the flaky-5xx adversary.
+// the single-worker reference run, under the flaky-5xx adversary.
 func TestFaultRetryableEquivalenceSequential(t *testing.T) {
 	ctx := context.Background()
 	opts := faultOpts("")
 	opts.Synth = synth.Config{Seed: 11, Scale: 0.015, ImageSize: 48}
 	opts.AnnotationSize = 300
-	want, err := NewStudy(opts).RunSequential(ctx)
+	opts.Workers, opts.CrawlConcurrency = 1, 1
+	want, err := NewStudy(opts).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Faults = "failures=1;flaky=*"
-	got, err := NewStudy(opts).RunSequential(ctx)
+	got, err := NewStudy(opts).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		diffResults(t, want, got, "flaky vs fault-free, sequential")
+		diffResults(t, want, got, "flaky vs fault-free, one worker")
 	}
 }
 
@@ -144,7 +145,7 @@ func TestFaultInvalidProfileIgnoredInCore(t *testing.T) {
 	opts := faultOpts("not a profile")
 	opts.Synth.Scale = 0.01
 	opts.AnnotationSize = 150
-	res, err := NewStudy(opts).RunSequential(context.Background())
+	res, err := NewStudy(opts).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,43 +312,23 @@ func (c *Crawler) takeRetry(host string) bool {
 	return true
 }
 
-// Crawl fetches every task with bounded concurrency. Results are
-// returned in task order. Cancel via ctx.
+// Crawl fetches every task with bounded concurrency and returns the
+// results in task order: CrawlStream, collected. If ctx is cancelled,
+// every task the stream left undelivered comes back as OutcomeError
+// carrying ctx.Err().
 func (c *Crawler) Crawl(ctx context.Context, tasks []Task) []Result {
-	results := make([]Result, len(tasks))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < c.cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				results[i] = c.fetchOne(ctx, tasks[i])
-			}
-		}()
+	results := pipeline.Collect(c.CrawlStream(ctx, nil, tasks))
+	for _, t := range tasks[len(results):] {
+		results = append(results, Result{Task: t, Outcome: OutcomeError, Err: ctx.Err()})
 	}
-feed:
-	for i := range tasks {
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			for j := i; j < len(tasks); j++ {
-				results[j] = Result{Task: tasks[j], Outcome: OutcomeError, Err: ctx.Err()}
-			}
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
 	return results
 }
 
 // CrawlStream fetches every task with bounded concurrency, delivering
 // each result on the returned channel in task order as it becomes
-// available — the channel counterpart of Crawl, for pipelines that
-// want downstream stages to start before the crawl finishes. stats
-// may be nil. If ctx is cancelled the channel closes early with the
-// remaining tasks undelivered.
+// available, so downstream stages can start before the crawl
+// finishes. stats may be nil. If ctx is cancelled the channel closes
+// early with the remaining tasks undelivered.
 func (c *Crawler) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []Task) <-chan Result {
 	return pipeline.Map(ctx, stats, "crawl §4.2", c.cfg.Concurrency, pipeline.Emit(ctx, tasks),
 		func(ctx context.Context, t Task) Result { return c.fetchOne(ctx, t) })

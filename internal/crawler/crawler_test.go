@@ -259,8 +259,11 @@ func BenchmarkCrawl100(b *testing.B) {
 	}
 }
 
+// TestCrawlStreamMatchesCrawl pins the stream's ordering contract: a
+// single-worker crawl and a 16-worker crawl deliver the same results
+// in task order.
 func TestCrawlStreamMatchesCrawl(t *testing.T) {
-	_, _, c := testWorld(t)
+	w, srv, _ := testWorld(t)
 	tasks := []Task{
 		task("https://imgur.com/live", urlx.KindImageSharing),
 		task("https://imgur.com/deleted", urlx.KindImageSharing),
@@ -269,17 +272,21 @@ func TestCrawlStreamMatchesCrawl(t *testing.T) {
 		task("https://oron.com/x", urlx.KindCloudStorage),
 		task("https://imgur.com/tos", urlx.KindImageSharing),
 	}
-	want := c.Crawl(context.Background(), tasks)
-	var got []Result
-	for r := range c.CrawlStream(context.Background(), nil, tasks) {
-		got = append(got, r)
+	crawl := func(concurrency int) []Result {
+		c := New(Config{Concurrency: concurrency}, srv.Client(), w.Resolver(srv.URL))
+		var out []Result
+		for r := range c.CrawlStream(context.Background(), nil, tasks) {
+			out = append(out, r)
+		}
+		return out
 	}
-	if len(got) != len(want) {
-		t.Fatalf("stream delivered %d results, want %d", len(got), len(want))
+	want, got := crawl(1), crawl(16)
+	if len(want) != len(tasks) || len(got) != len(want) {
+		t.Fatalf("stream delivered %d (1 worker) and %d (16 workers) results, want %d", len(want), len(got), len(tasks))
 	}
 	for i := range want {
-		if got[i].Task != want[i].Task {
-			t.Fatalf("result %d out of order: got task %+v want %+v", i, got[i].Task, want[i].Task)
+		if got[i].Task != want[i].Task || want[i].Task != tasks[i] {
+			t.Fatalf("result %d out of order: got task %+v want %+v", i, got[i].Task, tasks[i])
 		}
 		if got[i].Outcome != want[i].Outcome || got[i].IsPack != want[i].IsPack ||
 			len(got[i].Images) != len(want[i].Images) {

@@ -135,13 +135,9 @@ func NewHTTPClient(cfg HTTPConfig) *HTTPClient {
 	return h
 }
 
-// Crawl fetches every task against the hosting server, in task order.
-func (h *HTTPClient) Crawl(ctx context.Context, tasks []Task) []Result {
-	return h.crawler.Crawl(ctx, tasks)
-}
-
-// CrawlStream is the channel form of Crawl: it plugs into the study's
-// stage engine exactly like the in-process crawler's stream.
+// CrawlStream fetches every task against the hosting server,
+// delivering results in task order: it plugs into the study's stage
+// engine exactly like the in-process crawler's stream.
 func (h *HTTPClient) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []Task) <-chan Result {
 	return h.crawler.CrawlStream(ctx, stats, tasks)
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hosting"
 	"repro/internal/imagex"
+	"repro/internal/pipeline"
 	"repro/internal/reverse"
 	"repro/internal/urlx"
 	"repro/internal/wayback"
@@ -58,7 +59,7 @@ func testSubstrate(t *testing.T) (*HTTPClient, *hosting.World) {
 
 func TestHTTPClientCrawl(t *testing.T) {
 	hc, _ := testSubstrate(t)
-	res := hc.Crawl(context.Background(), []Task{
+	res := collectStream(hc, []Task{
 		task("https://imgur.com/live", urlx.KindImageSharing),
 		task("https://mediafire.com/pack1", urlx.KindCloudStorage),
 		task("https://oron.com/x", urlx.KindCloudStorage),
@@ -167,7 +168,7 @@ func TestHTTPClientRetries(t *testing.T) {
 		Crawl:      Config{Concurrency: 1, MaxRetries: 2, BackoffBase: time.Millisecond},
 	})
 	defer hc.Close()
-	res := hc.Crawl(context.Background(), []Task{task("https://imgur.com/x", urlx.KindImageSharing)})
+	res := collectStream(hc, []Task{task("https://imgur.com/x", urlx.KindImageSharing)})
 	if res[0].Outcome != OutcomeOK {
 		t.Fatalf("retry did not recover: outcome %v err %v", res[0].Outcome, res[0].Err)
 	}
@@ -192,7 +193,7 @@ func TestHTTPClientRequestTimeout(t *testing.T) {
 	})
 	defer hc.Close()
 	start := time.Now()
-	res := hc.Crawl(context.Background(), []Task{task("https://imgur.com/slow", urlx.KindImageSharing)})
+	res := collectStream(hc, []Task{task("https://imgur.com/slow", urlx.KindImageSharing)})
 	if res[0].Outcome != OutcomeError {
 		t.Fatalf("outcome %v, want error", res[0].Outcome)
 	}
@@ -221,7 +222,7 @@ func TestHTTPClientPerHostRateLimit(t *testing.T) {
 	defer hc.Close()
 
 	start := time.Now()
-	res := hc.Crawl(context.Background(), []Task{
+	res := collectStream(hc, []Task{
 		task("https://a.com/x", urlx.KindImageSharing),
 		task("https://a.com/x", urlx.KindImageSharing),
 		task("https://a.com/x", urlx.KindImageSharing),
@@ -235,4 +236,10 @@ func TestHTTPClientPerHostRateLimit(t *testing.T) {
 	if elapsed < 2*interval {
 		t.Errorf("3 same-host requests finished in %v, want >= %v", elapsed, 2*interval)
 	}
+}
+
+// collectStream crawls tasks through the client's stream and returns
+// the results in task order.
+func collectStream(hc *HTTPClient, tasks []Task) []Result {
+	return pipeline.Collect(hc.CrawlStream(context.Background(), nil, tasks))
 }

@@ -2,14 +2,12 @@
 // worker pools connected by channels, with order-preserving fan-in,
 // per-stage timing and counters, and context cancellation.
 //
-// The study's Figure 1 pipeline is rebuilt on these primitives so that
-// crawl results stream through PhotoDNA filtering, NSFV classification
-// and reverse-image search as they arrive, while the independent §5/§6
-// analyses run on a parallel branch. Determinism is the design
-// constraint: Map and FlatMap deliver outputs in input order no matter
-// how the worker pool schedules them, so a concurrent pipeline run
-// folds its results in exactly the order the sequential reference
-// implementation does.
+// Every fan-out stage of the study's Figure 1 pipeline — the crawl,
+// the PhotoDNA gate, NSFV classification and reverse-image search —
+// runs on Map. Determinism is the design constraint: Map delivers
+// outputs in input order no matter how the worker pool schedules
+// them, so a stage folds its results in the same order at one worker
+// or many.
 package pipeline
 
 import (
@@ -175,115 +173,6 @@ func Map[In, Out any](ctx context.Context, stats *Stats, name string, workers in
 		}
 	}()
 	return out
-}
-
-// FlatMap is Map for stage functions that produce zero or more outputs
-// per input; the output slices are flattened in input order.
-func FlatMap[In, Out any](ctx context.Context, stats *Stats, name string, workers int, in <-chan In, fn func(context.Context, In) []Out) <-chan Out {
-	workers = defaultWorkers(workers)
-	st := stats.Stage(name, workers)
-	ctx, sp := stageSpan(ctx, name, workers)
-	timed := func(ctx context.Context, v In) []Out {
-		st.AddIn(1)
-		start := time.Now()
-		r := fn(ctx, v)
-		st.AddBusy(time.Since(start))
-		return r
-	}
-	slices := Map(ctx, nil, "", workers, in, timed)
-	out := make(chan Out, workers)
-	go func() {
-		defer close(out)
-		defer st.Close()
-		defer sp.End()
-		for vs := range slices {
-			for _, v := range vs {
-				select {
-				case out <- v:
-					st.AddOut(1)
-				case <-ctx.Done():
-					for range slices {
-					}
-					return
-				}
-			}
-		}
-	}()
-	return out
-}
-
-// Process runs a serial stage with explicit emission control: fn is
-// called for every input with an emit function, and flush (optional)
-// runs after the input closes — the hook for stages that buffer, such
-// as per-pack sampling. Emission order is the call order, so a Process
-// stage is deterministic by construction.
-func Process[In, Out any](ctx context.Context, stats *Stats, name string, in <-chan In, fn func(In, func(Out)), flush func(func(Out))) <-chan Out {
-	st := stats.Stage(name, 1)
-	_, sp := stageSpan(ctx, name, 1)
-	out := make(chan Out)
-	go func() {
-		defer close(out)
-		defer st.Close()
-		defer sp.End()
-		cancelled := false
-		emit := func(v Out) {
-			if cancelled {
-				return
-			}
-			select {
-			case out <- v:
-				st.AddOut(1)
-			case <-ctx.Done():
-				cancelled = true
-			}
-		}
-		for v := range in {
-			if cancelled {
-				continue // drain upstream
-			}
-			st.AddIn(1)
-			start := time.Now()
-			fn(v, emit)
-			st.AddBusy(time.Since(start))
-		}
-		if flush != nil && !cancelled {
-			start := time.Now()
-			flush(emit)
-			st.AddBusy(time.Since(start))
-		}
-	}()
-	return out
-}
-
-// Tee duplicates a stream to n consumers. Every output receives every
-// item; delivery is lock-step (a slow consumer gates the others), with
-// a small buffer to decouple bursts.
-func Tee[T any](ctx context.Context, in <-chan T, n int) []<-chan T {
-	outs := make([]chan T, n)
-	ro := make([]<-chan T, n)
-	for i := range outs {
-		outs[i] = make(chan T, 64)
-		ro[i] = outs[i]
-	}
-	go func() {
-		defer func() {
-			for _, o := range outs {
-				close(o)
-			}
-		}()
-		for v := range in {
-			for _, o := range outs {
-				select {
-				case o <- v:
-				case <-ctx.Done():
-					for range in {
-					}
-					return
-				}
-			}
-		}
-	}()
-	return ro
 }
 
 // Group runs pipeline branches concurrently and waits for all of them

@@ -49,18 +49,6 @@ func (s *Stats) Record(name string, workers int, in, out int64, wall, busy time.
 	s.mu.Unlock()
 }
 
-// Time runs fn as a single-worker stage, recording its wall time as
-// both wall and busy time with one item in and out.
-func (s *Stats) Time(name string, fn func()) {
-	st := s.Stage(name, 1)
-	st.AddIn(1)
-	start := time.Now()
-	fn()
-	st.AddBusy(time.Since(start))
-	st.AddOut(1)
-	st.Close()
-}
-
 // StageStats accumulates one stage's counters. The zero of every
 // counter is valid; a nil receiver is a no-op.
 type StageStats struct {

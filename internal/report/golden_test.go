@@ -1,11 +1,14 @@
 package report
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with the current output")
@@ -14,17 +17,17 @@ var update = flag.Bool("update", false, "rewrite golden files with the current o
 // seed/scale: table layout, column widths, number formatting and row
 // order are all part of the study's contract (DESIGN.md §1 —
 // determinism is an invariant), so any formatting or data drift fails
-// here. Regenerate deliberately with:
+// here. The single-worker reference run must render the same bytes
+// as the default worker count. Regenerate deliberately with:
 //
 //	go test ./internal/report -run TestFullReportGolden -update
 func TestFullReportGolden(t *testing.T) {
-	got := Full(res(t))
 	golden := filepath.Join("testdata", "full_seed77_scale002.golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(Full(res(t))), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,10 +35,27 @@ func TestFullReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
-	if got == string(want) {
+	t.Run("workers=default", func(t *testing.T) {
+		compareGolden(t, Full(res(t)), string(want))
+	})
+	t.Run("workers=1", func(t *testing.T) {
+		opts := goldenOptions()
+		opts.Workers, opts.CrawlConcurrency = 1, 1
+		one, err := core.NewStudy(opts).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareGolden(t, Full(one), string(want))
+	})
+}
+
+// compareGolden fails at the first line where got drifts from want.
+func compareGolden(t *testing.T, got, want string) {
+	t.Helper()
+	if got == want {
 		return
 	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
 	n := len(gotLines)
 	if len(wantLines) < n {
 		n = len(wantLines)

@@ -17,13 +17,17 @@ var (
 	runErr  error
 )
 
+// goldenOptions is the seed-77 study every report test renders.
+func goldenOptions() core.Options {
+	return core.Options{
+		Synth:          synth.Config{Seed: 77, Scale: 0.02},
+		AnnotationSize: 300,
+	}
+}
+
 func res(t testing.TB) *core.Results {
 	once.Do(func() {
-		s := core.NewStudy(core.Options{
-			Synth:          synth.Config{Seed: 77, Scale: 0.02},
-			AnnotationSize: 300,
-		})
-		results, runErr = s.Run(context.Background())
+		results, runErr = core.NewStudy(goldenOptions()).Run(context.Background())
 	})
 	if runErr != nil {
 		t.Fatal(runErr)

@@ -196,7 +196,8 @@ func GenerateContext(ctx context.Context, cfg Config) *World {
 // walk Generate performs, with every image job executed inline at its
 // submission point. Generate must produce a DeepEqual world for every
 // worker count; the equivalence test holds it to that (the same
-// pattern core.RunSequential pins for study results).
+// pattern core.TestRunWorkersEquivalence pins for study results, with
+// Workers 1 as the reference).
 func GenerateSequential(cfg Config) *World {
 	w := newWorld(cfg)
 	//lint:ignore ctxhygiene the sequential reference runs no goroutines and records no spans; there is nothing to cancel or trace.
