@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: verify vet fmt-check lint build test test-race bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline bench load-smoke load-slo load-baseline chaos clean
+.PHONY: verify vet fmt-check lint build test test-race perfbench-check bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline bench load-smoke load-slo load-baseline chaos clean
 
-verify: vet lint build test
+verify: vet lint build test perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module (perfbench/go.mod, with
+# `replace repro => ../`), so `go build ./...` at the root never
+# compiles it. Vet and test it here, so an internal API change that
+# breaks the benchmark fails verify instead of the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Three iterations of the one-worker/concurrent full-study pair plus
 # the cross-seed sweep — fast sanity that the engine and the sweep

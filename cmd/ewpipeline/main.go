@@ -1,16 +1,20 @@
 // Command ewpipeline runs the Figure 1 measurement pipeline with
 // progress reporting — the operational view of the study, as opposed
-// to ewreport's final tables. The study runs on the artefact graph and
-// prints per-stage worker counts, item flows and timings; any -workers
-// count, 1 included, produces identical results for the same seed.
+// to ewreport's final tables. The study runs on the artefact graph
+// under a local tracer and ends with the trace's critical-path report:
+// each artefact node's wall time, share and slack, with the chain that
+// bounds the run marked. Any -workers count, 1 included, produces
+// identical results for the same seed.
 //
 // With -only the run is selective: only the named tables/figures (and
-// the artefact subgraph they depend on) execute — the node table then
-// shows which artefacts ran and what each cost.
+// the artefact subgraph they depend on) execute — the critical-path
+// report then lists only the nodes that ran.
 //
 // With -remote the study is not run in-process at all: the options are
 // POSTed to a live study service (cmd/ewserve's -study address) and
-// the server's summary, stage table and cache verdict are printed.
+// the server's summary and cache verdict are printed. The server's
+// per-node ledger is at GET /v1/stats and the run's trace is printed
+// by `ewtrace -remote`.
 //
 // With -cpuprofile / -memprofile the run writes pprof profiles, so
 // hot-path work (hashing, matching, the stage engine) is measurable
@@ -31,15 +35,16 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/faultx"
-	"repro/internal/pipeline"
 	"repro/internal/report"
 	"repro/internal/studysvc"
 	"repro/internal/synth"
+	"repro/internal/tracex"
 )
 
 func main() {
@@ -114,11 +119,19 @@ func run() int {
 		}
 		return 0
 	}
-	study := core.NewStudy(core.Options{
+	// Spans are the run's timing record. The tracer keeps every span
+	// of the one trace, so the critical-path report sees all of them.
+	tracer := tracex.New(tracex.Config{MaxSpansPerTrace: 1 << 20})
+	ctx, root := tracex.StartSpan(tracex.NewContext(ctx, tracer), "run")
+	opts := core.Options{
 		Synth:   synth.Config{Seed: *seed, Scale: *scale},
 		Workers: *workers,
 		Faults:  *faults,
-	})
+	}
+	sctx, synthSpan := tracex.StartSpan(ctx, "synth")
+	synthSpan.SetAttr("workers", strconv.Itoa(opts.Synth.EffectiveWorkers()))
+	study := core.NewStudyContext(sctx, opts)
+	synthSpan.End()
 	defer study.Close()
 
 	if len(names) > 0 {
@@ -135,7 +148,7 @@ func run() int {
 			return 1
 		}
 		fmt.Printf("\n%s", out)
-		printStages("artefact nodes", study.PipelineStats())
+		printCriticalPath(tracer, root)
 		fmt.Printf("\nselection complete in %v\n", time.Since(start).Round(time.Millisecond))
 		return 0
 	}
@@ -192,23 +205,21 @@ func run() int {
 	fmt.Printf("  %d profiles, %d key actors\n",
 		len(res.Actors.Profiles), len(res.Actors.Key.All))
 
-	printStages("pipeline stages", study.PipelineStats())
+	printCriticalPath(tracer, root)
 	fmt.Printf("\npipeline complete in %v\n", elapsed)
 	return 0
 }
 
-// printStages renders a stage-snapshot table (no-op when empty).
-func printStages(title string, snaps []pipeline.StageSnapshot) {
-	if len(snaps) == 0 {
+// printCriticalPath ends the run's root span and prints the
+// critical-path report of its trace, the view ewsweep -trace and
+// ewtrace print.
+func printCriticalPath(tracer *tracex.Tracer, root *tracex.Span) {
+	root.End()
+	tr, ok := tracer.Trace(root.Context().Trace.String())
+	if !ok {
 		return
 	}
-	fmt.Printf("\n--- %s ---\n", title)
-	fmt.Printf("%-18s %7s %6s %6s %12s %12s\n", "stage", "workers", "in", "out", "wall", "busy")
-	for _, sn := range snaps {
-		fmt.Printf("%-18s %7d %6d %6d %12s %12s\n",
-			sn.Name, sn.Workers, sn.In, sn.Out,
-			sn.Wall.Round(time.Microsecond), sn.Busy.Round(time.Microsecond))
-	}
+	fmt.Printf("\n--- critical path ---\n%s", tracex.CriticalPath(tr, core.SpanDeps()).Render())
 }
 
 // runRemote drives one study against a live service and prints the
@@ -235,7 +246,6 @@ func runRemote(ctx context.Context, baseURL string, req studysvc.Request) error 
 		// A filtered run has no summary; the partial report is the
 		// server's whole answer.
 		fmt.Printf("\n%s", env.Report)
-		printStages("pipeline stages (server)", env.Stages)
 		return nil
 	}
 
@@ -250,7 +260,5 @@ func runRemote(ctx context.Context, baseURL string, req studysvc.Request) error 
 	fmt.Printf("--- economy (§5-§6) ---\n")
 	fmt.Printf("  %d proofs totalling $%.0f, %d profiles, %d key actors\n",
 		s.Proofs, s.TotalUSD, s.Profiles, s.KeyActors)
-
-	printStages("pipeline stages (server)", env.Stages)
 	return nil
 }

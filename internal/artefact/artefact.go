@@ -17,8 +17,6 @@ package artefact
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/pipeline"
 )
@@ -158,35 +156,15 @@ func (g *Graph[E]) Closure(targets ...string) ([]string, error) {
 	return order, nil
 }
 
-// Event reports one resolved node to an Evaluate observer.
-type Event struct {
-	// Node is the resolved node's name.
-	Node string
-	// Memoized reports that the value came from the store (either a
-	// completed entry or another evaluation's in-flight computation)
-	// rather than being computed by this evaluation.
-	Memoized bool
-	// Wall is the time this evaluation spent resolving the node:
-	// compute time when it computed, wait time when it was memoized.
-	Wall time.Duration
-}
-
-// EvalOptions tunes one Evaluate call.
-type EvalOptions struct {
-	// Observe, when set, is called once per resolved node (serialized
-	// by the engine, in completion order).
-	Observe func(Event)
-}
-
 // Evaluate computes the targets and their transitive closure,
 // returning every resolved value by node name. Independent nodes run
 // concurrently; each node starts as soon as its dependencies resolve.
 // Values memoize into store by each node's Key — a nil store gets a
 // private, evaluation-local store, so shared dependencies still
-// compute exactly once. An empty target list evaluates the whole
-// graph. The first node error (or ctx cancellation) aborts the
-// evaluation.
-func (g *Graph[E]) Evaluate(ctx context.Context, env E, store *Store, opts EvalOptions, targets ...string) (map[string]any, error) {
+// compute exactly once. The store also records every node's outcome
+// (Store.Nodes). An empty target list evaluates the whole graph. The
+// first node error (or ctx cancellation) aborts the evaluation.
+func (g *Graph[E]) Evaluate(ctx context.Context, env E, store *Store, targets ...string) (map[string]any, error) {
 	if len(targets) == 0 {
 		targets = g.Names()
 	}
@@ -209,7 +187,6 @@ func (g *Graph[E]) Evaluate(ctx context.Context, env E, store *Store, opts EvalO
 	for _, name := range needed {
 		slots[name] = &slot{done: make(chan struct{})}
 	}
-	var obsMu sync.Mutex
 	var group pipeline.Group
 	for _, name := range needed {
 		n := g.nodes[name]
@@ -235,19 +212,12 @@ func (g *Graph[E]) Evaluate(ctx context.Context, env E, store *Store, opts EvalO
 			if n.Key != nil {
 				key = n.Key(env)
 			}
-			start := time.Now()
-			val, memoized, err := store.resolve(ctx, n.Name, key, func(ctx context.Context) (any, error) {
+			val, err := store.resolve(ctx, n.Name, key, func(ctx context.Context) (any, error) {
 				return n.Compute(ctx, env, deps)
 			})
 			sl.val, sl.err = val, err
 			if err != nil {
 				cancel() // wind down sibling nodes
-				return
-			}
-			if opts.Observe != nil {
-				obsMu.Lock()
-				opts.Observe(Event{Node: n.Name, Memoized: memoized, Wall: time.Since(start)})
-				obsMu.Unlock()
 			}
 		})
 	}

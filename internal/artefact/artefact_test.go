@@ -71,7 +71,7 @@ func diamond(t *testing.T) *Graph[*env] {
 func TestEvaluateDiamond(t *testing.T) {
 	g := diamond(t)
 	e := &env{key: "k"}
-	vals, err := g.Evaluate(context.Background(), e, nil, EvalOptions{})
+	vals, err := g.Evaluate(context.Background(), e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestEvaluateSelective(t *testing.T) {
 	g := diamond(t)
 	e := &env{key: "k"}
 	store := NewStore(0)
-	vals, err := g.Evaluate(context.Background(), e, store, EvalOptions{}, "b")
+	vals, err := g.Evaluate(context.Background(), e, store, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +110,12 @@ func TestEvaluateMemoizes(t *testing.T) {
 	ctx := context.Background()
 
 	e1 := &env{key: "k"}
-	if _, err := g.Evaluate(ctx, e1, store, EvalOptions{}); err != nil {
+	if _, err := g.Evaluate(ctx, e1, store); err != nil {
 		t.Fatal(err)
 	}
 	// Same key, fresh environment: everything is answered from memo.
 	e2 := &env{key: "k"}
-	var events []Event
-	vals, err := g.Evaluate(ctx, e2, store, EvalOptions{
-		Observe: func(ev Event) { events = append(events, ev) },
-	})
+	vals, err := g.Evaluate(ctx, e2, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +125,24 @@ func TestEvaluateMemoizes(t *testing.T) {
 	if len(e2.traced()) != 0 {
 		t.Fatalf("warm evaluation computed %v", e2.traced())
 	}
-	for _, ev := range events {
-		if !ev.Memoized {
-			t.Fatalf("event for %s not marked memoized", ev.Node)
+	// The ledger holds one row per node: the cold compute, timed, and
+	// the warm hit.
+	nodes := store.Nodes()
+	if len(nodes) != 4 {
+		t.Fatalf("ledger has %d rows, want 4: %+v", len(nodes), nodes)
+	}
+	for i, n := range nodes {
+		if want := string(rune('a' + i)); n.Name != want {
+			t.Fatalf("row %d is %q, want %q (sorted by name)", i, n.Name, want)
+		}
+		if n.Hits != 1 || n.Computes != 1 || n.Latency.Count != 1 {
+			t.Fatalf("row %s = %d hits / %d computes / %d timed, want 1/1/1",
+				n.Name, n.Hits, n.Computes, n.Latency.Count)
 		}
 	}
 	// A different key shares nothing.
 	e3 := &env{key: "other"}
-	if _, err := g.Evaluate(ctx, e3, store, EvalOptions{}); err != nil {
+	if _, err := g.Evaluate(ctx, e3, store); err != nil {
 		t.Fatal(err)
 	}
 	if got := e3.traced(); !reflect.DeepEqual(got, []string{"a", "b", "c", "d"}) {
@@ -158,7 +165,7 @@ func TestEvaluateSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			e := &env{key: "k"}
-			if _, err := g.Evaluate(context.Background(), e, store, EvalOptions{}); err != nil {
+			if _, err := g.Evaluate(context.Background(), e, store); err != nil {
 				t.Error(err)
 			}
 			computes.Add(int64(len(e.traced())))
@@ -194,10 +201,10 @@ func TestEvaluateErrors(t *testing.T) {
 		},
 	})
 	store := NewStore(0)
-	if _, err := g.Evaluate(context.Background(), &env{}, store, EvalOptions{}, "down"); !errors.Is(err, boom) {
+	if _, err := g.Evaluate(context.Background(), &env{}, store, "down"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	vals, err := g.Evaluate(context.Background(), &env{}, store, EvalOptions{}, "down")
+	vals, err := g.Evaluate(context.Background(), &env{}, store, "down")
 	if err != nil {
 		t.Fatalf("retry after error failed: %v", err)
 	}
@@ -232,7 +239,7 @@ func TestWaiterRetriesAfterCreatorFails(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := g.Evaluate(ctxA, &env{}, store, EvalOptions{}, "n")
+		_, err := g.Evaluate(ctxA, &env{}, store, "n")
 		aDone <- err
 	}()
 	<-creatorEntered
@@ -243,7 +250,7 @@ func TestWaiterRetriesAfterCreatorFails(t *testing.T) {
 	var bErr error
 	go func() {
 		defer close(bDone)
-		bVals, bErr = g.Evaluate(context.Background(), &env{}, store, EvalOptions{}, "n")
+		bVals, bErr = g.Evaluate(context.Background(), &env{}, store, "n")
 	}()
 	close(release)
 	cancelA()
@@ -261,14 +268,14 @@ func TestWaiterRetriesAfterCreatorFails(t *testing.T) {
 
 func TestEvaluateUnknownAndCycle(t *testing.T) {
 	g := diamond(t)
-	if _, err := g.Evaluate(context.Background(), &env{}, nil, EvalOptions{}, "nope"); err == nil {
+	if _, err := g.Evaluate(context.Background(), &env{}, nil, "nope"); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 	c := NewGraph[*env]()
 	ok := func(context.Context, *env, Deps) (any, error) { return nil, nil }
 	c.MustRegister(Node[*env]{Name: "x", Deps: []string{"y"}, Compute: ok})
 	c.MustRegister(Node[*env]{Name: "y", Deps: []string{"x"}, Compute: ok})
-	if _, err := c.Evaluate(context.Background(), &env{}, nil, EvalOptions{}, "x"); err == nil {
+	if _, err := c.Evaluate(context.Background(), &env{}, nil, "x"); err == nil {
 		t.Fatal("cycle accepted")
 	}
 }
@@ -296,9 +303,17 @@ func TestStoreLRUBound(t *testing.T) {
 		return func(context.Context) (any, error) { return v, nil }
 	}
 	ctx := context.Background()
+	// hit resolves key and reports whether the store answered it.
+	hit := func(key string) bool {
+		before := store.Stats().Hits
+		if _, err := store.resolve(ctx, "n", key, compute(key)); err != nil {
+			t.Fatal(err)
+		}
+		return store.Stats().Hits > before
+	}
 	for i := 0; i < 5; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := store.resolve(ctx, "n", key, compute(key)); err != nil {
+		if _, err := store.resolve(ctx, "n", key, compute(key)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,10 +325,10 @@ func TestStoreLRUBound(t *testing.T) {
 		t.Fatalf("evictions = %d, want 3", st.Evictions)
 	}
 	// The newest keys survive; the oldest recompute.
-	if _, memo, _ := store.resolve(ctx, "n", "k4", compute("k4")); !memo {
+	if !hit("k4") {
 		t.Fatal("most recent entry was evicted")
 	}
-	if _, memo, _ := store.resolve(ctx, "n", "k0", compute("k0")); memo {
+	if hit("k0") {
 		t.Fatal("oldest entry survived a full eviction cycle")
 	}
 }
@@ -339,7 +354,7 @@ func TestStoreEvictionSkipsInFlight(t *testing.T) {
 	<-started
 	// Inserting a second entry overflows max=1, but the in-flight
 	// entry must survive.
-	if _, _, err := store.resolve(ctx, "n", "fast", func(context.Context) (any, error) { return "fast", nil }); err != nil {
+	if _, err := store.resolve(ctx, "n", "fast", func(context.Context) (any, error) { return "fast", nil }); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 2 {
@@ -348,13 +363,13 @@ func TestStoreEvictionSkipsInFlight(t *testing.T) {
 	close(release)
 	<-slowDone
 	// The slow value was kept and is served from memo...
-	v, memo, err := store.resolve(ctx, "n", "slow", func(context.Context) (any, error) { return "recomputed", nil })
-	if err != nil || !memo || v != "slow-value" {
-		t.Fatalf("slow entry lost: v=%v memo=%v err=%v", v, memo, err)
+	v, err := store.resolve(ctx, "n", "slow", func(context.Context) (any, error) { return "recomputed", nil })
+	if st := store.Stats(); err != nil || st.Hits != 1 || v != "slow-value" {
+		t.Fatalf("slow entry lost: v=%v hits=%d err=%v", v, st.Hits, err)
 	}
 	// ...and the next insert shrinks the store back within its bound
 	// now that everything is completed.
-	if _, _, err := store.resolve(ctx, "n", "third", func(context.Context) (any, error) { return 3, nil }); err != nil {
+	if _, err := store.resolve(ctx, "n", "third", func(context.Context) (any, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 1 {

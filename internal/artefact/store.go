@@ -2,10 +2,13 @@ package artefact
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/logx"
+	"repro/internal/pipeline"
 	"repro/internal/tracex"
 )
 
@@ -20,19 +23,20 @@ const DefaultStoreSize = 256
 // LRU-bounded in entries and never memoizes errors — a failed
 // computation is dropped so the next evaluation retries.
 //
-// It also serves as the node-execution ledger: ComputeCounts reports
-// how many times each node actually computed (as opposed to being
-// answered from memo), which is what selectivity and reuse tests
-// assert on.
+// It is also the node ledger: every resolve lands in its node's row
+// as exactly one outcome — a hit, or a compute (keyless bypasses
+// included) — and every successful computation adds its wall time to
+// the row's latency histogram. Nodes, ComputeCount and Stats are views
+// of that one record, which selectivity and reuse tests assert on and
+// the study service serves at /v1/stats.
 type Store struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*entry
 	order   []string // LRU order, most recently used last
 
-	computes map[string]int // node name → actual computations
-	hits     int64
-	evicted  int64
+	nodes   map[string]*nodeLedger
+	evicted int64
 }
 
 // entry deduplicates one computation: the creator computes, waiters
@@ -43,6 +47,12 @@ type entry struct {
 	err  error
 }
 
+// nodeLedger is one node's row in the store's ledger.
+type nodeLedger struct {
+	hits, computes int64               // guarded by Store.mu
+	latency        *pipeline.Histogram // successful compute wall time
+}
+
 // NewStore returns a store holding at most max entries
 // (DefaultStoreSize if max <= 0).
 func NewStore(max int) *Store {
@@ -50,23 +60,35 @@ func NewStore(max int) *Store {
 		max = DefaultStoreSize
 	}
 	return &Store{
-		max:      max,
-		entries:  make(map[string]*entry),
-		computes: make(map[string]int),
+		max:     max,
+		entries: make(map[string]*entry),
+		nodes:   make(map[string]*nodeLedger),
 	}
 }
 
+// ledger returns the node's ledger row, creating it on first use.
+// Caller holds s.mu.
+func (s *Store) ledger(node string) *nodeLedger {
+	l := s.nodes[node]
+	if l == nil {
+		l = &nodeLedger{latency: pipeline.NewHistogram()}
+		s.nodes[node] = l
+	}
+	return l
+}
+
 // resolve returns the memoized value for (node, key), computing it
-// with fn on first use. memoized reports that the value came from the
-// store rather than this call's fn. An empty key bypasses the store
-// entirely (the node is computed every time, and still ledgered).
+// with fn on first use, and records the outcome in the node's ledger
+// row, on the "node X" span and in the context logger's "memo ..."
+// debug line. An empty key bypasses the store entirely (the node is
+// computed every time, and still ledgered).
 //
 // A waiter that observes the creator's failure retries with its own
 // fn instead of inheriting the error: one evaluation's timeout or
 // cancellation must not poison the evaluations that happened to be
 // waiting on its in-flight nodes. Only the waiter's own cancellation
 // ends its attempt.
-func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.Context) (any, error)) (val any, memoized bool, err error) {
+func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.Context) (any, error)) (any, error) {
 	// The context logger (when the caller bound one — the study
 	// service's request/run ids arrive this way) sees every memo
 	// outcome at debug level; the context tracer records the same
@@ -76,28 +98,27 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 	defer sp.End()
 	if key == "" {
 		s.mu.Lock()
-		s.computes[node]++
+		l := s.ledger(node)
+		l.computes++
 		s.mu.Unlock()
 		lg.Debug("memo bypass", "node", node)
 		sp.SetAttr("outcome", "bypass")
-		v, err := fn(ctx)
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		return v, false, err
+		return l.compute(ctx, sp, fn)
 	}
 	id := node + "\x00" + key
 
 	var e *entry
+	var l *nodeLedger
 	for e == nil {
 		s.mu.Lock()
+		l = s.ledger(node)
 		cur, ok := s.entries[id]
 		if !ok {
 			e = &entry{done: make(chan struct{})}
 			s.entries[id] = e
 			s.order = append(s.order, id)
 			s.evictLocked()
-			s.computes[node]++
+			l.computes++
 			s.mu.Unlock()
 			continue
 		}
@@ -106,28 +127,27 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 		select {
 		case <-cur.done:
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return nil, ctx.Err()
 		}
 		if cur.err == nil {
 			s.mu.Lock()
-			s.hits++
+			l.hits++
 			s.mu.Unlock()
 			lg.Debug("memo hit", "node", node)
 			sp.SetAttr("outcome", "hit")
-			return cur.val, true, nil
+			return cur.val, nil
 		}
 		// The creator failed and already dropped its entry; loop and
 		// compute (or join a newer in-flight attempt) ourselves.
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 
 	lg.Debug("memo compute", "node", node)
 	sp.SetAttr("outcome", "compute")
-	e.val, e.err = fn(ctx)
+	e.val, e.err = l.compute(ctx, sp, fn)
 	if e.err != nil {
-		sp.SetAttr("error", e.err.Error())
 		// Never memoize failure: drop the entry (waiters already hold
 		// the pointer, observe the error, and retry on their own) so
 		// the next attempt recomputes.
@@ -139,7 +159,20 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 		s.mu.Unlock()
 	}
 	close(e.done)
-	return e.val, false, e.err
+	return e.val, e.err
+}
+
+// compute runs fn under the node's span: a failure is recorded on the
+// span, a success's wall time in the node's latency histogram.
+func (l *nodeLedger) compute(ctx context.Context, sp *tracex.Span, fn func(context.Context) (any, error)) (any, error) {
+	start := time.Now()
+	v, err := fn(ctx)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		return v, err
+	}
+	l.latency.Observe(time.Since(start))
+	return v, nil
 }
 
 // evictLocked drops least-recently-used completed entries until the
@@ -196,30 +229,44 @@ func (s *Store) Len() int {
 func (s *Store) ComputeCount(node string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.computes[node]
-}
-
-// ComputeCounts returns a copy of the per-node computation ledger.
-func (s *Store) ComputeCounts() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.computes))
-	for k, v := range s.computes {
-		out[k] = v
+	if l := s.nodes[node]; l != nil {
+		return int(l.computes)
 	}
-	return out
+	return 0
 }
 
 // TotalComputes returns the total number of node computations across
 // the store's lifetime.
 func (s *Store) TotalComputes() int {
+	return int(s.Stats().Computes)
+}
+
+// NodeStats is one node's row of the store's ledger.
+type NodeStats struct {
+	// Name is the node's name.
+	Name string
+	// Hits counts resolves answered from an existing entry (including
+	// waits on another evaluation's in-flight computation).
+	Hits int64
+	// Computes counts actual computations, keyless bypasses included.
+	Computes int64
+	// Latency is the wall-time distribution of the node's successful
+	// computations (hits are not timed: they would pin every
+	// percentile at ~0).
+	Latency pipeline.HistogramSnapshot
+}
+
+// Nodes returns the ledger, one row per node resolved through the
+// store, sorted by node name.
+func (s *Store) Nodes() []NodeStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, v := range s.computes {
-		n += v
+	out := make([]NodeStats, 0, len(s.nodes))
+	for name, l := range s.nodes {
+		out = append(out, NodeStats{Name: name, Hits: l.hits, Computes: l.computes, Latency: l.latency.Snapshot()})
 	}
-	return n
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // StoreStats is a snapshot of the store's counters.
@@ -235,20 +282,17 @@ type StoreStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// Stats returns a snapshot of the store's counters.
+// Stats returns a snapshot of the store's counters: the ledger summed
+// over nodes, plus the entry and eviction counts.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var computes int64
-	for _, v := range s.computes {
-		computes += int64(v)
+	st := StoreStats{Entries: len(s.entries), Evictions: s.evicted}
+	for _, l := range s.nodes {
+		st.Hits += l.hits
+		st.Computes += l.computes
 	}
-	return StoreStats{
-		Entries:   len(s.entries),
-		Hits:      s.hits,
-		Computes:  computes,
-		Evictions: s.evicted,
-	}
+	return st
 }
 
 // Keys returns the memoized entry identities as "node|key" strings,

@@ -22,9 +22,7 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/earnings"
 	"repro/internal/forum"
-	"repro/internal/logx"
 	"repro/internal/photodna"
-	"repro/internal/pipeline"
 	"repro/internal/urlx"
 )
 
@@ -322,7 +320,6 @@ func (s *Study) Compute(ctx context.Context, names ...string) (*Results, error) 
 	if err != nil {
 		return nil, err
 	}
-	s.stats = pipeline.NewStats()
 	vals, err := s.evaluate(ctx, arts)
 	if err != nil {
 		return nil, err
@@ -332,32 +329,18 @@ func (s *Study) Compute(ctx context.Context, names ...string) (*Results, error) 
 	return res, nil
 }
 
-// evaluate runs the artefact graph over this study, recording one
-// stage per resolved node into the study's pipeline stats. Values
-// land in the shared memo store when one is attached, otherwise in
-// the study's private store — either way evaluation is idempotent:
-// a node computes at most once per semantic key, however many times
-// Run or Compute ask for it.
+// evaluate runs the artefact graph over this study. Values land in
+// the shared memo store when one is attached, otherwise in the
+// study's private store — either way evaluation is idempotent: a node
+// computes at most once per semantic key, however many times Run or
+// Compute ask for it, and the store's ledger records each node's
+// outcome.
 func (s *Study) evaluate(ctx context.Context, arts []string) (map[string]any, error) {
-	st := s.stats
-	lg := logx.FromContext(ctx)
-	opts := artefact.EvalOptions{Observe: func(ev artefact.Event) {
-		busy := ev.Wall
-		if ev.Memoized {
-			busy = 0 // the value came from memo; nothing was computed
-		}
-		st.Record("node "+ev.Node, 1, 1, 1, ev.Wall, busy)
-		// The context logger carries the request/run ids the service
-		// bound upstream, so each node event logs under the request
-		// that caused it (no-op when no logger is bound).
-		lg.Debug("artefact node",
-			"node", ev.Node, "memoized", ev.Memoized, "wall_ms", ev.Wall.Milliseconds())
-	}}
 	store := s.memo
 	if store == nil {
 		store = s.localMemo
 	}
-	return studyGraph.Evaluate(ctx, s, store, opts, arts...)
+	return studyGraph.Evaluate(ctx, s, store, arts...)
 }
 
 // fillResults copies evaluated artefact values into their Results

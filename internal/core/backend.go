@@ -8,7 +8,6 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/faultx"
 	"repro/internal/imagex"
-	"repro/internal/pipeline"
 	"repro/internal/reverse"
 	"repro/internal/urlx"
 )
@@ -25,9 +24,9 @@ import (
 // sequence yields the same values, in the same order, on every run.
 type Backend interface {
 	// CrawlStream fetches every task, delivering results on the
-	// returned channel in task order; stats may be nil. The channel
-	// closes early, with tasks undelivered, if ctx is cancelled.
-	CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []crawler.Task) <-chan crawler.Result
+	// returned channel in task order. The channel closes early, with
+	// tasks undelivered, if ctx is cancelled.
+	CrawlStream(ctx context.Context, tasks []crawler.Task) <-chan crawler.Result
 	// SearchImage reverse-searches an image.
 	SearchImage(ctx context.Context, im *imagex.Image) []reverse.Match
 	// SearchHash reverse-searches a precomputed composite hash.
@@ -63,8 +62,8 @@ func (b *worldBackend) newCrawler() *crawler.Crawler {
 		client, b.study.World.Web.Resolver(srv.URL))
 }
 
-func (b *worldBackend) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []crawler.Task) <-chan crawler.Result {
-	return b.newCrawler().CrawlStream(ctx, stats, tasks)
+func (b *worldBackend) CrawlStream(ctx context.Context, tasks []crawler.Task) <-chan crawler.Result {
+	return b.newCrawler().CrawlStream(ctx, tasks)
 }
 
 func (b *worldBackend) SearchImage(_ context.Context, im *imagex.Image) []reverse.Match {
@@ -129,8 +128,8 @@ func (b *HTTPBackend) ErrCount() int {
 	return b.errCount
 }
 
-func (b *HTTPBackend) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []crawler.Task) <-chan crawler.Result {
-	return b.hc.CrawlStream(ctx, stats, tasks)
+func (b *HTTPBackend) CrawlStream(ctx context.Context, tasks []crawler.Task) <-chan crawler.Result {
+	return b.hc.CrawlStream(ctx, tasks)
 }
 
 func (b *HTTPBackend) SearchImage(ctx context.Context, im *imagex.Image) []reverse.Match {

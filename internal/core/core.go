@@ -97,11 +97,6 @@ type Study struct {
 	memo      *artefact.Store
 	localMemo *artefact.Store
 
-	// stats holds the node and stage metrics of the most recent Run or
-	// Compute; nil before the first, so a stage method called directly
-	// records nothing.
-	stats *pipeline.Stats
-
 	// faultInj injects the parsed Opts.Faults plan into the in-process
 	// crawl transport; nil when fault injection is off.
 	faultInj *faultx.Injector
@@ -190,12 +185,6 @@ func (s *Study) hostingServer() *httptest.Server {
 		s.server = httptest.NewServer(s.World.Web)
 	}
 	return s.server
-}
-
-// PipelineStats returns the per-stage and per-node metrics of the
-// most recent Run or Compute (nil before the first).
-func (s *Study) PipelineStats() []pipeline.StageSnapshot {
-	return s.stats.Snapshot()
 }
 
 // --- Step 0: dataset selection (§3, Table 1) ---------------------------
@@ -382,7 +371,7 @@ func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) (LinkEx
 // HTTPBackend) under Opts.CrawlConcurrency workers, returning results
 // in task order.
 func (s *Study) CrawlLinks(ctx context.Context, tasks []crawler.Task) ([]crawler.Result, error) {
-	results := pipeline.Collect(s.backend.CrawlStream(ctx, s.stats, tasks))
+	results := pipeline.Collect(s.backend.CrawlStream(ctx, tasks))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -406,7 +395,7 @@ type SafeImage struct {
 func (s *Study) FilterAbuse(ctx context.Context, results []crawler.Result) ([]SafeImage, photodna.ActionSummary, error) {
 	hotline := photodna.NewHotline()
 	var safe []SafeImage
-	outcomes := pipeline.Map(ctx, s.stats, "photodna §4.3", s.Opts.Workers,
+	outcomes := pipeline.Map(ctx, "photodna §4.3", s.Opts.Workers,
 		pipeline.Emit(ctx, results),
 		func(ctx context.Context, r crawler.Result) matchOutcome { return s.matchResult(ctx, r) })
 	for o := range outcomes {
@@ -518,7 +507,7 @@ const (
 // order.
 func (s *Study) ClassifyNSFV(ctx context.Context, safe []SafeImage) (NSFVResult, error) {
 	clf := nsfv.New()
-	classed := pipeline.Map(ctx, s.stats, "nsfv §4.4", s.Opts.Workers,
+	classed := pipeline.Map(ctx, "nsfv §4.4", s.Opts.Workers,
 		pipeline.Emit(ctx, safe),
 		func(_ context.Context, si SafeImage) nsfvClass {
 			switch {
@@ -595,7 +584,7 @@ func (s *Study) Provenance(ctx context.Context, n NSFVResult) (ProvenanceResult,
 	for _, si := range n.Previews {
 		items = append(items, provItem{si, false})
 	}
-	searched := pipeline.Map(ctx, s.stats, "reverse §4.5", s.Opts.Workers,
+	searched := pipeline.Map(ctx, "reverse §4.5", s.Opts.Workers,
 		pipeline.Emit(ctx, items),
 		func(ctx context.Context, it provItem) provSearched {
 			return provSearched{it.pack, s.searchImage(ctx, it.si)}
@@ -1025,8 +1014,8 @@ func (r *Results) Degraded() bool {
 // §4.2-§4.5 image chain and the §5/§6 branch) run concurrently, and
 // each stage method folds its fanned-out items in input order, so
 // Results depend on the options and never on the worker counts
-// (TestRunWorkersEquivalence pins it). Per-node and per-stage metrics
-// are available from PipelineStats afterwards.
+// (TestRunWorkersEquivalence pins it). Per-node and per-stage timings
+// are spans on the context tracer.
 //
 // When a memo store is attached (UseMemo), node values are reused
 // from — and published to — it under their canonical keys.

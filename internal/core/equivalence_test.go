@@ -34,9 +34,6 @@ func TestRunWorkersEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(ref.PipelineStats()) == 0 {
-					t.Error("reference run recorded no pipeline stages")
-				}
 				for _, workers := range []int{2, 4, 7} {
 					got, err := run(workers).Run(ctx)
 					if err != nil {

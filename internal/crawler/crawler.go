@@ -317,7 +317,7 @@ func (c *Crawler) takeRetry(host string) bool {
 // every task the stream left undelivered comes back as OutcomeError
 // carrying ctx.Err().
 func (c *Crawler) Crawl(ctx context.Context, tasks []Task) []Result {
-	results := pipeline.Collect(c.CrawlStream(ctx, nil, tasks))
+	results := pipeline.Collect(c.CrawlStream(ctx, tasks))
 	for _, t := range tasks[len(results):] {
 		results = append(results, Result{Task: t, Outcome: OutcomeError, Err: ctx.Err()})
 	}
@@ -327,10 +327,10 @@ func (c *Crawler) Crawl(ctx context.Context, tasks []Task) []Result {
 // CrawlStream fetches every task with bounded concurrency, delivering
 // each result on the returned channel in task order as it becomes
 // available, so downstream stages can start before the crawl
-// finishes. stats may be nil. If ctx is cancelled the channel closes
+// finishes. If ctx is cancelled the channel closes
 // early with the remaining tasks undelivered.
-func (c *Crawler) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []Task) <-chan Result {
-	return pipeline.Map(ctx, stats, "crawl §4.2", c.cfg.Concurrency, pipeline.Emit(ctx, tasks),
+func (c *Crawler) CrawlStream(ctx context.Context, tasks []Task) <-chan Result {
+	return pipeline.Map(ctx, "crawl §4.2", c.cfg.Concurrency, pipeline.Emit(ctx, tasks),
 		func(ctx context.Context, t Task) Result { return c.fetchOne(ctx, t) })
 }
 

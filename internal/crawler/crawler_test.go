@@ -275,7 +275,7 @@ func TestCrawlStreamMatchesCrawl(t *testing.T) {
 	crawl := func(concurrency int) []Result {
 		c := New(Config{Concurrency: concurrency}, srv.Client(), w.Resolver(srv.URL))
 		var out []Result
-		for r := range c.CrawlStream(context.Background(), nil, tasks) {
+		for r := range c.CrawlStream(context.Background(), tasks) {
 			out = append(out, r)
 		}
 		return out
@@ -305,7 +305,7 @@ func TestCrawlStreamCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch := c.CrawlStream(ctx, nil, tasks)
+	ch := c.CrawlStream(ctx, tasks)
 	n := 0
 	for range ch {
 		n++

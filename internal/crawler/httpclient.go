@@ -12,7 +12,6 @@ import (
 	"repro/internal/faultx"
 	"repro/internal/hosting"
 	"repro/internal/imagex"
-	"repro/internal/pipeline"
 	"repro/internal/reverse"
 	"repro/internal/tracex"
 	"repro/internal/urlx"
@@ -138,8 +137,8 @@ func NewHTTPClient(cfg HTTPConfig) *HTTPClient {
 // CrawlStream fetches every task against the hosting server,
 // delivering results in task order: it plugs into the study's stage
 // engine exactly like the in-process crawler's stream.
-func (h *HTTPClient) CrawlStream(ctx context.Context, stats *pipeline.Stats, tasks []Task) <-chan Result {
-	return h.crawler.CrawlStream(ctx, stats, tasks)
+func (h *HTTPClient) CrawlStream(ctx context.Context, tasks []Task) <-chan Result {
+	return h.crawler.CrawlStream(ctx, tasks)
 }
 
 // retry runs fn up to 1+MaxRetries times with deterministic backoff

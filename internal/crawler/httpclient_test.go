@@ -241,5 +241,5 @@ func TestHTTPClientPerHostRateLimit(t *testing.T) {
 // collectStream crawls tasks through the client's stream and returns
 // the results in task order.
 func collectStream(hc *HTTPClient, tasks []Task) []Result {
-	return pipeline.Collect(hc.CrawlStream(context.Background(), nil, tasks))
+	return pipeline.Collect(hc.CrawlStream(context.Background(), tasks))
 }

@@ -1,6 +1,6 @@
 // Package pipeline is a small generic concurrent stage engine: bounded
-// worker pools connected by channels, with order-preserving fan-in,
-// per-stage timing and counters, and context cancellation.
+// worker pools connected by channels, with order-preserving fan-in, a
+// trace span per named stage, and context cancellation.
 //
 // Every fan-out stage of the study's Figure 1 pipeline — the crawl,
 // the PhotoDNA gate, NSFV classification and reverse-image search —
@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/tracex"
 )
@@ -74,13 +73,13 @@ func Collect[T any](in <-chan T) []T {
 // Map applies fn to every input under a bounded worker pool and
 // delivers the outputs in input order: output i is never sent before
 // output i-1, regardless of which worker finished first. workers <= 0
-// means GOMAXPROCS. stats may be nil.
+// means GOMAXPROCS. A named stage records its lifetime as a "stage
+// <name>" span on the context tracer.
 //
 // On cancellation the stage drains its input (so upstream goroutines
 // can finish) and closes its output early.
-func Map[In, Out any](ctx context.Context, stats *Stats, name string, workers int, in <-chan In, fn func(context.Context, In) Out) <-chan Out {
+func Map[In, Out any](ctx context.Context, name string, workers int, in <-chan In, fn func(context.Context, In) Out) <-chan Out {
 	workers = defaultWorkers(workers)
-	st := stats.Stage(name, workers)
 	ctx, sp := stageSpan(ctx, name, workers)
 	type job struct {
 		seq int
@@ -109,7 +108,6 @@ func Map[In, Out any](ctx context.Context, stats *Stats, name string, workers in
 				}
 				return
 			}
-			st.AddIn(1)
 			select {
 			case jobs <- job{seq, v}:
 				seq++
@@ -127,9 +125,7 @@ func Map[In, Out any](ctx context.Context, stats *Stats, name string, workers in
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				start := time.Now()
 				v := fn(ctx, j.v)
-				st.AddBusy(time.Since(start))
 				select {
 				case results <- done{j.seq, v}:
 				case <-ctx.Done():
@@ -147,7 +143,6 @@ func Map[In, Out any](ctx context.Context, stats *Stats, name string, workers in
 	out := make(chan Out, workers)
 	go func() {
 		defer close(out)
-		defer st.Close()
 		defer sp.End()
 		pending := make(map[int]Out)
 		next := 0
@@ -162,7 +157,6 @@ func Map[In, Out any](ctx context.Context, stats *Stats, name string, workers in
 				next++
 				select {
 				case out <- v:
-					st.AddOut(1)
 					<-tokens
 				case <-ctx.Done():
 					for range results { // unblock workers

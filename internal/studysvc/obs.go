@@ -1,10 +1,10 @@
 package studysvc
 
 // Observability spine: per-request ids, in-flight request tracking,
-// per-artefact-node latency aggregation and the admission-control
-// queue. The HTTP middleware here binds a request-scoped logger into
-// the request context; studysvc passes it (rebased onto BaseContext)
-// into core.Study, whose artefact evaluation and memo lookups log
+// the per-artefact-node view of the memo store's ledger and the
+// admission-control queue. The HTTP middleware here binds a
+// request-scoped logger into the request context; studysvc passes it
+// (rebased onto BaseContext) into core.Study, whose memo lookups log
 // through it — so one request id threads the whole stack.
 
 import (
@@ -209,10 +209,11 @@ func (s *Service) retryAfterSeconds() int {
 	return secs
 }
 
-// NodeStats aggregates one artefact node's service-lifetime execution:
-// how often it was answered from memo vs computed, and the compute
-// latency distribution (memo hits are excluded from the histogram —
-// they would pin every percentile at ~0).
+// NodeStats is one artefact node's service-lifetime row of the shared
+// memo store's ledger: how often it was answered from memo vs
+// computed, and the compute latency distribution (memo hits are
+// excluded from the histogram — they would pin every percentile at
+// ~0).
 type NodeStats struct {
 	Name     string `json:"name"`
 	MemoHits int64  `json:"memo_hits"`
@@ -224,56 +225,21 @@ type NodeStats struct {
 	Latency pipeline.HistogramSnapshot `json:"latency"`
 }
 
-// nodeAgg is the mutable accumulator behind one NodeStats row.
-type nodeAgg struct {
-	memoHits int64
-	computes int64
-	latency  *pipeline.Histogram
-}
-
-// foldNodeStats folds one finished run's per-node stage records into
-// the service-lifetime node aggregates. The artefact evaluator records
-// each resolved node as a "node X" stage with Busy==0 iff the value
-// came from memo (core.Study.evaluate), so the stage table the
-// envelope already exposes is also the per-node metrics feed — no
-// re-instrumentation.
-func (s *Service) foldNodeStats(stages []pipeline.StageSnapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, snap := range stages {
-		name, ok := strings.CutPrefix(snap.Name, "node ")
-		if !ok {
-			continue
+// nodeStats renders the memo store's ledger as /v1/stats rows, sorted
+// by node name. The store records every node outcome as it resolves,
+// so the rows need no folding of their own.
+func (s *Service) nodeStats() []NodeStats {
+	nodes := s.memo.Nodes()
+	out := make([]NodeStats, len(nodes))
+	for i, n := range nodes {
+		out[i] = NodeStats{
+			Name:     n.Name,
+			MemoHits: n.Hits,
+			Computes: n.Computes,
+			P50MS:    n.Latency.P50MS,
+			P95MS:    n.Latency.P95MS,
+			Latency:  n.Latency,
 		}
-		agg := s.nodes[name]
-		if agg == nil {
-			agg = &nodeAgg{latency: pipeline.NewHistogram()}
-			s.nodes[name] = agg
-		}
-		if snap.Busy == 0 {
-			agg.memoHits++
-			continue
-		}
-		agg.computes++
-		agg.latency.Observe(snap.Wall)
 	}
-}
-
-// nodeStatsLocked snapshots the node aggregates, sorted by name.
-// Caller holds s.mu.
-func (s *Service) nodeStatsLocked() []NodeStats {
-	out := make([]NodeStats, 0, len(s.nodes))
-	for name, agg := range s.nodes {
-		snap := agg.latency.Snapshot()
-		out = append(out, NodeStats{
-			Name:     name,
-			MemoHits: agg.memoHits,
-			Computes: agg.computes,
-			P50MS:    snap.P50MS,
-			P95MS:    snap.P95MS,
-			Latency:  snap,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -358,6 +358,48 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 }
 
+// TestStatsNodesMatchMemoLedger pins /v1/stats nodes to the memo
+// store's ledger: across a full run, a filtered run of the same world
+// and a full rerun that differs only in workers, the per-node rows sum
+// to the memo block's counters, and every computation — and nothing
+// else — is timed.
+func TestStatsNodesMatchMemoLedger(t *testing.T) {
+	_, c := newTestService(t, Config{})
+	ctx := context.Background()
+	filtered := tinyRequest(61)
+	filtered.Artefacts = []string{"table5"}
+	rerun := tinyRequest(61)
+	rerun.Workers = 1
+	for _, req := range []Request{tinyRequest(61), filtered, rerun} {
+		env, err := c.Run(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env.Status != StatusDone || env.Cached {
+			t.Fatalf("run %s: status=%s cached=%v", env.ID, env.Status, env.Cached)
+		}
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Memo == nil || st.Memo.Hits == 0 {
+		t.Fatalf("memo block %+v: the later runs should hit the first run's nodes", st.Memo)
+	}
+	var computes, hits int64
+	for _, n := range st.Nodes {
+		computes += n.Computes
+		hits += n.MemoHits
+		if n.Latency.Count != n.Computes {
+			t.Errorf("node %s: latency.count %d, computes %d", n.Name, n.Latency.Count, n.Computes)
+		}
+	}
+	if computes != st.Memo.Computes || hits != st.Memo.Hits {
+		t.Errorf("nodes sum to %d computes / %d hits, memo block has %d / %d",
+			computes, hits, st.Memo.Computes, st.Memo.Hits)
+	}
+}
+
 // TestClientRetriesShedRequests: the client backs off on 429 as the
 // server asks (capped, deterministic) and succeeds when a slot opens.
 // One submission is one logical request: every attempt in the retry

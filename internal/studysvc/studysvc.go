@@ -69,12 +69,6 @@ type Config struct {
 	// (default 64): each cell is a full study, so a sweep is the
 	// service's most expensive request by far.
 	MaxSweepCells int
-	// WorldCacheSize bounds how many generated worlds stay resident
-	// for reuse across runs with the same canonical synth config
-	// (default 2; negative disables sharing). Worlds are the largest
-	// object the service holds, so the bound trades regeneration time
-	// against steady-state memory.
-	WorldCacheSize int
 	// BaseContext, when set, is the root context of every study and
 	// sweep the service executes. Runs are deliberately detached from
 	// the requesting HTTP context — coalesced requests share one run,
@@ -83,16 +77,6 @@ type Config struct {
 	// cancelled at shutdown and in-flight studies stop with it. Nil
 	// defaults to an un-cancellable background context.
 	BaseContext context.Context
-	// MemoSize bounds the shared artefact memo store in entries
-	// (default 33 ≈ three worlds' node sets; negative disables
-	// sharing). Every run — full or filtered — evaluates through this
-	// store, so two clients asking for different tables of the same
-	// world run the shared prefix of the artefact graph once, and
-	// runs differing only in worker knobs recompute nothing. Entries
-	// hold real artefact values — the crawl node's value is the whole
-	// downloaded corpus — so this bound, like WorldCacheSize, trades
-	// recomputation against steady-state memory.
-	MemoSize int
 	// MaxQueueDepth bounds how many fresh-run HTTP requests may wait
 	// for a pool slot at once (default 2×MaxConcurrentRuns; negative
 	// disables queueing — a saturated pool sheds immediately). Beyond
@@ -119,6 +103,22 @@ type Config struct {
 	Tracer *tracex.Tracer
 }
 
+// worldCacheSize bounds how many generated worlds stay resident for
+// reuse across runs with the same canonical synth config. Worlds are
+// the largest object the service holds, so the bound trades
+// regeneration time against steady-state memory.
+const worldCacheSize = 2
+
+// memoSize bounds the shared artefact memo store in entries (≈ three
+// worlds' 11-node sets). Every run — full or filtered — evaluates
+// through this store, so two clients asking for different tables of
+// the same world run the shared prefix of the artefact graph once,
+// and runs differing only in worker knobs recompute nothing. Entries
+// hold real artefact values — the crawl node's value is the whole
+// downloaded corpus — so this bound, like worldCacheSize, trades
+// recomputation against steady-state memory.
+const memoSize = 33
+
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrentRuns <= 0 {
 		c.MaxConcurrentRuns = 2
@@ -134,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweepCells <= 0 {
 		c.MaxSweepCells = 64
-	}
-	if c.WorldCacheSize == 0 {
-		c.WorldCacheSize = 2
-	}
-	if c.MemoSize == 0 {
-		c.MemoSize = 33
 	}
 	if c.MaxQueueDepth == 0 {
 		c.MaxQueueDepth = 2 * c.MaxConcurrentRuns
@@ -311,10 +305,9 @@ type Envelope struct {
 	Error   string    `json:"error,omitempty"`
 	// ElapsedMS is the study's execution time (not the request's: a
 	// cached response keeps the original run's).
-	ElapsedMS int64                    `json:"elapsed_ms,omitempty"`
-	Summary   *Summary                 `json:"summary,omitempty"`
-	Stages    []pipeline.StageSnapshot `json:"stages,omitempty"`
-	Report    string                   `json:"report,omitempty"`
+	ElapsedMS int64    `json:"elapsed_ms,omitempty"`
+	Summary   *Summary `json:"summary,omitempty"`
+	Report    string   `json:"report,omitempty"`
 	// Degraded marks a successful run whose crawl lost tasks to dead
 	// or exhausted hosts: the results are a partial corpus with a
 	// per-host ledger in the report, not a failure. Graceful
@@ -345,7 +338,6 @@ type run struct {
 	errMsg   string
 	elapsed  time.Duration
 	summary  *Summary
-	stages   []pipeline.StageSnapshot
 	report   string
 	degraded bool
 	// sections holds every rendered report section by name — the
@@ -373,7 +365,6 @@ func (r *run) envelope(cached bool, full bool) Envelope {
 	if r.status == StatusDone {
 		env.ElapsedMS = r.elapsed.Milliseconds()
 		env.Summary = r.summary
-		env.Stages = r.stages
 		env.Degraded = r.degraded
 		if full {
 			env.Report = r.report
@@ -405,16 +396,16 @@ type Stats struct {
 	// OpenRequests counts HTTP requests currently being served,
 	// including ones merely waiting on a run.
 	OpenRequests int `json:"open_requests"`
-	// Memo mirrors the shared artefact store's counters (absent when
-	// memo sharing is disabled): Computes is the work the service
-	// actually did, Hits the work the artefact graph saved it.
+	// Memo mirrors the shared artefact store's counters: Computes is
+	// the work the service actually did, Hits the work the artefact
+	// graph saved it.
 	Memo *artefact.StoreStats `json:"memo,omitempty"`
 	// QueueWait is the admission-wait distribution over successfully
 	// admitted fresh runs (cache hits and coalesced requests never
 	// wait and are not counted).
 	QueueWait pipeline.HistogramSnapshot `json:"queue_wait"`
-	// Nodes aggregates per-artefact-node execution across every run
-	// the service completed: memo hit/miss counts and the compute
+	// Nodes is the shared memo store's per-node ledger over the
+	// service's lifetime: memo hit/compute counts and the compute
 	// latency histogram, sorted by node name.
 	Nodes []NodeStats `json:"nodes"`
 }
@@ -457,9 +448,6 @@ type Service struct {
 	waiting int
 	// queueWait is the admission-wait histogram behind Stats.QueueWait.
 	queueWait *pipeline.Histogram
-	// nodes aggregates per-artefact-node stats across completed runs
-	// (guarded by mu).
-	nodes map[string]*nodeAgg
 
 	// reqMu guards the HTTP request tracking (separate from mu: the
 	// middleware must not contend with run bookkeeping).
@@ -476,7 +464,7 @@ type Service struct {
 // New builds a service.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := &Service{
+	return &Service{
 		cfg:       cfg,
 		sem:       make(chan struct{}, cfg.MaxConcurrentRuns),
 		inflight:  make(map[string]*run),
@@ -484,17 +472,11 @@ func New(cfg Config) *Service {
 		order:     list.New(),
 		cache:     make(map[string]*list.Element),
 		sweeps:    make(map[string]*sweepRun),
+		worlds:    sweep.NewWorldCache(worldCacheSize),
+		memo:      artefact.NewStore(memoSize),
 		queueWait: pipeline.NewHistogram(),
-		nodes:     make(map[string]*nodeAgg),
 		openReqs:  make(map[string]openRequest),
 	}
-	if cfg.WorldCacheSize > 0 {
-		s.worlds = sweep.NewWorldCache(cfg.WorldCacheSize)
-	}
-	if cfg.MemoSize > 0 {
-		s.memo = artefact.NewStore(cfg.MemoSize)
-	}
-	return s
 }
 
 // getOrStart returns the run for the canonical options: a cached
@@ -567,7 +549,14 @@ func (s *Service) lookup(key string) (r *run, cached, ok bool) {
 // execute runs one study and publishes the outcome. The caller
 // (getOrStart) already admitted it into the worker pool; execute
 // releases the slot when done.
+//
+// Deferred calls run last first: the run span ends, the slot is
+// released, and only then does done close. By that time the run is
+// filed — out of the in-flight table, into the cache or the failed
+// list, counted — so a requester woken by done that repeats its
+// request gets a cache hit, never a coalesce onto a finished run.
 func (s *Service) execute(r *run) {
+	defer close(r.done)
 	defer func() { <-s.sem }()
 	if s.testRunHook != nil {
 		s.testRunHook()
@@ -579,8 +568,8 @@ func (s *Service) execute(r *run) {
 	}
 	// Runs are detached from their requesting HTTP context (coalesced
 	// requests share them), so the run context is BaseContext plus the
-	// run-scoped logger: core's artefact evaluation and the memo store
-	// log each node event under this run's — and origin request's — id.
+	// run-scoped logger: the memo store logs each node outcome under
+	// this run's — and origin request's — id.
 	// The tracer rides the same way, re-parented onto the originating
 	// request's span so the run's node spans land in the caller's trace.
 	ctx := logx.NewContext(s.cfg.BaseContext, lg)
@@ -600,18 +589,11 @@ func (s *Service) execute(r *run) {
 	// its own span; a cache hit shows up as a near-zero "synth" span, a
 	// miss as the generation cost the critical-path report attributes.
 	opts := r.opts.coreOptions()
-	var study *core.Study
 	sctx, synthSpan := tracex.StartSpan(ctx, "synth")
 	synthSpan.SetAttr("workers", strconv.Itoa(opts.Synth.EffectiveWorkers()))
-	if s.worlds != nil {
-		study = core.NewStudyWithWorldContext(sctx, opts, s.worlds.GetContext(sctx, opts.Synth))
-	} else {
-		study = core.NewStudyContext(sctx, opts)
-	}
+	study := core.NewStudyWithWorldContext(sctx, opts, s.worlds.GetContext(sctx, opts.Synth))
 	synthSpan.End()
-	if s.memo != nil {
-		study.UseMemo(s.memo)
-	}
+	study.UseMemo(s.memo)
 
 	// Full requests evaluate the whole artefact graph; filtered
 	// requests only the selection's subgraph. Either way the shared
@@ -650,7 +632,6 @@ func (s *Service) execute(r *run) {
 		if res != nil {
 			r.degraded = res.Degraded()
 		}
-		r.stages = study.PipelineStats()
 		r.elapsed = elapsed
 		r.status = StatusDone
 	} else {
@@ -660,18 +641,8 @@ func (s *Service) execute(r *run) {
 
 	runSpan.SetAttr("status", r.status)
 
-	// Publish the outcome before the bookkeeping: once the run is
-	// reachable through the cache it must already read as finished.
-	// Requests landing between the close and the cache insert still
-	// find the run in inflight and coalesce onto the closed channel.
-	close(r.done)
-
 	if err == nil {
 		lg.Info("run done", "status", r.status, "elapsed_ms", elapsed.Milliseconds(), "artefacts", len(r.sections))
-		// The artefact evaluator already recorded one "node X" stage
-		// per resolved node; fold them into the service-lifetime
-		// per-node aggregates /v1/stats serves.
-		s.foldNodeStats(r.stages)
 	} else {
 		lg.Error("run failed", "error", err.Error(), "elapsed_ms", elapsed.Milliseconds())
 	}
@@ -710,12 +681,10 @@ func (s *Service) Stats() Stats {
 	st.InFlight = len(s.inflight)
 	st.CachedResults = len(s.cache)
 	st.QueueDepth = s.waiting
-	if s.memo != nil {
-		ms := s.memo.Stats()
-		st.Memo = &ms
-	}
-	st.Nodes = s.nodeStatsLocked()
 	s.mu.Unlock()
+	ms := s.memo.Stats()
+	st.Memo = &ms
+	st.Nodes = s.nodeStats()
 	st.QueueWait = s.queueWait.Snapshot()
 	s.reqMu.Lock()
 	st.OpenRequests = len(s.openReqs)

@@ -49,7 +49,7 @@ func startJobRunner(ctx context.Context, workers int) *jobRunner {
 		jobs: make(chan genJob, 4*workers),
 		done: make(chan struct{}),
 	}
-	rendered := pipeline.Map(ctx, nil, "", workers, r.jobs,
+	rendered := pipeline.Map(ctx, "", workers, r.jobs,
 		func(_ context.Context, j genJob) genJob {
 			if j.render != nil {
 				j.render()
