@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet fmt-check lint build test test-race perfbench-check bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline bench load-smoke load-slo load-baseline chaos clean
+.PHONY: verify vet fmt-check lint build test test-race perfbench-check bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline bench load-smoke load-slo load-baseline chaos fuzz-smoke clean
 
 verify: vet lint build test perfbench-check
 
@@ -145,6 +145,13 @@ chaos:
 	$(GO) run ./cmd/ewsweep -preset adversarial-hosts \
 		-seeds $(CHAOS_SEEDS) -scale $(CHAOS_SCALE) -quiet -json \
 		> sweep_adversarial.json
+
+# Fuzz smoke: a short native-fuzz run of the /searchhash wire-format
+# parser, the reverse-search input that crosses a process boundary.
+# The committed seed corpus (internal/reverse/testdata/fuzz) runs on
+# every plain `go test`; this target explores past it.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzParseHash128 -fuzztime=10s ./internal/reverse
 
 clean:
 	rm -f bench_pipeline.txt bench_sweep.txt bench_artefact.txt bench_scale1.txt \

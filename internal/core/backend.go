@@ -27,8 +27,6 @@ type Backend interface {
 	// returned channel in task order. The channel closes early, with
 	// tasks undelivered, if ctx is cancelled.
 	CrawlStream(ctx context.Context, tasks []crawler.Task) <-chan crawler.Result
-	// SearchImage reverse-searches an image.
-	SearchImage(ctx context.Context, im *imagex.Image) []reverse.Match
 	// SearchHash reverse-searches a precomputed composite hash.
 	SearchHash(ctx context.Context, h imagex.Hash128) []reverse.Match
 	// WaybackSeenBefore reports whether the URL was archived strictly
@@ -64,10 +62,6 @@ func (b *worldBackend) newCrawler() *crawler.Crawler {
 
 func (b *worldBackend) CrawlStream(ctx context.Context, tasks []crawler.Task) <-chan crawler.Result {
 	return b.newCrawler().CrawlStream(ctx, tasks)
-}
-
-func (b *worldBackend) SearchImage(_ context.Context, im *imagex.Image) []reverse.Match {
-	return b.study.World.Reverse.Search(im)
 }
 
 func (b *worldBackend) SearchHash(_ context.Context, h imagex.Hash128) []reverse.Match {
@@ -130,12 +124,6 @@ func (b *HTTPBackend) ErrCount() int {
 
 func (b *HTTPBackend) CrawlStream(ctx context.Context, tasks []crawler.Task) <-chan crawler.Result {
 	return b.hc.CrawlStream(ctx, tasks)
-}
-
-func (b *HTTPBackend) SearchImage(ctx context.Context, im *imagex.Image) []reverse.Match {
-	out, err := b.hc.SearchImage(ctx, im)
-	b.note(err)
-	return out
 }
 
 func (b *HTTPBackend) SearchHash(ctx context.Context, h imagex.Hash128) []reverse.Match {

@@ -417,46 +417,29 @@ type matchOutcome struct {
 	reports []photodna.MatchReport
 }
 
-// matchScratch carries the reusable buffers of one pack probe through
-// the PhotoDNA gate, pooled because the gate runs once per crawl
-// result across concurrent workers.
-type matchScratch struct {
-	hashes  []photodna.RobustHash
-	matches []photodna.BatchMatch
-}
-
-var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
-
 // matchResult runs the PhotoDNA gate over one crawl result. Each image
-// is hashed exactly once and the whole result — a pack's worth of
-// images — is probed in a single MatchBatch call; matches carry the
-// URLs where reverse search finds the same image. Pure: reporting is
-// the caller's job, so the gate can fan out across workers while
-// reports are filed in task order.
+// is hashed exactly once; matches carry the URLs where reverse search
+// finds the same image. Pure: reporting is the caller's job, so the
+// gate can fan out across workers while reports are filed in task
+// order.
 func (s *Study) matchResult(ctx context.Context, r crawler.Result) matchOutcome {
 	var o matchOutcome
 	if r.Outcome != crawler.OutcomeOK || len(r.Images) == 0 {
 		return o
 	}
-	sc := matchScratchPool.Get().(*matchScratch)
-	defer matchScratchPool.Put(sc)
-	sc.hashes = sc.hashes[:0]
-	for _, im := range r.Images {
-		sc.hashes = append(sc.hashes, photodna.HashImage(im))
-	}
-	sc.matches = s.World.HashList.MatchBatch(sc.hashes, sc.matches[:0])
 	// Nearly every image passes the gate, so size the safe set for all
 	// of them up front instead of growing it append by append.
 	o.safe = make([]SafeImage, 0, len(r.Images))
-	for i, im := range r.Images {
-		bm := sc.matches[i]
-		if !bm.OK {
+	for _, im := range r.Images {
+		h := photodna.HashImage(im)
+		entry, hit := s.World.HashList.MatchHash(h)
+		if !hit {
 			o.safe = append(o.safe, SafeImage{Image: im, Task: r.Task, IsPack: r.IsPack})
 			continue
 		}
 		// Report with the URLs where reverse search finds the same
 		// image, reusing the hash already computed for the gate.
-		matches := s.backend.SearchHash(ctx, sc.hashes[i])
+		matches := s.backend.SearchHash(ctx, h)
 		var urlReports []photodna.URLReport
 		if len(matches) > 0 {
 			urlReports = make([]photodna.URLReport, 0, len(matches))
@@ -469,7 +452,7 @@ func (s *Study) matchResult(ctx context.Context, r crawler.Result) matchOutcome 
 			})
 		}
 		o.reports = append(o.reports, photodna.MatchReport{
-			Entry:        bm.Entry,
+			Entry:        entry,
 			SourceThread: int(r.Task.Thread),
 			SourcePost:   int(r.Task.Post),
 			URLs:         urlReports,
@@ -617,7 +600,7 @@ type searchOutcome struct {
 // against the post date and the Wayback archive.
 func (s *Study) searchImage(ctx context.Context, si SafeImage) searchOutcome {
 	posted := s.World.Store.Post(si.Task.Post).Created
-	matches := s.backend.SearchImage(ctx, si.Image)
+	matches := s.backend.SearchHash(ctx, imagex.Hash128Of(si.Image))
 	o := searchOutcome{thread: si.Task.Thread, matches: len(matches)}
 	if len(matches) == 0 {
 		return o

@@ -24,7 +24,7 @@ type HTTPConfig struct {
 	// trailing slash). Required for crawling and landing-page visits.
 	HostingURL string
 	// ReverseURL is the base URL of the reverse-image-search service.
-	// Required for SearchImage/SearchHash.
+	// Required for SearchHash.
 	ReverseURL string
 	// WaybackURL is the base URL of the Wayback availability service.
 	// Required for SeenBefore.
@@ -173,20 +173,6 @@ func (h *HTTPClient) retry(ctx context.Context, name string, fn func(context.Con
 		}
 	}
 	return lastErr
-}
-
-// SearchImage reverse-searches an image via the remote service.
-func (h *HTTPClient) SearchImage(ctx context.Context, im *imagex.Image) ([]reverse.Match, error) {
-	if h.reverse == nil {
-		return nil, fmt.Errorf("crawler: no reverse service configured")
-	}
-	var out []reverse.Match
-	err := h.retry(ctx, "reverse search", func(ctx context.Context) error {
-		var err error
-		out, err = h.reverse.Search(ctx, im)
-		return err
-	})
-	return out, err
 }
 
 // SearchHash reverse-searches a precomputed composite hash.

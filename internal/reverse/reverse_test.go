@@ -2,7 +2,12 @@ package reverse
 
 import (
 	"context"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,11 +23,11 @@ func TestSearchExactAndRecompressed(t *testing.T) {
 	origin := imagex.GenModel(5, 0, imagex.PoseNude, 48)
 	ix.AddImage(origin, Record{URL: "http://pornsite.example/m5", Domain: "pornsite.example", CrawlDate: day(0)})
 
-	if got := ix.Search(origin); len(got) != 1 || got[0].Distance != 0 || got[0].Score != 1 {
+	if got := ix.SearchHash(imagex.Hash128Of(origin)); len(got) != 1 || got[0].Distance != 0 || got[0].Score != 1 {
 		t.Fatalf("exact search = %+v", got)
 	}
 	re := origin.Recompress(16)
-	got := ix.Search(re)
+	got := ix.SearchHash(imagex.Hash128Of(re))
 	if len(got) != 1 {
 		t.Fatalf("recompressed copy not matched")
 	}
@@ -35,7 +40,7 @@ func TestMirrorEvadesSearch(t *testing.T) {
 	ix := NewIndex(0)
 	origin := imagex.GenModel(8, 0, imagex.PoseNude, 48)
 	ix.AddImage(origin, Record{URL: "u", Domain: "d"})
-	if got := ix.Search(origin.Mirror()); len(got) != 0 {
+	if got := ix.SearchHash(imagex.Hash128Of(origin.Mirror())); len(got) != 0 {
 		t.Fatalf("mirrored image matched %d records; mirroring should evade", len(got))
 	}
 }
@@ -47,7 +52,7 @@ func TestUnrelatedImagesDoNotMatch(t *testing.T) {
 	}
 	hits := 0
 	for i := 1000; i < 1050; i++ {
-		hits += len(ix.Search(imagex.GenModel(uint64(i), 0, imagex.PoseNude, 48)))
+		hits += len(ix.SearchHash(imagex.Hash128Of(imagex.GenModel(uint64(i), 0, imagex.PoseNude, 48))))
 	}
 	if hits > 5 {
 		t.Fatalf("%d spurious matches across 50 unrelated queries", hits)
@@ -103,7 +108,7 @@ func TestHTTPServiceRoundtrip(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.URL, srv.Client())
-	matches, err := c.Search(context.Background(), origin)
+	matches, err := c.SearchHash(context.Background(), imagex.Hash128Of(origin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,21 +127,19 @@ func TestHTTPServiceRoundtrip(t *testing.T) {
 func TestHTTPRejectsBadRequests(t *testing.T) {
 	srv := httptest.NewServer(Handler(NewIndex(0)))
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/search")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 405 {
-		t.Fatalf("GET /search = %d", resp.StatusCode)
-	}
-	resp, err = srv.Client().Post(srv.URL+"/search", "image/x-simg", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("empty body = %d", resp.StatusCode)
+	for _, path := range []string{
+		"/searchhash",        // no hash
+		"/searchhash?h=0123", // too short
+		"/searchhash?h=" + strings.Repeat("g", 32), // not hex
+	} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("GET %s = %d, want 400", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -161,10 +164,10 @@ func BenchmarkSearch10k(b *testing.B) {
 		h := uint64(i) * 0x9e3779b97f4a7c15
 		ix.Add(imagex.Hash128{A: imagex.Hash(h), D: imagex.Hash(h >> 3)}, Record{URL: "u", Domain: "d"})
 	}
-	im := imagex.GenModel(3, 0, imagex.PoseNude, 48)
+	h := imagex.Hash128Of(imagex.GenModel(3, 0, imagex.PoseNude, 48))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.Search(im)
+		_ = ix.SearchHash(h)
 	}
 }
 
@@ -207,5 +210,34 @@ func TestHashWireFormatRoundtrip(t *testing.T) {
 	}
 	if got != h {
 		t.Fatalf("roundtrip %v != %v", got, h)
+	}
+}
+
+// TestClientReusesConnection pins keep-alive reuse: the client reads
+// each reply to the end, so sequential searches share one connection
+// even when the JSON value and its trailing newline arrive apart.
+func TestClientReusesConnection(t *testing.T) {
+	var dials atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"matches":[]}`)
+		w.(http.Flusher).Flush()
+		time.Sleep(2 * time.Millisecond)
+		io.WriteString(w, "\n")
+	}))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	for i := 0; i < 5; i++ {
+		if _, err := c.SearchHash(context.Background(), imagex.Hash128{A: imagex.Hash(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("5 sequential searches opened %d connections, want 1", got)
 	}
 }

@@ -110,7 +110,7 @@ func (c *Client) run(ctx context.Context, r Request, query string) (*Envelope, e
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Request-ID", reqID)
 		tracex.Inject(ctx, req.Header)
-		env, err := c.do(req)
+		env, err := send[Envelope](c, req, "study")
 		var he *HTTPError
 		if err == nil || attempt >= maxRetries ||
 			!errors.As(err, &he) || he.Status != http.StatusTooManyRequests {
@@ -136,83 +136,32 @@ func (c *Client) run(ctx context.Context, r Request, query string) (*Envelope, e
 
 // Get fetches a run by id.
 func (c *Client) Get(ctx context.Context, id string) (*Envelope, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/study/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.do(req)
+	return get[Envelope](ctx, c, "/v1/study/"+id, "study")
 }
 
 // Artefact fetches one named artefact of a completed run — the
 // rendered section(s) for a table/figure name ("table5") or an
 // artefact name ("actors").
 func (c *Client) Artefact(ctx context.Context, id, name string) (*ArtefactEnvelope, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/study/"+url.PathEscape(id)+"/artefact/"+url.PathEscape(name), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var env ArtefactEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return nil, fmt.Errorf("studysvc: bad artefact response: %w", err)
-	}
-	return &env, nil
+	return get[ArtefactEnvelope](ctx, c,
+		"/v1/study/"+url.PathEscape(id)+"/artefact/"+url.PathEscape(name), "artefact")
 }
 
 // Trace fetches one trace from the server's ring by (32-hex-digit)
 // trace id — typically the id the caller's own tracer minted, after a
 // traceparent-propagated run.
 func (c *Client) Trace(ctx context.Context, id string) (*tracex.Trace, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/trace/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var tr tracex.Trace
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("studysvc: bad trace response: %w", err)
-	}
-	return &tr, nil
+	return get[tracex.Trace](ctx, c, "/v1/trace/"+url.PathEscape(id), "trace")
 }
 
 // Traces lists the trace ids in the server's recent-trace ring,
 // oldest first.
 func (c *Client) Traces(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var list struct {
+	list, err := get[struct {
 		Traces []string `json:"traces"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return nil, fmt.Errorf("studysvc: bad trace list response: %w", err)
+	}](ctx, c, "/v1/trace", "trace list")
+	if err != nil {
+		return nil, err
 	}
 	return list.Traces, nil
 }
@@ -225,75 +174,67 @@ func (c *Client) TraceExport(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	var raw []byte
+	err = c.do(req, func(body io.Reader) (err error) {
+		raw, err = io.ReadAll(io.LimitReader(body, 16<<20))
+		return err
+	})
+	return raw, err
 }
 
 // Stats fetches the service counters.
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("studysvc: bad stats response: %w", err)
-	}
-	return &st, nil
-}
-
-func (c *Client) do(req *http.Request) (*Envelope, error) {
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, decodeError(resp)
-	}
-	var env Envelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return nil, fmt.Errorf("studysvc: bad response: %w", err)
-	}
-	return &env, nil
+	return get[Stats](ctx, c, "/v1/stats", "stats")
 }
 
 // List fetches the run listing (cached and in-flight studies).
 func (c *Client) List(ctx context.Context) (*RunList, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/study", nil)
-	if err != nil {
-		return nil, err
-	}
+	return get[RunList](ctx, c, "/v1/study", "list")
+}
+
+// do performs req and hands a 200 or 202 reply's body to read; any
+// other status becomes an *HTTPError. Either way the body is drained
+// (bounded) before it is closed: a json.Decoder stops at the end of
+// its value, leaving the encoder's trailing newline unread, and
+// closing an unread body drops the keep-alive connection.
+func (c *Client) do(req *http.Request, read func(io.Reader) error) error {
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
+		return err
+	}
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		return decodeError(resp)
+	}
+	return read(resp.Body)
+}
+
+// send performs req and decodes its JSON reply as a T; what names the
+// reply in a decode error.
+func send[T any](c *Client, req *http.Request, what string) (*T, error) {
+	v := new(T)
+	err := c.do(req, func(body io.Reader) error {
+		if err := json.NewDecoder(body).Decode(v); err != nil {
+			return fmt.Errorf("studysvc: bad %s response: %w", what, err)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
+	return v, nil
+}
+
+// get is send for a GET of path.
+func get[T any](ctx context.Context, c *Client, path, what string) (*T, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	if err != nil {
+		return nil, err
 	}
-	var list RunList
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		return nil, fmt.Errorf("studysvc: bad list response: %w", err)
-	}
-	return &list, nil
+	return send[T](c, req, what)
 }
 
 // RunSweep submits a sweep spec to POST /v1/sweep and waits for the
@@ -310,33 +251,12 @@ func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) (*SweepEnvelope,
 	}
 	req.Header.Set("Content-Type", "application/json")
 	tracex.Inject(ctx, req.Header)
-	return c.doSweep(req)
+	return send[SweepEnvelope](c, req, "sweep")
 }
 
 // GetSweep fetches a sweep run by id.
 func (c *Client) GetSweep(ctx context.Context, id string) (*SweepEnvelope, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/sweep/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.doSweep(req)
-}
-
-func (c *Client) doSweep(req *http.Request) (*SweepEnvelope, error) {
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, decodeError(resp)
-	}
-	var env SweepEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return nil, fmt.Errorf("studysvc: bad sweep response: %w", err)
-	}
-	return &env, nil
+	return get[SweepEnvelope](ctx, c, "/v1/sweep/"+url.PathEscape(id), "sweep")
 }
 
 // Backend adapts the client to sweep.Backend: each cell becomes a POST

@@ -17,8 +17,8 @@
 // value stays sequential, while image rendering, hashing and hosting
 // uploads fan out over Config.Workers goroutines with an ordered
 // applier (exec.go), so the generated world is bit-identical for
-// every worker count — GenerateSequential is the inline reference and
-// the equivalence test pins Generate against it.
+// every worker count — Workers 1 is the inline reference and the
+// equivalence test pins the other counts against it.
 package synth
 
 import (

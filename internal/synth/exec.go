@@ -27,9 +27,8 @@ import (
 //     world in the byte-for-byte state the sequential walk would.
 //
 // pipeline.Map provides both the worker pool and the order-preserving
-// fan-in; with no runner attached (GenerateSequential, workers <= 1)
-// World.do runs the job inline at its call site, which IS the
-// sequential semantics.
+// fan-in; with no runner attached (workers <= 1) World.do runs the
+// job inline at its call site, which IS the sequential semantics.
 type genJob struct {
 	render func()
 	apply  func()

@@ -8,8 +8,9 @@ import (
 )
 
 // TestGenerateParallelEquivalence pins the tentpole invariant: the
-// parallel generator produces a bit-identical world to the sequential
-// reference for every worker count, across seeds and scales.
+// parallel generator produces a bit-identical world to the Workers 1
+// reference (every image job inline) for every worker count, across
+// seeds and scales.
 // reflect.DeepEqual sees every exported and unexported field, so this
 // also catches stray executor state left on the World.
 func TestGenerateParallelEquivalence(t *testing.T) {
@@ -24,13 +25,13 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 			if scale > 0.1 {
 				counts = []int{4}
 			}
-			cfg := Config{Seed: seed, Scale: scale, ImageSize: 48}
-			want := GenerateSequential(cfg)
+			cfg := Config{Seed: seed, Scale: scale, ImageSize: 48, Workers: 1}
+			want := Generate(cfg)
 			for _, workers := range counts {
 				cfg.Workers = workers
 				got := Generate(cfg)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("seed=%d scale=%g workers=%d: world differs from sequential reference", seed, scale, workers)
+					t.Fatalf("seed=%d scale=%g workers=%d: world differs from the Workers 1 reference", seed, scale, workers)
 				}
 			}
 		}

@@ -55,8 +55,8 @@ func (p *indexPlan) applyTo(w *World) {
 }
 
 // hashPlan inserts one flagged image into the PhotoDNA hashlist.
-// AddHash appends to the multi-index's bucket slices, whose order
-// DeepEqual sees, so the insert itself must run on the applier.
+// AddHash appends to the hashlist's entry slice, whose order DeepEqual
+// sees, so the insert itself must run on the applier.
 type hashPlan struct {
 	seed    uint64
 	variant int

@@ -168,7 +168,9 @@ type World struct {
 
 // Generate builds the world, fanning image work out over
 // cfg.Workers goroutines (GOMAXPROCS when unset). The result is
-// bit-identical to GenerateSequential for every worker count.
+// bit-identical for every worker count: at Workers 1 every image job
+// runs inline at its submission point, and that world is the
+// reference the equivalence test holds other counts to.
 func Generate(cfg Config) *World {
 	//lint:ignore ctxhygiene Generate is the context-free convenience entry; traced callers use GenerateContext.
 	return GenerateContext(context.Background(), cfg)
@@ -192,22 +194,9 @@ func GenerateContext(ctx context.Context, cfg Config) *World {
 	return w
 }
 
-// GenerateSequential is the single-goroutine reference: the exact
-// walk Generate performs, with every image job executed inline at its
-// submission point. Generate must produce a DeepEqual world for every
-// worker count; the equivalence test holds it to that (the same
-// pattern core.TestRunWorkersEquivalence pins for study results, with
-// Workers 1 as the reference).
-func GenerateSequential(cfg Config) *World {
-	w := newWorld(cfg)
-	//lint:ignore ctxhygiene the sequential reference runs no goroutines and records no spans; there is nothing to cancel or trace.
-	w.generate(context.Background())
-	return w
-}
-
 // newWorld allocates the empty world and pre-sizes the forum store
 // from the Table 1 calibration (capacity is invisible to DeepEqual,
-// so both Generate paths share the estimate).
+// so every worker count shares the estimate).
 func newWorld(cfg Config) *World {
 	cfg = cfg.Canonical()
 	w := &World{

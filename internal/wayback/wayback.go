@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -168,7 +169,13 @@ func (c *Client) SeenBefore(ctx context.Context, rawURL string, cutoff time.Time
 	if err != nil {
 		return false, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Read what the decoder left (the encoder's trailing newline)
+		// so the keep-alive connection goes back to the pool; a reply
+		// with more than a little left over is cheaper to drop.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		return false, &StatusError{
 			StatusCode: resp.StatusCode,

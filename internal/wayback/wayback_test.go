@@ -2,7 +2,11 @@ package wayback
 
 import (
 	"context"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -127,5 +131,34 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 	<-done
 	if len(a.Snapshots("http://x.com")) != 500 {
 		t.Fatal("lost snapshots under concurrency")
+	}
+}
+
+// TestClientReusesConnection pins keep-alive reuse: the client reads
+// each reply to the end, so sequential lookups share one connection
+// even when the JSON value and its trailing newline arrive apart.
+func TestClientReusesConnection(t *testing.T) {
+	var dials atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"available":false}`)
+		w.(http.Flusher).Flush()
+		time.Sleep(2 * time.Millisecond)
+		io.WriteString(w, "\n")
+	}))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := NewClient(srv.URL, srv.Client())
+	for i := 0; i < 5; i++ {
+		if _, err := c.SeenBefore(context.Background(), "http://a.example/x", time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("5 sequential lookups opened %d connections, want 1", got)
 	}
 }
