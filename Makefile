@@ -146,12 +146,14 @@ chaos:
 		-seeds $(CHAOS_SEEDS) -scale $(CHAOS_SCALE) -quiet -json \
 		> sweep_adversarial.json
 
-# Fuzz smoke: a short native-fuzz run of the /searchhash wire-format
-# parser, the reverse-search input that crosses a process boundary.
-# The committed seed corpus (internal/reverse/testdata/fuzz) runs on
-# every plain `go test`; this target explores past it.
+# Fuzz smoke: short native-fuzz runs of the /searchhash wire-format
+# parser, the reverse-search input that crosses a process boundary,
+# and of the OCR row-code kernel against its byte-matcher reference.
+# The committed seed corpora (internal/*/testdata/fuzz) run on every
+# plain `go test`; this target explores past them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHash128 -fuzztime=10s ./internal/reverse
+	$(GO) test -run='^$$' -fuzz=FuzzRecognize -fuzztime=10s ./internal/ocr
 
 clean:
 	rm -f bench_pipeline.txt bench_sweep.txt bench_artefact.txt bench_scale1.txt \

@@ -61,7 +61,7 @@ func LoadFixture(testdata string, paths ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := ld.check(path, &listedPackage{}, files)
+		pkg, err := ld.check(path, &listedPackage{}, files, nil)
 		if err != nil {
 			return nil, err
 		}

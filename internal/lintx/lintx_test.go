@@ -71,3 +71,17 @@ func TestLoadModulePackage(t *testing.T) {
 		t.Errorf("randx.New not found in type-checked scope")
 	}
 }
+
+// TestLoadExternalTestSeesExportTest pins that an external test
+// package imports its package with the in-package test files, as
+// `go test` builds it: ocr's external tests call ReferenceRecognize,
+// which only export_test.go declares.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	pkgs, err := lintx.Load("../..", "repro/internal/ocr")
+	if err != nil {
+		t.Fatalf("loading: %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[1].Path != "repro/internal/ocr_test" {
+		t.Fatalf("want ocr and ocr_test, got %d packages", len(pkgs))
+	}
+}

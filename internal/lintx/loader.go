@@ -142,7 +142,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := ld.check(t.ImportPath, t, files)
+		pkg, err := ld.check(t.ImportPath, t, files, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +152,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			if err != nil {
 				return nil, err
 			}
-			xpkg, err := ld.check(t.ImportPath+"_test", t, xfiles)
+			// The external tests import the package as `go test`
+			// builds it, in-package test files (export_test.go)
+			// included.
+			xpkg, err := ld.check(t.ImportPath+"_test", t, xfiles, pkg.Types)
 			if err != nil {
 				return nil, err
 			}
@@ -175,8 +178,10 @@ func (ld *loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
 }
 
 // check type-checks one target package (reporting Info) against the
-// loaded universe.
-func (ld *loader) check(path string, lp *listedPackage, files []*ast.File) (*Package, error) {
+// loaded universe. A non-nil under is the package an external test
+// package tests; its import path resolves to under instead of the
+// package's non-test files.
+func (ld *loader) check(path string, lp *listedPackage, files []*ast.File, under *types.Package) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -185,7 +190,7 @@ func (ld *loader) check(path string, lp *listedPackage, files []*ast.File) (*Pac
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: &mapImporter{ld: ld, importMap: lp.ImportMap}}
+	conf := types.Config{Importer: &mapImporter{ld: ld, importMap: lp.ImportMap, under: under}}
 	tpkg, err := conf.Check(path, ld.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
@@ -242,11 +247,15 @@ func (ld *loader) importDep(path string) (*types.Package, error) {
 type mapImporter struct {
 	ld        *loader
 	importMap map[string]string
+	under     *types.Package // see check
 }
 
 func (m *mapImporter) Import(path string) (*types.Package, error) {
 	if mapped, ok := m.importMap[path]; ok {
 		path = mapped
+	}
+	if m.under != nil && path == m.under.Path() {
+		return m.under, nil
 	}
 	return m.ld.importDep(path)
 }

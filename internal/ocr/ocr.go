@@ -4,15 +4,18 @@
 // Algorithm 1 consumes ("the Tesseract software, which outputs the
 // number of words recognised in an image").
 //
-// The engine genuinely reads pixels: it binarises the raster, slides
-// the font's 5x7 templates across candidate positions, accepts exact
-// template matches, and groups matched glyphs into words by horizontal
-// gaps. Text screenshots therefore score high, model photos score
-// zero, and noisy or dark images score near zero — the same behaviour
-// contour the real pipeline relies on.
+// The engine genuinely reads pixels: it binarises the raster, encodes
+// each row as the 5-bit ink pattern of every 5-pixel run, accepts a
+// 5x7 window where its 7 row codes select one of the font's templates
+// exactly (the AND of per-row template bitsets), and groups matched
+// glyphs into words by horizontal gaps. Text screenshots therefore
+// score high, model photos score zero, and noisy or dark images score
+// near zero — the same behaviour contour the real pipeline relies on.
 package ocr
 
 import (
+	"bytes"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -27,42 +30,50 @@ const inkThreshold = 128
 // width 5); a space character adds a full 6-pixel advance.
 const wordGap = 6
 
-// template is a prepared glyph: its ink mask (1 = ink, matching the
-// binarised raster's byte representation) and a quick-reject probe
-// (the first ink pixel).
+// template is a prepared glyph: its rune and its ink area.
 type template struct {
 	r       rune
-	mask    [imagex.GlyphH][imagex.GlyphW]byte
-	probeX  int
-	probeY  int
 	inkArea int
 }
 
-var templates = buildTemplates()
+// rowCodes is the number of distinct ink patterns of one GlyphW-wide
+// row: bit dx of a row code is set when column dx of the row is ink.
+const rowCodes = 1 << imagex.GlyphW
 
-func buildTemplates() []template {
+// templates holds the font's glyphs in rune order. rowSets[dy][c] has
+// bit i set when row dy of templates[i] has row code c, so the
+// templates a window matches are the AND of its rows' sets.
+var templates, rowSets = buildTemplates()
+
+func buildTemplates() ([]template, [imagex.GlyphH][rowCodes]uint64) {
 	runes := imagex.GlyphRunes()
 	sort.Slice(runes, func(i, j int) bool { return runes[i] < runes[j] })
 	out := make([]template, 0, len(runes))
+	var sets [imagex.GlyphH][rowCodes]uint64
 	for _, r := range runes {
 		g, _ := imagex.Glyph(r)
-		t := template{r: r, probeX: -1}
+		var codes [imagex.GlyphH]byte
+		area := 0
 		for y := 0; y < imagex.GlyphH; y++ {
 			for x := 0; x < imagex.GlyphW; x++ {
 				if g[y][x] == '#' {
-					t.mask[y][x] = 1
-					t.inkArea++
-					if t.probeX < 0 {
-						t.probeX, t.probeY = x, y
-					}
+					codes[y] |= 1 << x
+					area++
 				}
 			}
 		}
-		if t.inkArea > 0 {
-			out = append(out, t)
+		if area == 0 {
+			continue
 		}
+		if len(out) == 64 {
+			panic("ocr: more than 64 glyph templates do not fit the uint64 row sets")
+		}
+		for y, c := range codes {
+			sets[y][c] |= 1 << len(out)
+		}
+		out = append(out, template{r: r, inkArea: area})
 	}
-	return out
+	return out, sets
 }
 
 // Glyph is one recognised character with its position.
@@ -84,32 +95,26 @@ func WordCount(im *imagex.Image) int { return Recognize(im).Words }
 // Recognize scans the image for font glyphs and groups them into
 // words and lines.
 func Recognize(im *imagex.Image) Result {
-	if im.W <= 0 || im.H <= 0 {
+	w, h := im.W, im.H
+	if w < imagex.GlyphW || h < imagex.GlyphH {
 		return Result{}
 	}
 	// The ink mask is pooled, so this function owns its lifetime:
 	// acquire here, fill via binariseInto, release on every exit
 	// (poolpair forbids pooled rasters crossing function boundaries).
-	inkMask := imagex.GetImage(im.W, im.H)
+	inkMask := imagex.GetImage(w, h)
 	defer imagex.PutImage(inkMask)
 	binariseInto(inkMask, im)
-	ink := inkMask.Pix
-	rowHasInk := make([]bool, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			if ink[y*im.W+x] != 0 {
-				rowHasInk[y] = true
-				break
-			}
-		}
-	}
+	encodeRows(inkMask)
+	codes := inkMask.Pix
 
 	var cands []candidate
-	for y := 0; y+imagex.GlyphH <= im.H; y++ {
-		// A glyph needs ink somewhere in its 7-row window.
+	for y := 0; y+imagex.GlyphH <= h; y++ {
+		// A glyph needs ink somewhere in its 7-row window; the last
+		// cell of each encoded row is its ink flag.
 		windowHasInk := false
 		for dy := 0; dy < imagex.GlyphH; dy++ {
-			if rowHasInk[y+dy] {
+			if codes[(y+dy)*w+w-1] != 0 {
 				windowHasInk = true
 				break
 			}
@@ -117,13 +122,21 @@ func Recognize(im *imagex.Image) Result {
 		if !windowHasInk {
 			continue
 		}
-		for x := 0; x+imagex.GlyphW <= im.W; {
-			if g, area, ok := matchAt(im, ink, x, y); ok {
-				cands = append(cands, candidate{Glyph{R: g, X: x, Y: y}, area})
-				x += imagex.GlyphW + 1
-			} else {
-				x++
+		window := codes[y*w : (y+imagex.GlyphH)*w]
+		for x := 0; x+imagex.GlyphW <= w; {
+			// The set of templates every row so far agrees with. The
+			// lowest set bit is the first match in rune order.
+			set := rowSets[0][window[x]]
+			for dy := 1; set != 0 && dy < imagex.GlyphH; dy++ {
+				set &= rowSets[dy][window[dy*w+x]]
 			}
+			if set == 0 {
+				x++
+				continue
+			}
+			t := &templates[bits.TrailingZeros64(set)]
+			cands = append(cands, candidate{Glyph{R: t.r, X: x, Y: y}, t.inkArea})
+			x += imagex.GlyphW + 1
 		}
 	}
 
@@ -144,38 +157,38 @@ func binariseInto(dst, im *imagex.Image) {
 	}
 }
 
+// encodeRows rewrites a binarised mask at least GlyphW wide in place.
+// In each row with ink, cell x becomes the row code of columns
+// x..x+GlyphW-1 for every x a glyph window can start at, and the last
+// cell, where no window starts, becomes 1: the row's ink flag. A blank
+// row is left as it is, all zeros, which reads as blank codes and a
+// clear flag. The walk runs left to right and each cell reads only
+// itself and cells to its right, so no cell is read after it has been
+// overwritten.
+func encodeRows(mask *imagex.Image) {
+	w := mask.W
+	for y := 0; y < mask.H; y++ {
+		row := mask.Pix[y*w : (y+1)*w]
+		if bytes.IndexByte(row, 1) < 0 {
+			continue
+		}
+		var code byte
+		for dx := 0; dx < imagex.GlyphW-1; dx++ {
+			code |= row[dx] << dx
+		}
+		for x := 0; x+imagex.GlyphW <= w; x++ {
+			code |= row[x+imagex.GlyphW-1] << (imagex.GlyphW - 1)
+			row[x] = code
+			code >>= 1
+		}
+		row[w-1] = 1
+	}
+}
+
 // candidate is a template match before overlap resolution.
 type candidate struct {
 	g    Glyph
 	area int
-}
-
-// matchAt tries every template at position (x, y) and returns the
-// matched rune and its ink area. A match is exact: every '#' cell is
-// ink and every '.' cell is not.
-func matchAt(im *imagex.Image, ink []byte, x, y int) (rune, int, bool) {
-	w := im.W
-	for i := range templates {
-		t := &templates[i]
-		// Quick reject on the first ink pixel.
-		if ink[(y+t.probeY)*w+x+t.probeX] == 0 {
-			continue
-		}
-		ok := true
-		for dy := 0; dy < imagex.GlyphH && ok; dy++ {
-			row := (y + dy) * w
-			for dx := 0; dx < imagex.GlyphW; dx++ {
-				if t.mask[dy][dx] != ink[row+x+dx] {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return t.r, t.inkArea, true
-		}
-	}
-	return 0, 0, false
 }
 
 // resolve removes overlapping candidate matches. Sparse punctuation

@@ -1,6 +1,10 @@
 package ocr
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -163,5 +167,264 @@ func TestRecognizeZeroDimensionImage(t *testing.T) {
 	res := Recognize(&imagex.Image{})
 	if res.Words != 0 || len(res.Glyphs) != 0 || res.Text != "" {
 		t.Fatalf("zero-dim Recognize = %+v, want empty", res)
+	}
+}
+
+// refTemplate is a glyph as the byte matcher held it: its ink mask
+// (1 = ink, like the binarised raster) and a quick-reject probe on its
+// first ink cell.
+type refTemplate struct {
+	r              rune
+	mask           [imagex.GlyphH][imagex.GlyphW]byte
+	probeX, probeY int
+	inkArea        int
+}
+
+var refTemplates = buildRefTemplates()
+
+func buildRefTemplates() []refTemplate {
+	runes := imagex.GlyphRunes()
+	sort.Slice(runes, func(i, j int) bool { return runes[i] < runes[j] })
+	out := make([]refTemplate, 0, len(runes))
+	for _, r := range runes {
+		g, _ := imagex.Glyph(r)
+		t := refTemplate{r: r, probeX: -1}
+		for y := 0; y < imagex.GlyphH; y++ {
+			for x := 0; x < imagex.GlyphW; x++ {
+				if g[y][x] == '#' {
+					t.mask[y][x] = 1
+					t.inkArea++
+					if t.probeX < 0 {
+						t.probeX, t.probeY = x, y
+					}
+				}
+			}
+		}
+		if t.inkArea > 0 {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// referenceRecognize is the byte matcher Recognize used before row
+// codes: binarise, skip windows whose 7 rows hold no ink, and at each
+// position try every template in rune order with a compare of all 35
+// cells. The row-code kernel must return the same Result on every
+// image.
+func referenceRecognize(im *imagex.Image) Result {
+	if im.W <= 0 || im.H <= 0 {
+		return Result{}
+	}
+	mask := imagex.New(im.W, im.H, 0)
+	binariseInto(mask, im)
+	ink := mask.Pix
+	rowHasInk := make([]bool, im.H)
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			if ink[y*im.W+x] != 0 {
+				rowHasInk[y] = true
+				break
+			}
+		}
+	}
+	var cands []candidate
+	for y := 0; y+imagex.GlyphH <= im.H; y++ {
+		windowHasInk := false
+		for dy := 0; dy < imagex.GlyphH; dy++ {
+			if rowHasInk[y+dy] {
+				windowHasInk = true
+				break
+			}
+		}
+		if !windowHasInk {
+			continue
+		}
+		for x := 0; x+imagex.GlyphW <= im.W; {
+			if g, area, ok := referenceMatchAt(ink, im.W, x, y); ok {
+				cands = append(cands, candidate{Glyph{R: g, X: x, Y: y}, area})
+				x += imagex.GlyphW + 1
+			} else {
+				x++
+			}
+		}
+	}
+	glyphs := resolve(cands)
+	words, text := group(glyphs)
+	return Result{Glyphs: glyphs, Words: words, Text: text}
+}
+
+// referenceMatchAt returns the first template in rune order whose
+// every '#' cell is ink and every '.' cell is not at (x, y).
+func referenceMatchAt(ink []byte, w, x, y int) (rune, int, bool) {
+	for i := range refTemplates {
+		t := &refTemplates[i]
+		if ink[(y+t.probeY)*w+x+t.probeX] == 0 {
+			continue
+		}
+		ok := true
+		for dy := 0; dy < imagex.GlyphH && ok; dy++ {
+			row := (y + dy) * w
+			for dx := 0; dx < imagex.GlyphW; dx++ {
+				if t.mask[dy][dx] != ink[row+x+dx] {
+					ok = false
+					break
+				}
+			}
+		}
+		if ok {
+			return t.r, t.inkArea, true
+		}
+	}
+	return 0, 0, false
+}
+
+// checkSame fails the test when Recognize and the reference matcher
+// disagree on im.
+func checkSame(t *testing.T, what string, im *imagex.Image) {
+	t.Helper()
+	got, want := Recognize(im), referenceRecognize(im)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Recognize = %+v, reference = %+v", what, got, want)
+	}
+}
+
+// stamp writes a template's exact cells at (x, y): ink on its '#'
+// cells and paper on its '.' cells, whatever the canvas held.
+func stamp(im *imagex.Image, tm *refTemplate, x, y int) {
+	for dy := 0; dy < imagex.GlyphH; dy++ {
+		for dx := 0; dx < imagex.GlyphW; dx++ {
+			v := byte(245)
+			if tm.mask[dy][dx] == 1 {
+				v = imagex.Ink
+			}
+			im.Set(x+dx, y+dy, v)
+		}
+	}
+}
+
+// noiseImage returns a w×h raster of per-pixel random bytes.
+func noiseImage(seed uint64, w, h int) *imagex.Image {
+	im := imagex.New(w, h, 0)
+	rng := randx.New(seed)
+	for i := range im.Pix {
+		im.Pix[i] = byte(rng.Uint32())
+	}
+	return im
+}
+
+// canvases returns the three backgrounds a stamped template is checked
+// on: blank paper, solid ink and random noise.
+func canvases(seed uint64, w, h int) map[string]*imagex.Image {
+	return map[string]*imagex.Image{
+		"blank": imagex.New(w, h, 245),
+		"inked": imagex.New(w, h, imagex.Ink),
+		"noise": noiseImage(seed, w, h),
+	}
+}
+
+func TestTemplatesFitRowSets(t *testing.T) {
+	if len(templates) != len(refTemplates) || len(templates) > 64 {
+		t.Fatalf("%d templates (reference %d); row sets hold at most 64", len(templates), len(refTemplates))
+	}
+	for i := range templates {
+		if templates[i].r != refTemplates[i].r || templates[i].inkArea != refTemplates[i].inkArea {
+			t.Fatalf("template %d = %+v, reference %q area %d", i, templates[i], refTemplates[i].r, refTemplates[i].inkArea)
+		}
+		// A template's own rows select it and nothing else: no two
+		// glyphs share all 7 rows, so the lowest-bit tie-break never
+		// has to choose.
+		set := ^uint64(0)
+		for dy, row := range refTemplates[i].mask {
+			var code byte
+			for dx, v := range row {
+				code |= v << dx
+			}
+			set &= rowSets[dy][code]
+		}
+		if set != 1<<i {
+			t.Fatalf("template %q selects set %#x, want only bit %d", templates[i].r, set, i)
+		}
+	}
+}
+
+func TestRowCodeMatchesReferenceAtEveryOffset(t *testing.T) {
+	const w, h = 17, 21
+	for i := range refTemplates {
+		tm := &refTemplates[i]
+		for oy := 0; oy <= 7; oy++ {
+			for ox := 0; ox <= 5; ox++ {
+				for name, im := range canvases(uint64(i*64+oy*8+ox), w, h) {
+					stamp(im, tm, ox, oy)
+					checkSame(t, fmt.Sprintf("%q at (%d,%d) on %s", tm.r, ox, oy, name), im)
+					if name == "blank" {
+						if res := Recognize(im); len(res.Glyphs) != 1 || res.Glyphs[0] != (Glyph{R: tm.r, X: ox, Y: oy}) {
+							t.Fatalf("%q at (%d,%d) on blank: recognised %+v", tm.r, ox, oy, res.Glyphs)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRowCodeRejectsNearMissesLikeReference(t *testing.T) {
+	const w, h = 13, 15
+	for i := range refTemplates {
+		tm := &refTemplates[i]
+		for cell := 0; cell < imagex.GlyphW*imagex.GlyphH; cell++ {
+			cx, cy := 3+cell%imagex.GlyphW, 4+cell/imagex.GlyphW
+			for name, im := range canvases(uint64(i*64+cell), w, h) {
+				stamp(im, tm, 3, 4)
+				if im.At(cx, cy) < inkThreshold {
+					im.Set(cx, cy, 245)
+				} else {
+					im.Set(cx, cy, imagex.Ink)
+				}
+				checkSame(t, fmt.Sprintf("%q with cell %d flipped on %s", tm.r, cell, name), im)
+			}
+		}
+	}
+}
+
+func TestRowCodeMatchesReferenceOnScenes(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		checkSame(t, fmt.Sprintf("screenshot %d", seed), imagex.GenScreenshot(seed, []string{
+			"PAYPAL DASHBOARD",
+			fmt.Sprintf("TOTAL: %d.%02d USD", seed*37, seed%100),
+			"TX: 41.90 ON 03/14/2016",
+		}, 120+int(seed%7)*9, 30+int(seed%5)*3))
+		checkSame(t, fmt.Sprintf("thumbnail grid %d", seed), imagex.GenThumbnailGrid(seed, seed+99, 160, 110))
+		for _, pose := range []imagex.Pose{imagex.PoseDressed, imagex.PosePartial, imagex.PoseNude} {
+			checkSame(t, fmt.Sprintf("model %d pose %d", seed, pose), imagex.GenModel(seed, int(seed%3), pose, 48))
+		}
+		checkSame(t, fmt.Sprintf("noise %d", seed), noiseImage(seed, 40+int(seed), 30+int(seed%9)))
+	}
+}
+
+// TestRecognizeAllocs pins the kernel's allocation count on a fixed
+// screenshot. The byte matcher made 29 allocations here; the row-code
+// kernel keeps its ink flags in the pooled mask, which drops the
+// per-image rowHasInk slice.
+//
+// The count is only stable from a known pool state. After a GC has
+// emptied the raster pool, GetImage is handed a zero-capacity buffer,
+// puts it back where the next Get finds it again, and allocates the
+// mask on every call until the next GC. So the test clears the pool
+// and seeds it with one mask-sized buffer, at the GOMAXPROCS=1 that
+// AllocsPerRun runs at.
+func TestRecognizeAllocs(t *testing.T) {
+	im := imagex.GenScreenshot(1, []string{
+		"PAYPAL DASHBOARD",
+		"BALANCE: $843.22",
+		"RECENT: +$50.00 +$25.00",
+		"FROM: THREE CUSTOMERS",
+	}, 180, 48)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	imagex.PutImage(imagex.New(im.W, im.H, 0))
+	if avg := testing.AllocsPerRun(100, func() { Recognize(im) }); avg > 28 {
+		t.Fatalf("Recognize made %.1f allocations per call, want at most 28", avg)
 	}
 }
