@@ -1,7 +1,9 @@
 package imagex
 
 import (
+	"archive/zip"
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -227,6 +229,9 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestPackZipRoundtrip checks the pack layout (entries 0001.simg,
+// 0002.simg, ... in order, each deflated) and that every image comes
+// back pixel for pixel.
 func TestPackZipRoundtrip(t *testing.T) {
 	imgs := []*Image{
 		GenModel(1, 0, PoseDressed, 32),
@@ -237,6 +242,21 @@ func TestPackZipRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(zr.File) != len(imgs) {
+		t.Fatalf("pack has %d entries, want %d", len(zr.File), len(imgs))
+	}
+	for i, f := range zr.File {
+		if want := fmt.Sprintf("%04d.simg", i+1); f.Name != want {
+			t.Fatalf("entry %d is named %q, want %q", i, f.Name, want)
+		}
+		if f.Method != zip.Deflate {
+			t.Fatalf("entry %s has method %d, want Deflate", f.Name, f.Method)
+		}
+	}
 	back, err := DecodePackZip(data)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +265,7 @@ func TestPackZipRoundtrip(t *testing.T) {
 		t.Fatalf("got %d images", len(back))
 	}
 	for i := range imgs {
-		if !bytes.Equal(back[i].Pix, imgs[i].Pix) {
+		if back[i].W != imgs[i].W || back[i].H != imgs[i].H || !bytes.Equal(back[i].Pix, imgs[i].Pix) {
 			t.Fatalf("image %d corrupted in zip roundtrip", i)
 		}
 	}

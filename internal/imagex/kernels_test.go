@@ -2,6 +2,7 @@ package imagex
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/randx"
@@ -235,26 +236,13 @@ func TestIntoVariantsMatch(t *testing.T) {
 		if !bytes.Equal(dst.Pix, im.Resize(8, 8).Pix) {
 			t.Fatalf("ResizeInto(%v) diverged", sz)
 		}
-		im.MirrorInto(dst)
-		if !bytes.Equal(dst.Pix, im.Mirror().Pix) {
-			t.Fatalf("MirrorInto(%v) diverged", sz)
-		}
-		im.RecompressInto(dst, 24)
-		if !bytes.Equal(dst.Pix, im.Recompress(24).Pix) {
-			t.Fatalf("RecompressInto(%v) diverged", sz)
-		}
 		im.ShadeInto(dst, 0.25)
 		if !bytes.Equal(dst.Pix, im.Shade(0.25).Pix) {
 			t.Fatalf("ShadeInto(%v) diverged", sz)
 		}
 
-		// In-place forms.
+		// In-place form.
 		inPlace := im.Clone()
-		inPlace.RecompressInto(inPlace, 24)
-		if !bytes.Equal(inPlace.Pix, im.Recompress(24).Pix) {
-			t.Fatalf("in-place RecompressInto(%v) diverged", sz)
-		}
-		inPlace = im.Clone()
 		inPlace.ShadeInto(inPlace, 0.25)
 		if !bytes.Equal(inPlace.Pix, im.Shade(0.25).Pix) {
 			t.Fatalf("in-place ShadeInto(%v) diverged", sz)
@@ -287,8 +275,6 @@ func TestIntoVariantsSteadyStateAlloc(t *testing.T) {
 	dst := GetImage(im.W, im.H)
 	defer PutImage(dst)
 	if avg := testing.AllocsPerRun(100, func() {
-		im.MirrorInto(dst)
-		im.RecompressInto(dst, 24)
 		im.ShadeInto(dst, 0.25)
 		im.ResizeInto(dst, 9, 8)
 	}); avg != 0 {
@@ -311,5 +297,32 @@ func BenchmarkSkinStats(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		im.SkinStats()
+	}
+}
+
+// TestGetImageReusesPooledBuffer pins that the raster pool serves a
+// repeated request once it has seen it. From an empty pool the first
+// GetImage allocates its pixel buffer and PutImage returns it; later
+// same-size cycles must reuse it, allocating only PutImage's slice
+// header box. A too-small pooled buffer put back into the pool would
+// be found first again and cost a fresh pixel buffer per cycle.
+func TestGetImageReusesPooledBuffer(t *testing.T) {
+	const w, h, cycles = 48, 48, 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	cycle := func() {
+		im := GetImage(w, h)
+		PutImage(im)
+	}
+	cycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= w*h {
+		t.Fatalf("GetImage/PutImage cycle allocates %d bytes, want less than one %d-byte pixel buffer", perCycle, w*h)
 	}
 }

@@ -15,8 +15,9 @@ package ocr
 
 import (
 	"bytes"
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/imagex"
@@ -47,7 +48,7 @@ var templates, rowSets = buildTemplates()
 
 func buildTemplates() ([]template, [imagex.GlyphH][rowCodes]uint64) {
 	runes := imagex.GlyphRunes()
-	sort.Slice(runes, func(i, j int) bool { return runes[i] < runes[j] })
+	slices.Sort(runes)
 	out := make([]template, 0, len(runes))
 	var sets [imagex.GlyphH][rowCodes]uint64
 	for _, r := range runes {
@@ -196,14 +197,8 @@ type candidate struct {
 // another glyph's cell; preferring the candidate with the larger ink
 // area keeps the true glyph.
 func resolve(cands []candidate) []Glyph {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].area != cands[j].area {
-			return cands[i].area > cands[j].area
-		}
-		if cands[i].g.Y != cands[j].g.Y {
-			return cands[i].g.Y < cands[j].g.Y
-		}
-		return cands[i].g.X < cands[j].g.X
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(b.area, a.area), cmp.Compare(a.g.Y, b.g.Y), cmp.Compare(a.g.X, b.g.X))
 	})
 	var accepted []Glyph
 	for _, c := range cands {
@@ -218,11 +213,8 @@ func resolve(cands []candidate) []Glyph {
 			accepted = append(accepted, c.g)
 		}
 	}
-	sort.Slice(accepted, func(i, j int) bool {
-		if accepted[i].Y != accepted[j].Y {
-			return accepted[i].Y < accepted[j].Y
-		}
-		return accepted[i].X < accepted[j].X
+	slices.SortFunc(accepted, func(a, b Glyph) int {
+		return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
 	})
 	return accepted
 }

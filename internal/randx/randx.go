@@ -83,16 +83,20 @@ func (r *Rand) Intn(n int) int {
 	}
 	// Lemire's nearly-divisionless bounded sampling over 32 bits when
 	// possible, falling back to 64-bit modulo rejection for large n.
+	// The rejection threshold (-bound % bound) is below bound, so a
+	// draw whose low word is at least bound is accepted without the
+	// division; the threshold is computed only for the rare draw that
+	// needs it.
 	if n <= math.MaxInt32 {
 		bound := uint32(n)
-		threshold := -bound % bound
-		for {
-			v := r.Uint32()
-			prod := uint64(v) * uint64(bound)
-			if uint32(prod) >= threshold {
-				return int(prod >> 32)
+		prod := uint64(r.Uint32()) * uint64(bound)
+		if uint32(prod) < bound {
+			threshold := -bound % bound
+			for uint32(prod) < threshold {
+				prod = uint64(r.Uint32()) * uint64(bound)
 			}
 		}
+		return int(prod >> 32)
 	}
 	max := ^uint64(0) - ^uint64(0)%uint64(n)
 	for {

@@ -90,6 +90,52 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
+// referenceIntn is Intn as it was before the threshold became lazy:
+// the division runs on every draw. Intn must accept and reject exactly
+// the same draws, so both consume the stream identically.
+func referenceIntn(r *Rand, n int) int {
+	if n <= math.MaxInt32 {
+		bound := uint32(n)
+		threshold := -bound % bound
+		for {
+			v := r.Uint32()
+			prod := uint64(v) * uint64(bound)
+			if uint32(prod) >= threshold {
+				return int(prod >> 32)
+			}
+		}
+	}
+	max := ^uint64(0) - ^uint64(0)%uint64(n)
+	for {
+		v := r.Uint64()
+		if v <= max {
+			return int(v % uint64(n))
+		}
+	}
+}
+
+// TestIntnMatchesReference holds Intn to the reference loop draw for
+// draw and checks both streams end in the same state. 1431655766 is
+// just above 2^32/3, so a third of its draws are rejected and the
+// retry loop runs often.
+func TestIntnMatchesReference(t *testing.T) {
+	bounds := []int{1, 2, 3, 4, 7, 48, 64, 100, 1 << 10, 1 << 20, 1 << 30,
+		1431655766, math.MaxInt32, math.MaxInt32 + 1, 1 << 40, math.MaxInt64}
+	for seed := uint64(0); seed < 64; seed++ {
+		for _, n := range bounds {
+			got, want := New(seed), New(seed)
+			for i := 0; i < 500; i++ {
+				if g, w := got.Intn(n), referenceIntn(want, n); g != w {
+					t.Fatalf("seed %d, n %d, draw %d: Intn = %d, reference = %d", seed, n, i, g, w)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("seed %d, n %d: streams diverged after the draws", seed, n)
+			}
+		}
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,7 +2,9 @@ package synth
 
 import (
 	"context"
+	"sync"
 
+	"repro/internal/imagex"
 	"repro/internal/pipeline"
 )
 
@@ -88,4 +90,59 @@ func (w *World) do(render, apply func()) {
 		return
 	}
 	w.jobs.jobs <- genJob{render: render, apply: apply}
+}
+
+// rasterKey is the GenModel argument tuple: a model raster is
+// deterministic in it.
+type rasterKey struct {
+	seed    uint64
+	variant int
+	pose    imagex.Pose
+	size    int
+}
+
+// rasterMemo renders each model raster at most once per generation.
+// The reverse-index jobs draw every image of an indexed model, and
+// packs, previews and proof previews then draw the same images again;
+// without the memo a world rendered each raster several times over.
+// Each key has its own sync.Once, so concurrent renders share one
+// draw. Memoised rasters are shared and read-only: a consumer that
+// transforms one takes a copy first.
+type rasterMemo struct {
+	// gen draws a raster: imagex.GenModel, or a counting wrapper in
+	// tests.
+	gen func(seed uint64, variant int, pose imagex.Pose, size int) *imagex.Image
+	mu  sync.Mutex
+	m   map[rasterKey]*rasterEntry
+}
+
+type rasterEntry struct {
+	once sync.Once
+	im   *imagex.Image
+}
+
+func newRasterMemo() *rasterMemo {
+	return &rasterMemo{gen: imagex.GenModel, m: make(map[rasterKey]*rasterEntry)}
+}
+
+// get returns the raster for k, rendering it on first use.
+func (r *rasterMemo) get(k rasterKey) *imagex.Image {
+	r.mu.Lock()
+	e := r.m[k]
+	if e == nil {
+		e = &rasterEntry{}
+		r.m[k] = e
+	}
+	r.mu.Unlock()
+	e.once.Do(func() { e.im = r.gen(k.seed, k.variant, k.pose, k.size) })
+	return e.im
+}
+
+// raster returns the model raster for k: the shared, read-only memo
+// entry while the world is being generated, a fresh render after.
+func (w *World) raster(k rasterKey) *imagex.Image {
+	if w.rasters == nil {
+		return imagex.GenModel(k.seed, k.variant, k.pose, k.size)
+	}
+	return w.rasters.get(k)
 }

@@ -177,17 +177,16 @@ func (w *World) uploadPreview(st *forumState, model *Model, created time.Time) s
 			recompress = true
 		}
 		w.do(func() {
+			// img is the shared memoised raster: each modification
+			// returns a transformed copy.
 			img := w.ModelImage(model, idx)
-			// img is freshly regenerated, so the preview modifications
-			// run in place on it instead of allocating transformed
-			// copies.
 			switch {
 			case wm != "":
 				img = img.Watermark(wm)
 			case shade:
-				img.ShadeInto(img, 0.25)
+				img = img.Shade(0.25)
 			case recompress:
-				img.RecompressInto(img, 24)
+				img = img.Recompress(24)
 			}
 			site.PutImage(path, img)
 		}, nil)
@@ -274,18 +273,18 @@ func (w *World) uploadPack(st *forumState, model *Model) (string, bool) {
 	w.do(func() {
 		images := make([]*imagex.Image, 0, len(members))
 		for _, pm := range members {
-			// img is freshly regenerated per pack member, so the actor
-			// transform mix runs in place instead of allocating copies.
+			// img is the shared memoised raster: each actor transform
+			// returns a transformed copy.
 			img := w.ModelImage(model, pm.index)
 			switch pm.transform {
 			case packRecompress32:
-				img.RecompressInto(img, 32)
+				img = img.Recompress(32)
 			case packRecompress24:
-				img.RecompressInto(img, 24)
+				img = img.Recompress(24)
 			case packWatermark:
 				img = img.Watermark("PACK")
 			case packMirror:
-				img.MirrorInto(img)
+				img = img.Mirror()
 			}
 			images = append(images, img)
 		}

@@ -1,10 +1,15 @@
 package synth
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/imagex"
 )
 
 // TestGenerateParallelEquivalence pins the tentpole invariant: the
@@ -34,6 +39,49 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 					t.Fatalf("seed=%d scale=%g workers=%d: world differs from the Workers 1 reference", seed, scale, workers)
 				}
 			}
+		}
+	}
+}
+
+// TestRasterMemoRendersOnce pins the generation-scoped raster memo at
+// Workers 1 (inline) and 2 (the job runner sharing the memo): each
+// (seed, variant, pose, size) raster is rendered exactly once, every
+// memoised raster still equals a fresh GenModel when generation ends
+// (a consumer that transformed a shared raster in place would fail
+// here), the memo is gone from the returned world, and the world is
+// the one Generate builds.
+func TestRasterMemoRendersOnce(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Seed: 77, Scale: 0.02, ImageSize: 48, Workers: workers}
+		var mu sync.Mutex
+		renders := make(map[rasterKey]int)
+		memo := newRasterMemo()
+		memo.gen = func(seed uint64, variant int, pose imagex.Pose, size int) *imagex.Image {
+			mu.Lock()
+			renders[rasterKey{seed, variant, pose, size}]++
+			mu.Unlock()
+			return imagex.GenModel(seed, variant, pose, size)
+		}
+		w := generateWith(context.Background(), cfg, memo)
+		if w.rasters != nil {
+			t.Fatalf("workers=%d: the raster memo outlived generation", workers)
+		}
+		if len(renders) == 0 || len(renders) != len(memo.m) {
+			t.Fatalf("workers=%d: %d rasters rendered for %d memo entries", workers, len(renders), len(memo.m))
+		}
+		for k, n := range renders {
+			if n != 1 {
+				t.Fatalf("workers=%d: raster %+v rendered %d times", workers, k, n)
+			}
+		}
+		for k, e := range memo.m {
+			fresh := imagex.GenModel(k.seed, k.variant, k.pose, k.size)
+			if e.im.W != fresh.W || e.im.H != fresh.H || !bytes.Equal(e.im.Pix, fresh.Pix) {
+				t.Fatalf("workers=%d: memoised raster %+v was modified during generation", workers, k)
+			}
+		}
+		if !reflect.DeepEqual(w, Generate(cfg)) {
+			t.Fatalf("workers=%d: world differs from Generate's", workers)
 		}
 	}
 }

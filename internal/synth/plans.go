@@ -18,11 +18,8 @@ import (
 // indexPlan indexes one model image into the reverse-search corpus and
 // the Wayback archive: the origin record plus its reposts.
 type indexPlan struct {
-	// Image identity (GenModel arguments; hashing draws no randomness).
-	seed    uint64
-	variant int
-	pose    imagex.Pose
-	size    int
+	// image is the raster's identity (hashing draws no randomness).
+	image rasterKey
 
 	origin        reverse.Record
 	originCapture time.Time
@@ -39,8 +36,8 @@ type repostPlan struct {
 	archived bool
 }
 
-func (p *indexPlan) render() {
-	p.hash = imagex.Hash128Of(imagex.GenModel(p.seed, p.variant, p.pose, p.size))
+func (p *indexPlan) render(w *World) {
+	p.hash = imagex.Hash128Of(w.raster(p.image))
 }
 
 func (p *indexPlan) applyTo(w *World) {
@@ -58,17 +55,14 @@ func (p *indexPlan) applyTo(w *World) {
 // AddHash appends to the hashlist's entry slice, whose order DeepEqual
 // sees, so the insert itself must run on the applier.
 type hashPlan struct {
-	seed    uint64
-	variant int
-	pose    imagex.Pose
-	size    int
-	entry   photodna.Entry
+	image rasterKey
+	entry photodna.Entry
 
 	hash photodna.RobustHash
 }
 
-func (p *hashPlan) render() {
-	p.hash = photodna.HashImage(imagex.GenModel(p.seed, p.variant, p.pose, p.size))
+func (p *hashPlan) render(w *World) {
+	p.hash = photodna.HashImage(w.raster(p.image))
 }
 
 func (p *hashPlan) applyTo(w *World) {

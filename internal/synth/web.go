@@ -153,12 +153,7 @@ func (w *World) genWeb(rng *randx.Rand) {
 		// scalars, never *Model: the flagged loop below mutates models
 		// after these jobs are in flight.
 		for i := range m.Images {
-			p := &indexPlan{
-				seed:    m.Seed,
-				variant: m.Images[i].Variant,
-				pose:    m.Images[i].Pose,
-				size:    cfg.ImageSize,
-			}
+			p := &indexPlan{image: rasterKey{m.Seed, m.Images[i].Variant, m.Images[i].Pose, cfg.ImageSize}}
 			crawl := m.OriginDate.AddDate(0, 0, rng.Intn(120))
 			p.origin = reverse.Record{
 				URL:       m.Images[i].OriginURL,
@@ -181,7 +176,7 @@ func (w *World) genWeb(rng *randx.Rand) {
 				}
 				p.reposts = append(p.reposts, rp)
 			}
-			w.do(p.render, func() { p.applyTo(w) })
+			w.do(func() { p.render(w) }, func() { p.applyTo(w) })
 		}
 	}
 
@@ -220,13 +215,10 @@ func (w *World) genWeb(rng *randx.Rand) {
 			entry.Severity = photodna.Severity(1 + rng.Intn(3))
 		}
 		hp := &hashPlan{
-			seed:    m.Seed,
-			variant: m.Images[idx].Variant,
-			pose:    m.Images[idx].Pose,
-			size:    cfg.ImageSize,
-			entry:   entry,
+			image: rasterKey{m.Seed, m.Images[idx].Variant, m.Images[idx].Pose, cfg.ImageSize},
+			entry: entry,
 		}
-		w.do(hp.render, func() { hp.applyTo(w) })
+		w.do(func() { hp.render(w) }, func() { hp.applyTo(w) })
 		flagged++
 	}
 

@@ -164,6 +164,9 @@ type World struct {
 	// inline path and always nil by the time Generate returns, so
 	// DeepEqual across worker counts compares pure world state.
 	jobs *jobRunner
+	// rasters memoises model rasters for the duration of one
+	// generation (exec.go); like jobs, it is nil once Generate returns.
+	rasters *rasterMemo
 }
 
 // Generate builds the world, fanning image work out over
@@ -181,8 +184,15 @@ func Generate(cfg Config) *World {
 // cancelling ctx abandons outstanding image jobs — the half-built
 // world must then be discarded.
 func GenerateContext(ctx context.Context, cfg Config) *World {
+	return generateWith(ctx, cfg, newRasterMemo())
+}
+
+// generateWith is GenerateContext rendering model rasters through the
+// given memo, which tests inspect once generation ends.
+func generateWith(ctx context.Context, cfg Config, rasters *rasterMemo) *World {
 	workers := cfg.EffectiveWorkers()
 	w := newWorld(cfg)
+	w.rasters = rasters
 	if workers > 1 {
 		w.jobs = startJobRunner(ctx, workers)
 	}
@@ -191,6 +201,7 @@ func GenerateContext(ctx context.Context, cfg Config) *World {
 		w.jobs.close()
 		w.jobs = nil
 	}
+	w.rasters = nil
 	return w
 }
 
@@ -246,11 +257,13 @@ func (w *World) generate(ctx context.Context) {
 	forumSpan.End()
 }
 
-// ModelImage regenerates the i-th image of a model (images are not
-// stored; they are deterministic in their parameters).
+// ModelImage returns the i-th image of a model. Images are not
+// stored in the world; they are deterministic in their parameters.
+// During generation the raster comes from the shared memo and must
+// not be modified; after generation each call renders a fresh copy.
 func (w *World) ModelImage(m *Model, i int) *imagex.Image {
 	mi := m.Images[i]
-	return imagex.GenModel(m.Seed, mi.Variant, mi.Pose, w.Config.ImageSize)
+	return w.raster(rasterKey{m.Seed, mi.Variant, mi.Pose, w.Config.ImageSize})
 }
 
 // SiteTypeOf maps a domain's ground-truth class to the IWF site-type
