@@ -148,12 +148,13 @@ chaos:
 
 # Fuzz smoke: short native-fuzz runs of the /searchhash wire-format
 # parser, the reverse-search input that crosses a process boundary,
-# of the SIMG and pack-zip decoders that read every crawled image and
-# pack, and of the OCR row-code kernel against its byte-matcher
-# reference. The committed seed corpora (internal/*/testdata/fuzz) run
+# of the POST /v1/study body decode and canonicalization, of the SIMG
+# and pack-zip decoders that read every crawled image and pack, and of
+# the OCR row-code kernel against its byte-matcher reference. The committed seed corpora (internal/*/testdata/fuzz) run
 # on every plain `go test`; this target explores past them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHash128 -fuzztime=10s ./internal/reverse
+	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/studysvc
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/imagex
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePackZip -fuzztime=10s ./internal/imagex
 	$(GO) test -run='^$$' -fuzz=FuzzRecognize -fuzztime=10s ./internal/ocr

@@ -3,8 +3,9 @@
 // + cloud-storage sites), the reverse image search, the Wayback
 // archive, and the study service (POST /v1/study — cached, coalesced,
 // bounded; see internal/studysvc). Together they make the full
-// measurement remotely drivable: point cmd/ewpipeline -remote at the
-// study address, or a crawler.HTTPClient at the substrate addresses.
+// measurement remotely drivable: point cmd/ewpipeline -remote or
+// cmd/ewsweep -remote (one POST /v1/study per sweep cell) at the study
+// address, or a crawler.HTTPClient at the substrate addresses.
 //
 // Usage:
 //
@@ -67,7 +68,6 @@ func main() {
 	studyRuns := flag.Int("study-runs", 2, "max concurrent study runs")
 	studyCache := flag.Int("study-cache", 16, "study result cache size (LRU)")
 	studyMaxScale := flag.Float64("study-max-scale", 0.25, "largest scale the study service accepts")
-	studySweepCells := flag.Int("study-sweep-cells", 64, "largest sweep (in cells) the study service accepts")
 	studyQueue := flag.Int("study-queue", 0, "admission queue depth before shedding (0 = 2×study-runs, negative disables queueing)")
 	studyQueueWait := flag.Duration("study-queue-wait", 0, "longest a queued request waits for a run slot before shedding (0 = default)")
 	traceBuffer := flag.Int("trace-buffer", tracex.DefaultMaxTraces, "recent traces kept for GET /v1/trace (0 disables tracing)")
@@ -93,8 +93,8 @@ func main() {
 
 	// The signal context is the whole process's root: servers stop on
 	// it, and the study service receives it as BaseContext so
-	// in-flight studies and sweeps are cancelled at shutdown instead
-	// of running headless to completion.
+	// in-flight studies are cancelled at shutdown instead of running
+	// headless to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -140,7 +140,6 @@ func main() {
 			MaxConcurrentRuns: *studyRuns,
 			CacheSize:         *studyCache,
 			MaxScale:          *studyMaxScale,
-			MaxSweepCells:     *studySweepCells,
 			MaxQueueDepth:     *studyQueue,
 			MaxQueueWait:      *studyQueueWait,
 			BaseContext:       ctx,

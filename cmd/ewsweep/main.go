@@ -14,11 +14,14 @@
 //	                       hosts via internal/faultx) — detection recall vs adversary strength
 //
 // With -remote the cells are POSTed to a live study service
-// (cmd/ewserve's -study address), which turns the sweep into a load
-// generator: concurrent study requests exercising the service's worker
-// pool, request coalescing and result cache, with aggregates identical
-// to the local run. -server instead submits the whole spec to the
-// service's POST /v1/sweep and lets it fan out server-side.
+// (cmd/ewserve's -study address), one POST /v1/study per cell, which
+// turns the sweep into a load generator: concurrent study requests
+// exercising the service's worker pool, request coalescing and result
+// cache, with aggregates identical to the local run.
+//
+// Local cells share generated worlds and, under every preset but
+// crawler-concurrency, artefact values; results are identical either
+// way.
 //
 // -load promotes the remote mode into the SLO harness: instead of a
 // sweep grid it drives a target request rate for a fixed duration and
@@ -41,7 +44,6 @@
 //	ewsweep -scales 0.01,0.02,0.04 -seeds 3
 //	ewsweep -preset crawler-concurrency -seeds 2 -scale 0.02
 //	ewsweep -remote http://127.0.0.1:8084 -preset cross-seed-stability -seeds 10 -scale 0.05
-//	ewsweep -remote http://127.0.0.1:8084 -server -preset scale-sensitivity -json
 //	ewsweep -remote http://127.0.0.1:8084 -load -rps 20 -duration 5s -bench-out BENCH_load.fresh.json
 //	ewsweep -remote http://127.0.0.1:8084 -trace -seeds 1 -scale 0.01
 package main
@@ -79,10 +81,8 @@ func main() {
 	crawl := flag.Int("crawl", 0, "crawler workers per study (0 = study default)")
 	faults := flag.String("faults", "", `base faultx fault profile for every cell (e.g. "rot=0.3"; the adversarial-hosts preset sweeps its own ladder instead)`)
 	parallel := flag.Int("parallel", 2, "concurrent cells")
-	memoize := flag.Bool("artefact-cache", true, "share artefact values across cells (results are identical either way; defaults off for the crawler-concurrency preset, whose per-cell timings are the measurement)")
 	cellTimeout := flag.Duration("cell-timeout", 10*time.Minute, "per-cell timeout")
 	remote := flag.String("remote", "", "drive a live study service at this base URL")
-	server := flag.Bool("server", false, "with -remote: run the sweep server-side via POST /v1/sweep")
 	jsonOut := flag.Bool("json", false, "emit the full sweep result as JSON")
 	quiet := flag.Bool("quiet", false, "suppress per-cell progress lines")
 	load := flag.Bool("load", false, "with -remote: drive target-RPS load instead of a sweep and measure latency/shed SLOs")
@@ -96,9 +96,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event (Perfetto) export to this file (with -load: of the sampled cold-start request)")
 	flag.Parse()
 
-	if *server && *remote == "" {
-		fatalf("-server requires -remote (the service that runs the sweep)")
-	}
 	if *load {
 		if *remote == "" {
 			fatalf("-load requires -remote (the live service to drive)")
@@ -151,73 +148,43 @@ func main() {
 		ctx, rootSpan = tracex.StartSpan(ctx, "sweep")
 		rootSpan.SetAttr("spec", spec.Name())
 	}
-	var res *sweep.Result
-	switch {
-	case *remote != "" && *server:
-		fmt.Fprintf(os.Stderr, "==> sweep %s: %d cells via %s (server-side)\n", spec.Name(), len(cells), *remote)
-		env, err := studysvc.NewClient(*remote, nil).RunSweep(ctx, spec)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if env.Status != studysvc.StatusDone || env.Result == nil {
-			fatalf("sweep %s %s: %s", env.ID, env.Status, env.Error)
-		}
-		fmt.Fprintf(os.Stderr, "sweep %s done on the server\n", env.ID)
-		res = env.Result
-	default:
-		// Local cells share generated worlds and, by default,
-		// artefact values: a grid varying only annotation or
-		// concurrency axes generates each world once, and cells whose
-		// semantic parameters match reuse whole artefact prefixes (a
-		// crawler-concurrency sweep crawls once, not once per cell —
-		// which also makes the later cells' timings memo reads;
-		// -artefact-cache=false restores per-cell execution when the
-		// timing itself is the measurement).
-		// The crawler-concurrency preset measures per-cell timing
-		// across crawl worker counts — an axis the memo keys exclude
-		// on purpose — so sharing would turn every cell after the
-		// first into a ~0ms memo read. Default the memo off for it
-		// unless the flag was set explicitly.
-		memoOn := *memoize
-		if *preset == sweep.PresetConcurrency {
-			explicit := false
-			flag.Visit(func(f *flag.Flag) {
-				if f.Name == "artefact-cache" {
-					explicit = true
-				}
-			})
-			if !explicit {
-				memoOn = false
-			}
-		}
+	var backend sweep.Backend
+	mode := "local"
+	if *remote != "" {
+		backend = studysvc.Backend{Client: studysvc.NewClient(*remote, nil)}
+		mode = "remote via " + *remote + " (one POST /v1/study per cell)"
+	} else {
+		// Local cells share generated worlds and artefact values: a
+		// grid varying only annotation or concurrency axes generates
+		// each world once, and cells whose semantic parameters match
+		// reuse whole artefact prefixes. The crawler-concurrency preset
+		// measures per-cell timing across crawl worker counts — an axis
+		// the memo keys exclude on purpose — so sharing would turn every
+		// cell after the first into a ~0ms memo read; it runs without
+		// the memo.
 		local := sweep.Local{Worlds: sweep.NewWorldCache(0)}
-		if memoOn {
+		if *preset != sweep.PresetConcurrency {
 			local.Memo = artefact.NewStore(0)
 		}
-		var backend sweep.Backend = local
-		mode := "local"
-		if *remote != "" {
-			backend = studysvc.Backend{Client: studysvc.NewClient(*remote, nil)}
-			mode = "remote via " + *remote + " (one POST /v1/study per cell)"
-		}
-		fmt.Fprintf(os.Stderr, "==> sweep %s: %d cells, parallelism %d, %s\n",
-			spec.Name(), len(cells), *parallel, mode)
-		opts := sweep.Options{Parallelism: *parallel, CellTimeout: *cellTimeout}
-		if !*quiet {
-			opts.OnCell = func(done, total int, o sweep.Outcome) {
-				status := "ok"
-				switch {
-				case o.Err != "":
-					status = "FAILED: " + o.Err
-				case o.Cached:
-					status = "cached"
-				}
-				fmt.Fprintf(os.Stderr, "    [%d/%d] cell %d (%s) %dms %s\n",
-					done, total, o.Index, o.Cell, o.ElapsedMS, status)
-			}
-		}
-		res = sweep.Run(ctx, spec.Name(), cells, backend, opts)
+		backend = local
 	}
+	fmt.Fprintf(os.Stderr, "==> sweep %s: %d cells, parallelism %d, %s\n",
+		spec.Name(), len(cells), *parallel, mode)
+	opts := sweep.Options{Parallelism: *parallel, CellTimeout: *cellTimeout}
+	if !*quiet {
+		opts.OnCell = func(done, total int, o sweep.Outcome) {
+			status := "ok"
+			switch {
+			case o.Err != "":
+				status = "FAILED: " + o.Err
+			case o.Cached:
+				status = "cached"
+			}
+			fmt.Fprintf(os.Stderr, "    [%d/%d] cell %d (%s) %dms %s\n",
+				done, total, o.Index, o.Cell, o.ElapsedMS, status)
+		}
+	}
+	res := sweep.Run(ctx, spec.Name(), cells, backend, opts)
 	rootSpan.End()
 
 	if *jsonOut {

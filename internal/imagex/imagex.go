@@ -88,9 +88,14 @@ func (im *Image) Clone() *Image {
 
 // pixPool recycles pixel buffers for the *Into transform variants and
 // GetImage/PutImage, so steady-state hot paths (hashing, transform
-// chains) stop allocating per image. Buffers are stored by pointer to
-// keep Put itself allocation-free.
+// chains) stop allocating per image. Buffers are stored by pointer, in
+// a *[]byte box, so Put does not allocate an interface value.
 var pixPool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
+
+// boxPool recycles the empty boxes reshape takes out of pixPool, so
+// PutImage refills one instead of allocating a fresh box per call.
+// Image keeps no box of its own: a field there would show in DeepEqual.
+var boxPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // GetImage returns an image of the given size whose pixel buffer comes
 // from the shared pool. Contents are undefined; every pixel the caller
@@ -110,16 +115,18 @@ func PutImage(im *Image) {
 	if im == nil || im.Pix == nil {
 		return
 	}
-	buf := im.Pix[:0]
+	bp := boxPool.Get().(*[]byte)
+	*bp = im.Pix[:0]
 	im.Pix = nil
-	pixPool.Put(&buf)
+	pixPool.Put(bp)
 }
 
 // reshape sizes the image to w×h, reusing its buffer when the capacity
 // allows and drawing from the pool otherwise. A pooled buffer that is
 // too small is dropped, not put back: the next Get on this P would
 // find it first again, and every larger request would allocate until
-// the next GC. Pixel contents after a reshape are undefined.
+// the next GC. Either way the emptied box goes to boxPool for the next
+// PutImage. Pixel contents after a reshape are undefined.
 func (im *Image) reshape(w, h int) {
 	n := w * h
 	im.W, im.H = w, h
@@ -127,11 +134,14 @@ func (im *Image) reshape(w, h int) {
 		im.Pix = im.Pix[:n]
 		return
 	}
-	if bp := pixPool.Get().(*[]byte); cap(*bp) >= n {
+	bp := pixPool.Get().(*[]byte)
+	if cap(*bp) >= n {
 		im.Pix = (*bp)[:n]
-		return
+	} else {
+		im.Pix = make([]byte, n)
 	}
-	im.Pix = make([]byte, n)
+	*bp = nil
+	boxPool.Put(bp)
 }
 
 // SkinFraction returns the fraction of pixels inside the skin band.

@@ -303,9 +303,9 @@ func BenchmarkSkinStats(b *testing.B) {
 // TestGetImageReusesPooledBuffer pins that the raster pool serves a
 // repeated request once it has seen it. From an empty pool the first
 // GetImage allocates its pixel buffer and PutImage returns it; later
-// same-size cycles must reuse it, allocating only PutImage's slice
-// header box. A too-small pooled buffer put back into the pool would
-// be found first again and cost a fresh pixel buffer per cycle.
+// same-size cycles must reuse it. A too-small pooled buffer put back
+// into the pool would be found first again and cost a fresh pixel
+// buffer per cycle.
 func TestGetImageReusesPooledBuffer(t *testing.T) {
 	const w, h, cycles = 48, 48, 100
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -324,5 +324,19 @@ func TestGetImageReusesPooledBuffer(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles; perCycle >= w*h {
 		t.Fatalf("GetImage/PutImage cycle allocates %d bytes, want less than one %d-byte pixel buffer", perCycle, w*h)
+	}
+}
+
+// TestGetPutImageWarmZeroAlloc pins a warm GetImage/PutImage cycle
+// allocation-free: PutImage refills the box reshape took out of the
+// pool instead of boxing the buffer afresh.
+func TestGetPutImageWarmZeroAlloc(t *testing.T) {
+	cycle := func() {
+		im := GetImage(48, 48)
+		PutImage(im)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("warm GetImage/PutImage cycle allocates %.1f per op, want 0", avg)
 	}
 }

@@ -237,28 +237,6 @@ func get[T any](ctx context.Context, c *Client, path, what string) (*T, error) {
 	return send[T](c, req, what)
 }
 
-// RunSweep submits a sweep spec to POST /v1/sweep and waits for the
-// server-side sweep to finish.
-func (c *Client) RunSweep(ctx context.Context, spec sweep.Spec) (*SweepEnvelope, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.BaseURL+"/v1/sweep", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	tracex.Inject(ctx, req.Header)
-	return send[SweepEnvelope](c, req, "sweep")
-}
-
-// GetSweep fetches a sweep run by id.
-func (c *Client) GetSweep(ctx context.Context, id string) (*SweepEnvelope, error) {
-	return get[SweepEnvelope](ctx, c, "/v1/sweep/"+url.PathEscape(id), "sweep")
-}
-
 // Backend adapts the client to sweep.Backend: each cell becomes a POST
 // /v1/study against the live service. Running a sweep this way is load
 // generation — N concurrent study requests driving the service's

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/sweep"
 )
 
 // TestClientReusesConnection pins keep-alive reuse across every client
@@ -47,8 +45,6 @@ func TestClientReusesConnection(t *testing.T) {
 		"TraceExport": func() error { _, err := c.TraceExport(ctx, "t"); return err },
 		"Stats":       func() error { _, err := c.Stats(ctx); return err },
 		"List":        func() error { _, err := c.List(ctx); return err },
-		"RunSweep":    func() error { _, err := c.RunSweep(ctx, sweep.Spec{}); return err },
-		"GetSweep":    func() error { _, err := c.GetSweep(ctx, "w-1"); return err },
 	}
 	n := 0
 	for round := 0; round < 2; round++ {

@@ -144,31 +144,19 @@ func (s *Service) InFlightRequests() []string {
 func (s *Service) log() *logx.Logger { return s.cfg.Logger }
 
 // admit reserves one worker-pool slot for a fresh run. The fast path
-// takes a free slot immediately. When the pool is saturated, HTTP
-// requests (block=false) wait in a queue bounded two ways — at most
-// MaxQueueDepth waiters, for at most MaxQueueWait each — and are shed
-// with ErrSaturated beyond either bound, so saturation surfaces as
-// fast 429s instead of unbounded queueing. Internal sweep cells
-// (block=true) wait indefinitely: their concurrency is already
-// bounded by the sweep's parallelism, and BaseContext cancellation
-// still releases them. Every successful admission records its queue
+// takes a free slot immediately. When the pool is saturated, requests
+// wait in a queue bounded two ways — at most MaxQueueDepth waiters,
+// for at most MaxQueueWait each — and are shed with ErrSaturated
+// beyond either bound, so saturation surfaces as fast 429s instead of
+// unbounded queueing. Every successful admission records its queue
 // wait in the stats histogram.
-func (s *Service) admit(ctx context.Context, block bool) error {
+func (s *Service) admit(ctx context.Context) error {
 	start := time.Now()
 	select {
 	case s.sem <- struct{}{}:
 		s.queueWait.Observe(time.Since(start))
 		return nil
 	default:
-	}
-	if block {
-		select {
-		case s.sem <- struct{}{}:
-			s.queueWait.Observe(time.Since(start))
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
 	}
 	s.mu.Lock()
 	if s.cfg.MaxQueueDepth < 1 || s.waiting >= s.cfg.MaxQueueDepth {

@@ -8,8 +8,6 @@
 //	POST /v1/study        run (or fetch) a study; body: {"seed":2019,"scale":0.05,...}
 //	GET  /v1/study        list cached and in-flight runs
 //	GET  /v1/study/{id}   fetch a run by id
-//	POST /v1/sweep        run a scenario sweep server-side (sweepsvc.go)
-//	GET  /v1/sweep/{id}   fetch a sweep by id
 //	GET  /v1/stats        service counters
 //	GET  /v1/trace        recent trace ids (tracehttp.go)
 //	GET  /v1/trace/{id}   one trace (JSON; ?format=perfetto for Chrome trace-event)
@@ -32,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -65,17 +64,13 @@ type Config struct {
 	// real goroutine pools, so an unbounded value is a one-request
 	// denial of service.
 	MaxWorkers int
-	// MaxSweepCells rejects sweep requests with more cells than this
-	// (default 64): each cell is a full study, so a sweep is the
-	// service's most expensive request by far.
-	MaxSweepCells int
-	// BaseContext, when set, is the root context of every study and
-	// sweep the service executes. Runs are deliberately detached from
-	// the requesting HTTP context — coalesced requests share one run,
-	// and a cached result outlives every requester — so the natural
-	// scope is the server's lifetime: pass the context that is
-	// cancelled at shutdown and in-flight studies stop with it. Nil
-	// defaults to an un-cancellable background context.
+	// BaseContext, when set, is the root context of every study the
+	// service executes. Runs are deliberately detached from the
+	// requesting HTTP context — coalesced requests share one run, and a
+	// cached result outlives every requester — so the natural scope is
+	// the server's lifetime: pass the context that is cancelled at
+	// shutdown and in-flight studies stop with it. Nil defaults to an
+	// un-cancellable background context.
 	BaseContext context.Context
 	// MaxQueueDepth bounds how many fresh-run HTTP requests may wait
 	// for a pool slot at once (default 2×MaxConcurrentRuns; negative
@@ -131,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = 32
-	}
-	if c.MaxSweepCells <= 0 {
-		c.MaxSweepCells = 64
 	}
 	if c.MaxQueueDepth == 0 {
 		c.MaxQueueDepth = 2 * c.MaxConcurrentRuns
@@ -238,23 +230,6 @@ func canonicalize(r Request) (Canonical, error) {
 	return c, nil
 }
 
-// fromCell canonicalizes a sweep cell — cells are already normalized
-// with the same defaults, so this is the identity on the values, just
-// a type change. Cells never carry an artefact filter; a cell with an
-// unparseable fault profile keeps it verbatim so validate() rejects
-// it with the parse error.
-func fromCell(c sweep.Cell) Canonical {
-	canon, err := canonicalize(Request{
-		Seed: c.Seed, Scale: c.Scale, AnnotationSize: c.Annotation,
-		Workers: c.Workers, CrawlConcurrency: c.CrawlConcurrency,
-		Faults: c.Faults,
-	})
-	if err != nil {
-		canon.Faults = c.Faults
-	}
-	return canon
-}
-
 // key renders the canonical options as the cache key. The faults
 // segment appears only when set, so fault-free keys stay byte-
 // identical to the pre-faultx era.
@@ -321,12 +296,12 @@ type run struct {
 	id   string
 	key  string
 	opts Canonical
-	// origin is the request id that started the run ("" for internal
-	// sweeps) — the log field that joins a run's node events back to
-	// the HTTP request that caused them.
+	// origin is the request id that started the run ("" outside an
+	// HTTP request) — the log field that joins a run's node events
+	// back to the HTTP request that caused them.
 	origin string
-	// originSpan is the starting request's span identity (zero for
-	// internal sweeps or with tracing off): the run's spans join the
+	// originSpan is the starting request's span identity (zero outside
+	// an HTTP request or with tracing off): the run's spans join the
 	// originating trace even though the run itself is detached from the
 	// request context. Coalesced later requests observe the first
 	// requester's trace, matching how coalescing works everywhere else.
@@ -425,15 +400,10 @@ type Service struct {
 	failed   []string                 // failed run ids, oldest first (bounded)
 	nextID   int
 
-	// sweeps holds server-side sweep runs by id (bounded FIFO).
-	sweeps     map[string]*sweepRun
-	sweepOrder []string
-	nextSweep  int
-
 	// worlds shares generated synth worlds across runs whose canonical
 	// synth configs match (LRU-bounded; safe — runs never mutate their
-	// world). Server-side sweep cells varying only annotation/workers
-	// hit it hardest.
+	// world). Sweep cells varying only annotation/workers hit it
+	// hardest.
 	worlds *sweep.WorldCache
 
 	// memo shares artefact values across every run through the
@@ -471,7 +441,6 @@ func New(cfg Config) *Service {
 		byID:      make(map[string]*run),
 		order:     list.New(),
 		cache:     make(map[string]*list.Element),
-		sweeps:    make(map[string]*sweepRun),
 		worlds:    sweep.NewWorldCache(worldCacheSize),
 		memo:      artefact.NewStore(memoSize),
 		queueWait: pipeline.NewHistogram(),
@@ -483,10 +452,9 @@ func New(cfg Config) *Service {
 // result, the in-flight run to coalesce onto, or a freshly started
 // one. cached reports a cache hit. Starting a fresh run requires
 // admission — a worker-pool slot — so a saturated pool surfaces here
-// as ErrSaturated (HTTP callers, block=false) instead of unbounded
-// queueing; cache hits and coalesced requests need no slot and are
-// never shed. block=true (internal sweep cells) waits indefinitely.
-func (s *Service) getOrStart(ctx context.Context, c Canonical, block bool) (r *run, cached bool, err error) {
+// as ErrSaturated instead of unbounded queueing; cache hits and
+// coalesced requests need no slot and are never shed.
+func (s *Service) getOrStart(ctx context.Context, c Canonical) (r *run, cached bool, err error) {
 	key := c.key()
 	if r, cached, ok := s.lookup(key); ok {
 		return r, cached, nil
@@ -494,7 +462,7 @@ func (s *Service) getOrStart(ctx context.Context, c Canonical, block bool) (r *r
 	// Miss: reserve a pool slot BEFORE registering the run, so the
 	// number of queued-but-unstarted runs is bounded by the admission
 	// queue, not by the request rate.
-	if err := s.admit(ctx, block); err != nil {
+	if err := s.admit(ctx); err != nil {
 		return nil, false, err
 	}
 	s.mu.Lock()
@@ -583,8 +551,8 @@ func (s *Service) execute(r *run) {
 
 	start := time.Now()
 	// Worlds are shared across runs with the same canonical synth
-	// config: server-side sweep cells (and study requests) that only
-	// vary annotation/workers/crawl reuse one generated world.
+	// config: study requests (sweep cells among them) that only vary
+	// annotation/workers/crawl reuse one generated world.
 	// World acquisition is the study's cold-start dominator, so it gets
 	// its own span; a cache hit shows up as a near-zero "synth" span, a
 	// miss as the generation cost the critical-path report attributes.
@@ -700,8 +668,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/study", s.handleList)
 	mux.HandleFunc("GET /v1/study/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/study/{id}/artefact/{name}", s.handleArtefact)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("GET /v1/sweep/{id}", s.handleSweepGet)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/trace", s.handleTraceList)
 	mux.HandleFunc("GET /v1/trace/{id}", s.handleTraceGet)
@@ -720,19 +686,22 @@ func (s *Service) validate(c Canonical) string {
 	if c.CrawlConcurrency > s.cfg.MaxWorkers {
 		return fmt.Sprintf("crawl concurrency %d exceeds the service limit %d", c.CrawlConcurrency, s.cfg.MaxWorkers)
 	}
-	if _, err := faultx.ParseProfile(c.Faults); err != nil {
-		// Backstop for sweep cells, whose profiles bypass canonicalize
-		// errors (see fromCell).
-		return err.Error()
-	}
 	return ""
 }
 
-func (s *Service) handleRun(w http.ResponseWriter, req *http.Request) {
+// decodeRequest reads a POST /v1/study body: at most 1 MiB, and no
+// field Request does not name.
+func decodeRequest(w http.ResponseWriter, body io.ReadCloser) (Request, error) {
 	var in Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	err := dec.Decode(&in)
+	return in, err
+}
+
+func (s *Service) handleRun(w http.ResponseWriter, req *http.Request) {
+	in, err := decodeRequest(w, req.Body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -746,7 +715,7 @@ func (s *Service) handleRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	r, cached, err := s.getOrStart(req.Context(), c, false)
+	r, cached, err := s.getOrStart(req.Context(), c)
 	if err != nil {
 		if errors.Is(err, ErrSaturated) {
 			secs := s.retryAfterSeconds()

@@ -3,12 +3,14 @@ package studysvc
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sweep"
 )
 
 // tinyRequest names a world small enough for sub-second runs.
@@ -287,7 +289,7 @@ func TestDoneAfterFiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := svc.getOrStart(context.Background(), c, true)
+	r, _, err := svc.getOrStart(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,4 +341,91 @@ func table1Computed(svc *Service) bool {
 		}
 	}
 	return false
+}
+
+// tinySpec is a 2-seed cross-seed sweep small enough for tests.
+func tinySpec() sweep.Spec {
+	return sweep.Spec{
+		Preset: sweep.PresetCrossSeed, Seeds: 2,
+		Scale: 0.01, Annotation: 200, Parallelism: 2,
+	}
+}
+
+// TestRemoteSweepMatchesLocal pins the acceptance criterion: a sweep
+// driven cell-by-cell through the client backend against a live
+// service produces aggregates identical to the in-process sweep, and
+// the sweep traffic shows up in the service counters.
+func TestRemoteSweepMatchesLocal(t *testing.T) {
+	svc, c := newTestService(t, Config{MaxConcurrentRuns: 2})
+	ctx := context.Background()
+	cells, err := tinySpec().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	local := sweep.Run(ctx, "pair", cells, sweep.Local{}, sweep.Options{Parallelism: 2})
+	remote := sweep.Run(ctx, "pair", cells, Backend{Client: c}, sweep.Options{Parallelism: 2})
+	if len(local.Errors) != 0 || len(remote.Errors) != 0 {
+		t.Fatalf("errors: local=%v remote=%v", local.Errors, remote.Errors)
+	}
+	if !reflect.DeepEqual(local.Aggregate, remote.Aggregate) {
+		t.Fatalf("remote aggregates differ from local:\n%+v\nvs\n%+v", remote.Aggregate, local.Aggregate)
+	}
+	for i := range cells {
+		if !reflect.DeepEqual(local.Cells[i].Summary, remote.Cells[i].Summary) {
+			t.Fatalf("cell %d summary differs local vs remote", i)
+		}
+	}
+	st := svc.Stats()
+	if st.RunsStarted != int64(len(cells)) || st.RunsCompleted != int64(len(cells)) {
+		t.Fatalf("service saw %d/%d runs, want %d", st.RunsStarted, st.RunsCompleted, len(cells))
+	}
+}
+
+// TestStudyListing covers GET /v1/study: cached and in-flight runs are
+// visible with their options, so operators don't have to guess ids.
+func TestStudyListing(t *testing.T) {
+	_, c := newTestService(t, Config{})
+	ctx := context.Background()
+
+	env, err := c.Run(ctx, Request{Seed: 31, Scale: 0.01, AnnotationSize: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := c.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != 1 {
+		t.Fatalf("listed %d runs, want 1", len(list.Runs))
+	}
+	r := list.Runs[0]
+	if r.ID != env.ID || !r.Cached || r.Status != StatusDone {
+		t.Fatalf("listing row = %+v, want cached done run %s", r, env.ID)
+	}
+	if r.Options.Seed != 31 || r.Options.Scale != 0.01 || r.Options.AnnotationSize != 200 {
+		t.Fatalf("listing options = %+v", r.Options)
+	}
+	// The listed id is directly fetchable — no guessing.
+	if _, err := c.Get(ctx, r.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrawlConcurrencyCanonicalization: the crawl knob is part of the
+// cache key, defaults like the study itself, and is bounded.
+func TestCrawlConcurrencyCanonicalization(t *testing.T) {
+	a, _ := canonicalize(Request{})
+	b, _ := canonicalize(Request{CrawlConcurrency: 8})
+	if a.key() != b.key() {
+		t.Fatalf("default crawl concurrency should canonicalize to 8: %q vs %q", a.key(), b.key())
+	}
+	if c, _ := canonicalize(Request{CrawlConcurrency: 4}); c.key() == a.key() {
+		t.Fatal("distinct crawl concurrency collapsed into one key")
+	}
+
+	_, cl := newTestService(t, Config{MaxWorkers: 8})
+	if _, err := cl.Run(context.Background(), Request{Scale: 0.01, CrawlConcurrency: 64}); err == nil {
+		t.Fatal("oversized crawl concurrency accepted")
+	}
 }

@@ -15,7 +15,6 @@ package sweep
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -179,8 +178,8 @@ func adversaryLadder() []string {
 }
 
 // Spec is the serializable description of a sweep: a named preset
-// around base parameters, or an explicit grid. It is the POST /v1/sweep
-// body and what cmd/ewsweep builds from its flags.
+// around base parameters, or an explicit grid. cmd/ewsweep builds it
+// from its flags.
 type Spec struct {
 	// Preset selects a named scenario (empty with a Grid for a custom
 	// sweep).
@@ -219,9 +218,8 @@ func (sp Spec) Name() string {
 
 // presetSeeds resolves the seed-axis length a preset plans: an
 // explicit Seeds wins; otherwise the empty spec runs one cell, the
-// scale ladder defaults to 3 seeds and the other presets to 5. Cells
-// and CountCells both build on it, so the counted plan can never
-// diverge from the materialized one on the seed axis.
+// scale ladder and the fault ladder default to 3 seeds and the other
+// presets to 5.
 func (sp Spec) presetSeeds() int {
 	if sp.Seeds > 0 {
 		return sp.Seeds
@@ -328,61 +326,6 @@ func (sp Spec) Cells() ([]Cell, error) {
 	default:
 		return nil, fmt.Errorf("sweep: unknown preset %q (have %v)", sp.Preset, Presets())
 	}
-}
-
-// CountCells returns the number of cells Cells would plan, without
-// materializing them — so a service can bound a request's cost before
-// paying the expansion (a spec is a few bytes of JSON but can plan
-// billions of cells). The count saturates at math.MaxInt instead of
-// overflowing. TestCountCellsMatchesCells pins it to len(Cells()).
-func (sp Spec) CountCells() (int, error) {
-	axis := func(n int) int {
-		if n == 0 {
-			return 1
-		}
-		return n
-	}
-	if sp.Grid != nil {
-		g := sp.Grid
-		seeds := len(g.Seeds)
-		if seeds == 0 {
-			seeds = sp.Seeds
-			if seeds <= 0 {
-				seeds = 1
-			}
-		}
-		return mulSat(seeds, axis(len(g.Scales)), axis(len(g.Annotations)),
-			axis(len(g.Workers)), axis(len(g.CrawlConcurrencies)), axis(len(g.Faults))), nil
-	}
-	seeds := sp.presetSeeds()
-	switch sp.Preset {
-	case "", PresetCrossSeed:
-		return seeds, nil
-	case PresetScale:
-		base := Cell{Seed: sp.Seed, Scale: sp.Scale}.normalize()
-		return mulSat(seeds, len(scaleLadder(base.Scale))), nil
-	case PresetConcurrency:
-		return mulSat(seeds, 4), nil
-	case PresetAdversarial:
-		return mulSat(seeds, len(adversaryLadder())), nil
-	default:
-		return 0, fmt.Errorf("sweep: unknown preset %q (have %v)", sp.Preset, Presets())
-	}
-}
-
-// mulSat multiplies positive factors, saturating at math.MaxInt.
-func mulSat(factors ...int) int {
-	n := 1
-	for _, f := range factors {
-		if f <= 0 {
-			continue
-		}
-		if n > math.MaxInt/f {
-			return math.MaxInt
-		}
-		n *= f
-	}
-	return n
 }
 
 // groupKey identifies a cross-seed group: every grid dimension except

@@ -22,49 +22,6 @@ func tinyCells(seeds int) []Cell {
 	return g.Cells()
 }
 
-// TestCountCellsMatchesCells pins the pre-expansion plan count to the
-// materialized plan across presets, sparse grids and the default spec
-// — the service's cell limit is enforced on CountCells, so the two
-// must never diverge.
-func TestCountCellsMatchesCells(t *testing.T) {
-	specs := []Spec{
-		{},
-		{Seeds: 4},
-		{Preset: PresetCrossSeed},
-		{Preset: PresetCrossSeed, Seeds: 7},
-		{Preset: PresetScale},
-		{Preset: PresetScale, Seeds: 2, Scale: 0.01},
-		{Preset: PresetScale, Scale: 0.9},
-		{Preset: PresetConcurrency, Seeds: 2},
-		{Preset: PresetAdversarial},
-		{Preset: PresetAdversarial, Seeds: 2},
-		{Grid: &Grid{Scales: []float64{0.01, 0.02}}, Seeds: 3},
-		{Grid: &Grid{Faults: []string{"", "rot=0.3"}}, Seeds: 2},
-		{Grid: &Grid{Seeds: []uint64{1, 2}, Annotations: []int{100, 200}, Workers: []int{0, 2}}},
-		{Grid: &Grid{CrawlConcurrencies: []int{1, 2, 4}}},
-	}
-	for _, sp := range specs {
-		cells, err := sp.Cells()
-		if err != nil {
-			t.Fatalf("%+v: Cells: %v", sp, err)
-		}
-		n, err := sp.CountCells()
-		if err != nil {
-			t.Fatalf("%+v: CountCells: %v", sp, err)
-		}
-		if n != len(cells) {
-			t.Fatalf("%+v: CountCells = %d, len(Cells) = %d", sp, n, len(cells))
-		}
-	}
-	if _, err := (Spec{Preset: "bogus"}).CountCells(); err == nil {
-		t.Fatal("unknown preset counted without error")
-	}
-	// A huge plan counts (saturating) without materializing.
-	if n, err := (Spec{Preset: PresetCrossSeed, Seeds: 2_000_000_000}).CountCells(); err != nil || n != 2_000_000_000 {
-		t.Fatalf("huge plan: n=%d err=%v", n, err)
-	}
-}
-
 // TestSweepDeterministic pins the satellite requirement: two identical
 // sweeps — same grid, same per-cell seeds — produce DeepEqual
 // aggregates, even at different parallelism (so completion order
