@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify vet fmt-check lint build test test-race perfbench-check bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline bench load-smoke load-slo load-baseline chaos fuzz-smoke clean
+.PHONY: verify vet fmt-check lint build test test-race perfbench-check bench-smoke bench-diff bench-baseline bench-scale bench-scale-baseline load-smoke load-slo load-baseline chaos fuzz-smoke clean
 
 verify: vet lint build test perfbench-check
 
@@ -37,58 +37,51 @@ test-race:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Three iterations of the one-worker/concurrent full-study pair plus
-# the cross-seed sweep — fast sanity that the engine and the sweep
-# orchestrator run end to end — emitted both as benchstat input
-# (bench_*.txt) and as fresh JSON artifacts for CI upload. The fresh
-# files are kept distinct from the committed BENCH_*.json baselines so
-# a smoke run never clobbers the regression reference.
+# Smoke benchmarks: three iterations of the study-level set — the
+# one-worker/concurrent full-study pair, the cross-seed sweep and the
+# artefact-reuse cold/warm pair — then the Crawl, PhotoDNAFilter and
+# HashImage kernels at the default benchtime with -benchmem, so their
+# B/op and allocs/op are gated too. Both runs land in one
+# benchstat-ready text file and one fresh JSON artifact for CI upload,
+# kept distinct from the committed BENCH_smoke.json baseline so a
+# smoke run never clobbers the regression reference.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='StudyRun(OneWorker|Concurrent)$$' -benchtime=3x . | tee bench_pipeline.txt
-	$(GO) run ./cmd/benchjson -in bench_pipeline.txt -out BENCH_pipeline.fresh.json
-	$(GO) test -run='^$$' -bench=SweepCrossSeed -benchtime=3x . | tee bench_sweep.txt
-	$(GO) run ./cmd/benchjson -in bench_sweep.txt -out BENCH_sweep.fresh.json
-	$(GO) test -run='^$$' -bench=ArtefactReuse -benchtime=3x . | tee bench_artefact.txt
-	$(GO) run ./cmd/benchjson -in bench_artefact.txt -out BENCH_artefact.fresh.json
+	$(GO) test -run='^$$' -bench='^Benchmark(StudyRun(OneWorker|Concurrent)|SweepCrossSeed|ArtefactReuse)$$' -benchtime=3x . | tee bench_smoke.txt
+	$(GO) test -run='^$$' -bench='^Benchmark(Crawl|PhotoDNAFilter|HashImage)$$' -benchmem . | tee -a bench_smoke.txt
+	$(GO) run ./cmd/benchjson -in bench_smoke.txt -out BENCH_smoke.fresh.json
 
 # Benchmark-regression gate: a fresh smoke run must stay within
-# BENCH_TOLERANCE of the committed baselines; it also fails when a
+# BENCH_TOLERANCE of the committed baseline; it also fails when a
 # baseline benchmark disappears. Absolute ns/op only compares
-# meaningfully on similar hardware — refresh the baselines from the
-# machine class that gates (for CI, the uploaded BENCH_*.fresh.json
+# meaningfully on similar hardware — refresh the baseline from the
+# machine class that gates (for CI, the uploaded BENCH_smoke.fresh.json
 # artifact of a green run is exactly the file to commit).
 BENCH_TOLERANCE ?= 0.30
 bench-diff: bench-smoke
-	$(GO) run ./cmd/benchjson -diff -baseline BENCH_pipeline.json -in BENCH_pipeline.fresh.json -tolerance $(BENCH_TOLERANCE)
-	$(GO) run ./cmd/benchjson -diff -baseline BENCH_sweep.json -in BENCH_sweep.fresh.json -tolerance $(BENCH_TOLERANCE)
-	$(GO) run ./cmd/benchjson -diff -baseline BENCH_artefact.json -in BENCH_artefact.fresh.json -tolerance $(BENCH_TOLERANCE)
+	$(GO) run ./cmd/benchjson -diff -baseline BENCH_smoke.json -in BENCH_smoke.fresh.json -tolerance $(BENCH_TOLERANCE)
 
-# Refresh the committed baselines from a fresh smoke run (run after an
-# intentional perf change, then commit the BENCH_*.json files).
+# Refresh the committed baseline from a fresh smoke run (run after an
+# intentional perf change, then commit BENCH_smoke.json).
 bench-baseline: bench-smoke
-	cp BENCH_pipeline.fresh.json BENCH_pipeline.json
-	cp BENCH_sweep.fresh.json BENCH_sweep.json
-	cp BENCH_artefact.fresh.json BENCH_artefact.json
+	cp BENCH_smoke.fresh.json BENCH_smoke.json
 
 # Scale-1.0 gate: the paper-scale cold numbers — synth.Generate at
-# scales 0.1/1.0 plus one complete cold StudyRun at scale 1.0 — held
-# to the committed BENCH_scale1.json baseline. One iteration each:
-# the operations are seconds-to-tens-of-seconds long, so a single
-# pass is already far above timer noise, and 3x would triple a job
-# that exists to stay runnable on every push.
+# scales 0.1/1.0 plus one complete cold StudyRun at scale 1.0 — at
+# GOMAXPROCS 1 and 2, each row held to its own row of the committed
+# BENCH_scale1.json baseline. One iteration each: the operations are
+# seconds-to-tens-of-seconds long, so a single pass is already far
+# above timer noise, and 3x would triple a job that exists to stay
+# runnable on every push.
 bench-scale:
-	$(GO) test -run='^$$' -bench='^BenchmarkScale' -benchtime=1x -timeout 30m . | tee bench_scale1.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkScale' -benchtime=1x -cpu 1,2 -timeout 30m . | tee bench_scale1.txt
 	$(GO) run ./cmd/benchjson -in bench_scale1.txt -out BENCH_scale1.fresh.json
 	$(GO) run ./cmd/benchjson -diff -baseline BENCH_scale1.json -in BENCH_scale1.fresh.json -tolerance $(BENCH_TOLERANCE)
 
 # Refresh the committed scale baseline after an intentional perf
 # change (then commit BENCH_scale1.json).
 bench-scale-baseline:
-	$(GO) test -run='^$$' -bench='^BenchmarkScale' -benchtime=1x -timeout 30m . | tee bench_scale1.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkScale' -benchtime=1x -cpu 1,2 -timeout 30m . | tee bench_scale1.txt
 	$(GO) run ./cmd/benchjson -in bench_scale1.txt -out BENCH_scale1.json
-
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # SLO load smoke: boot a small ewserve in the background (loopback
 # 1808x ports so a dev server on the defaults is undisturbed), drive a
@@ -160,7 +153,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRecognize -fuzztime=10s ./internal/ocr
 
 clean:
-	rm -f bench_pipeline.txt bench_sweep.txt bench_artefact.txt bench_scale1.txt \
-		BENCH_pipeline.fresh.json BENCH_sweep.fresh.json BENCH_artefact.fresh.json \
+	rm -f bench_smoke.txt bench_scale1.txt BENCH_smoke.fresh.json \
 		BENCH_scale1.fresh.json BENCH_load.fresh.json ewserve_load.log ewserve_load_bin \
 		trace_load.perfetto.json sweep_adversarial.json

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output into a JSON
-// benchmark artifact. CI runs the StudyRun smoke pair through it and
-// uploads BENCH_pipeline.json on every push, so the perf trajectory of
-// the stage engine accumulates run over run.
+// benchmark artifact. CI runs the smoke benchmarks through it and
+// uploads BENCH_smoke.fresh.json on every push, so the perf trajectory
+// of the stage engine accumulates run over run.
 //
 // Each entry keeps the raw benchmark line verbatim: joining the `raw`
 // fields of two artifacts reconstructs files benchstat accepts, so the
@@ -12,13 +12,14 @@
 // exits non-zero when any benchmark regresses beyond the tolerance,
 // or silently disappears. CI's bench-smoke job runs it against the
 // committed BENCH_*.json on every push, so the perf trajectory is
-// enforced, not just recorded.
+// enforced, not just recorded. Rows are keyed by name and GOMAXPROCS,
+// so each row of a `-cpu 1,2` run is gated against its own baseline.
 //
 // Usage:
 //
 //	go test -run='^$' -bench=StudyRun -benchtime=1x . | benchjson [-out FILE]
-//	benchjson -in bench.txt -out BENCH_pipeline.json
-//	benchjson -diff -baseline BENCH_pipeline.json -in bench.txt [-tolerance 0.30]
+//	benchjson -in bench.txt -out BENCH_smoke.json
+//	benchjson -diff -baseline BENCH_smoke.json -in bench.txt [-tolerance 0.30]
 package main
 
 import (
@@ -143,11 +144,32 @@ func load(r io.Reader) (*Artifact, error) {
 	return parse(bytes.NewReader(data))
 }
 
-// diffArtifacts compares current against base benchmark by benchmark.
-// A benchmark fails the gate when its ns/op exceeds the baseline by
-// more than the tolerance fraction, or when it exists in the baseline
-// but not in the current run (a silently-dropped benchmark must not
-// pass). Benchmarks new in the current run are reported, not failed.
+// rowKey identifies one row of an artifact: a `-cpu 1,2` run reports
+// the same benchmark name once per GOMAXPROCS value.
+type rowKey struct {
+	name  string
+	procs int
+}
+
+func (b Benchmark) key() rowKey { return rowKey{b.Name, b.Procs} }
+
+// label renders the row's name as go test prints it, with the -P
+// suffix when procs is above one.
+func (b Benchmark) label() string {
+	if b.Procs > 1 {
+		return fmt.Sprintf("%s-%d", b.Name, b.Procs)
+	}
+	return b.Name
+}
+
+// diffArtifacts compares current against base row by row, pairing
+// rows by (name, procs). A row fails the gate when its ns/op exceeds
+// the baseline by more than the tolerance fraction, or when it exists
+// in the baseline but not in the current run (a silently-dropped
+// benchmark must not pass). Rows new in the current run are reported,
+// not failed. When a name has exactly one row on each side, the two
+// pair even if their procs differ, so a baseline recorded at one core
+// count still gates a run at another.
 //
 // Extra units present in the baseline are gated too: a unit missing
 // from the current run fails (a dropped metric must not pass), a
@@ -157,24 +179,33 @@ func load(r io.Reader) (*Artifact, error) {
 // "a shed rate above the tolerance fraction is a regression"). All
 // gates are one-sided; improvements always pass.
 func diffArtifacts(base, cur *Artifact, tolerance float64) (string, bool) {
-	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
+	curBy := make(map[rowKey]Benchmark, len(cur.Benchmarks))
+	curByName := make(map[string][]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
-		curBy[b.Name] = b
+		curBy[b.key()] = b
+		curByName[b.Name] = append(curByName[b.Name], b)
 	}
-	baseSeen := make(map[string]bool, len(base.Benchmarks))
+	baseRows := make(map[string]int, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		baseRows[b.Name]++
+	}
+	matched := make(map[rowKey]bool, len(base.Benchmarks))
 
 	var sb strings.Builder
 	failed := false
-	fmt.Fprintf(&sb, "%-28s %15s %15s %9s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
+	fmt.Fprintf(&sb, "%-34s %15s %15s %9s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
 	for _, b := range base.Benchmarks {
-		baseSeen[b.Name] = true
-		c, ok := curBy[b.Name]
+		c, ok := curBy[b.key()]
+		if !ok && baseRows[b.Name] == 1 && len(curByName[b.Name]) == 1 {
+			c, ok = curByName[b.Name][0], true
+		}
 		if !ok {
 			failed = true
-			fmt.Fprintf(&sb, "%-28s %15.0f %15s %9s  FAIL (missing from current run)\n",
-				b.Name, b.NsPerOp, "-", "-")
+			fmt.Fprintf(&sb, "%-34s %15.0f %15s %9s  FAIL (missing from current run)\n",
+				b.label(), b.NsPerOp, "-", "-")
 			continue
 		}
+		matched[c.key()] = true
 		delta := 0.0
 		if b.NsPerOp > 0 {
 			delta = (c.NsPerOp - b.NsPerOp) / b.NsPerOp
@@ -184,15 +215,18 @@ func diffArtifacts(base, cur *Artifact, tolerance float64) (string, bool) {
 			failed = true
 			verdict = fmt.Sprintf("FAIL (> %+.0f%% tolerance)", tolerance*100)
 		}
-		fmt.Fprintf(&sb, "%-28s %15.0f %15.0f %+8.1f%%  %s\n",
-			b.Name, b.NsPerOp, c.NsPerOp, delta*100, verdict)
+		if c.Procs != b.Procs {
+			verdict += fmt.Sprintf(" (current run at procs %d)", c.Procs)
+		}
+		fmt.Fprintf(&sb, "%-34s %15.0f %15.0f %+8.1f%%  %s\n",
+			b.label(), b.NsPerOp, c.NsPerOp, delta*100, verdict)
 		for _, unit := range sortedUnits(b.Extra) {
 			bv := b.Extra[unit]
-			label := b.Name + " " + unit
+			label := b.label() + " " + unit
 			cv, ok := c.Extra[unit]
 			if !ok {
 				failed = true
-				fmt.Fprintf(&sb, "%-28s %15g %15s %9s  FAIL (unit missing from current run)\n",
+				fmt.Fprintf(&sb, "%-34s %15g %15s %9s  FAIL (unit missing from current run)\n",
 					label, bv, "-", "-")
 				continue
 			}
@@ -205,7 +239,7 @@ func diffArtifacts(base, cur *Artifact, tolerance float64) (string, bool) {
 					failed = true
 					verdict = fmt.Sprintf("FAIL (> %+.0f%% tolerance)", tolerance*100)
 				}
-				fmt.Fprintf(&sb, "%-28s %15g %15g %+8.1f%%  %s\n",
+				fmt.Fprintf(&sb, "%-34s %15g %15g %+8.1f%%  %s\n",
 					label, bv, cv, delta*100, verdict)
 			default:
 				// Zero baseline: no relative scale exists, so the
@@ -214,15 +248,15 @@ func diffArtifacts(base, cur *Artifact, tolerance float64) (string, bool) {
 					failed = true
 					verdict = fmt.Sprintf("FAIL (> %g absolute ceiling)", tolerance)
 				}
-				fmt.Fprintf(&sb, "%-28s %15g %15g %9s  %s\n",
+				fmt.Fprintf(&sb, "%-34s %15g %15g %9s  %s\n",
 					label, bv, cv, "-", verdict)
 			}
 		}
 	}
 	for _, c := range cur.Benchmarks {
-		if !baseSeen[c.Name] {
-			fmt.Fprintf(&sb, "%-28s %15s %15.0f %9s  new (not in baseline)\n",
-				c.Name, "-", c.NsPerOp, "-")
+		if !matched[c.key()] {
+			fmt.Fprintf(&sb, "%-34s %15s %15.0f %9s  new (not in baseline)\n",
+				c.label(), "-", c.NsPerOp, "-")
 		}
 	}
 	if failed {

@@ -129,6 +129,49 @@ func TestDiffNewBenchmarkReportedNotFailed(t *testing.T) {
 	}
 }
 
+// rows builds an artifact of one benchmark name measured at several
+// GOMAXPROCS values, as a `-cpu 1,2` run reports it.
+func rows(name string, nsByProcs map[int]float64) *Artifact {
+	a := &Artifact{}
+	for _, procs := range []int{1, 2, 4} {
+		if ns, ok := nsByProcs[procs]; ok {
+			a.Benchmarks = append(a.Benchmarks, Benchmark{Name: name, Procs: procs, NsPerOp: ns})
+		}
+	}
+	return a
+}
+
+func TestDiffKeysRowsByProcs(t *testing.T) {
+	base := rows("Scale1StudyRunCold", map[int]float64{1: 36e9, 2: 23e9})
+	// The procs-1 row regressed by 67%; the procs-2 row did not.
+	cur := rows("Scale1StudyRunCold", map[int]float64{1: 60e9, 2: 23e9})
+	report, failed := diffArtifacts(base, cur, 0.30)
+	if !failed {
+		t.Fatalf("procs-1 regression hidden by the procs-2 row:\n%s", report)
+	}
+	if !strings.Contains(report, "+66.7%  FAIL") {
+		t.Errorf("report does not pair procs-1 with procs-1:\n%s", report)
+	}
+	cur = rows("Scale1StudyRunCold", map[int]float64{1: 36e9})
+	report, failed = diffArtifacts(base, cur, 0.30)
+	if !failed || !strings.Contains(report, "Scale1StudyRunCold-2") ||
+		!strings.Contains(report, "missing from current run") {
+		t.Fatalf("dropped procs-2 row passed the gate:\n%s", report)
+	}
+}
+
+func TestDiffSingleRowPairsAcrossProcs(t *testing.T) {
+	base := rows("Sweep", map[int]float64{1: 100})
+	cur := rows("Sweep", map[int]float64{2: 131})
+	report, failed := diffArtifacts(base, cur, 0.30)
+	if !failed || !strings.Contains(report, "current run at procs 2") {
+		t.Fatalf("single procs-1 baseline row did not gate the procs-2 run:\n%s", report)
+	}
+	if strings.Contains(report, "new (not in baseline)") {
+		t.Errorf("paired row also reported as new:\n%s", report)
+	}
+}
+
 func TestDiffImprovementPasses(t *testing.T) {
 	base := art("Pipeline", 100.0)
 	cur := art("Pipeline", 10.0)

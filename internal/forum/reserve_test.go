@@ -13,7 +13,7 @@ import (
 func TestSynthReserveFitsWorld(t *testing.T) {
 	for _, scale := range []float64{0.01, 0.05, 0.2} {
 		w := synth.Generate(synth.Config{Seed: 2019, Scale: scale})
-		threads, posts := caps(w.Store)
+		threads, posts := w.Store.Caps()
 		for _, c := range []struct {
 			what       string
 			cap, count int
@@ -28,11 +28,4 @@ func TestSynthReserveFitsWorld(t *testing.T) {
 			}
 		}
 	}
-}
-
-// caps reads a store's capacities through export_test.go's Caps. ewlint
-// type-checks synth against forum without its test files, so the
-// method is reached through an interface, not the store's static type.
-func caps(store any) (threads, posts int) {
-	return store.(interface{ Caps() (int, int) }).Caps()
 }

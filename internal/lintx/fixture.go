@@ -61,7 +61,7 @@ func LoadFixture(testdata string, paths ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := ld.check(path, &listedPackage{}, files, nil)
+		pkg, err := ld.check(path, &listedPackage{}, files)
 		if err != nil {
 			return nil, err
 		}

@@ -85,3 +85,22 @@ func TestLoadExternalTestSeesExportTest(t *testing.T) {
 		t.Fatalf("want ocr and ocr_test, got %d packages", len(pkgs))
 	}
 }
+
+// TestLoadExternalTestDependencyVariant pins that an external test
+// package's other imports load as the test variants `go test` builds:
+// the xvariant module's a_test calls export_test.go's T.N on a value
+// typed by b, which type-checks only when b is checked against a with
+// its in-package test files.
+func TestLoadExternalTestDependencyVariant(t *testing.T) {
+	pkgs, err := lintx.Load("testdata/xvariant", "./...")
+	if err != nil {
+		t.Fatalf("loading: %v", err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if got, want := strings.Join(paths, " "), "xvariant/a xvariant/a_test xvariant/b"; got != want {
+		t.Errorf("loaded %q, want %q", got, want)
+	}
+}

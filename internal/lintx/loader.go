@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -28,22 +27,13 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
-	Dir           string
-	ImportPath    string
-	Name          string
-	Standard      bool
-	GoFiles       []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
-	Imports       []string
-	TestImports   []string
-	XTestImports  []string
-	ImportMap     map[string]string
-	Incomplete    bool
-	Error         *struct{ Err string }
-	ForTest       string
-	DepsErrors    []*struct{ Err string }
-	IgnoredGoFile []string
+	Dir          string
+	ImportPath   string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	ImportMap    map[string]string
+	Error        *struct{ Err string }
 }
 
 // goList runs `go list -json` with the given arguments in dir and
@@ -97,27 +87,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	// One more list call closes the dependency universe over the
-	// targets and their test imports, so every import below resolves
-	// without shelling out again.
-	depPatterns := make([]string, 0, len(targets))
-	seen := make(map[string]bool)
-	addDep := func(p string) {
-		if p != "C" && p != "unsafe" && !seen[p] {
-			seen[p] = true
-			depPatterns = append(depPatterns, p)
-		}
-	}
-	for _, t := range targets {
-		addDep(t.ImportPath)
-		for _, imp := range t.TestImports {
-			addDep(imp)
-		}
-		for _, imp := range t.XTestImports {
-			addDep(imp)
-		}
-	}
-	sort.Strings(depPatterns)
-	deps, err := goList(dir, append([]string{"-deps"}, depPatterns...)...)
+	// targets and their test binaries, so every import below resolves
+	// without shelling out again. -test also lists the test variants
+	// `go test` compiles: "p [p.test]" is p with its in-package test
+	// files, and every package an external test imports that depends
+	// on p is listed again as "q [p.test]", built against that variant.
+	deps, err := goList(dir, append([]string{"-deps", "-test"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -142,25 +117,35 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := ld.check(t.ImportPath, t, files, nil)
+		pkg, err := ld.check(t.ImportPath, t, files)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
-		if len(t.XTestGoFiles) > 0 {
-			xfiles, err := ld.parseFiles(t.Dir, t.XTestGoFiles)
-			if err != nil {
-				return nil, err
-			}
-			// The external tests import the package as `go test`
-			// builds it, in-package test files (export_test.go)
-			// included.
-			xpkg, err := ld.check(t.ImportPath+"_test", t, xfiles, pkg.Types)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, xpkg)
+		if len(t.XTestGoFiles) == 0 {
+			continue
 		}
+		// Imports of the package's test variant resolve to the unit
+		// just checked; without in-package test files nothing names it.
+		testBinary := " [" + t.ImportPath + ".test]"
+		ld.checked[t.ImportPath+testBinary] = pkg.Types
+		xt, ok := ld.universe[t.ImportPath+"_test"+testBinary]
+		if !ok {
+			return nil, fmt.Errorf("go list -test: no external test package for %s", t.ImportPath)
+		}
+		xfiles, err := ld.parseFiles(t.Dir, t.XTestGoFiles)
+		if err != nil {
+			return nil, err
+		}
+		// The external tests resolve their imports through the test
+		// binary's ImportMap: the package under test is the variant
+		// checked above, export_test.go included, and so is every
+		// dependency of it they reach.
+		xpkg, err := ld.check(t.ImportPath+"_test", xt, xfiles)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, xpkg)
 	}
 	return out, nil
 }
@@ -178,10 +163,8 @@ func (ld *loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
 }
 
 // check type-checks one target package (reporting Info) against the
-// loaded universe. A non-nil under is the package an external test
-// package tests; its import path resolves to under instead of the
-// package's non-test files.
-func (ld *loader) check(path string, lp *listedPackage, files []*ast.File, under *types.Package) (*Package, error) {
+// loaded universe, resolving imports through lp's ImportMap.
+func (ld *loader) check(path string, lp *listedPackage, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -190,7 +173,7 @@ func (ld *loader) check(path string, lp *listedPackage, files []*ast.File, under
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: &mapImporter{ld: ld, importMap: lp.ImportMap, under: under}}
+	conf := types.Config{Importer: &mapImporter{ld: ld, importMap: lp.ImportMap}}
 	tpkg, err := conf.Check(path, ld.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
@@ -199,9 +182,10 @@ func (ld *loader) check(path string, lp *listedPackage, files []*ast.File, under
 }
 
 // importDep type-checks (and memoizes) a dependency package from
-// source. Dependencies are checked without their test files and
-// without Info — only their exported type structure matters to the
-// targets.
+// source. Dependencies are checked without Info — only their exported
+// type structure matters to the targets. path is a go list import
+// path, so a test variant ("q [p.test]") is memoized apart from q
+// itself and type-checks as q against its own ImportMap.
 func (ld *loader) importDep(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -233,7 +217,8 @@ func (ld *loader) importDep(path string) (*types.Package, error) {
 		return nil, err
 	}
 	conf := types.Config{Importer: &mapImporter{ld: ld, importMap: lp.ImportMap}}
-	pkg, err := conf.Check(path, ld.fset, files, nil)
+	pkgPath, _, _ := strings.Cut(path, " [")
+	pkg, err := conf.Check(pkgPath, ld.fset, files, nil)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking dependency %s: %v", path, err)
 	}
@@ -242,20 +227,16 @@ func (ld *loader) importDep(path string) (*types.Package, error) {
 }
 
 // mapImporter resolves one importing package's import strings —
-// through its go list ImportMap (std vendoring) — into type-checked
-// packages from the shared loader.
+// through its go list ImportMap (std vendoring, test variants) — into
+// type-checked packages from the shared loader.
 type mapImporter struct {
 	ld        *loader
 	importMap map[string]string
-	under     *types.Package // see check
 }
 
 func (m *mapImporter) Import(path string) (*types.Package, error) {
 	if mapped, ok := m.importMap[path]; ok {
 		path = mapped
-	}
-	if m.under != nil && path == m.under.Path() {
-		return m.under, nil
 	}
 	return m.ld.importDep(path)
 }
