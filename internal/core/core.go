@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -183,6 +184,12 @@ func (s *Study) hostingServer() *httptest.Server {
 	defer s.serverMu.Unlock()
 	if s.server == nil {
 		s.server = httptest.NewServer(s.World.Web)
+		// Keep one idle connection per crawl worker of the two crawls
+		// that may share the server (the image crawl and the earnings
+		// proof crawl): at the transport's default of two, a crawl
+		// redials most of its connections.
+		s.server.Client().Transport.(*http.Transport).MaxIdleConnsPerHost =
+			2 * s.Opts.CrawlConcurrency
 	}
 	return s.server
 }

@@ -432,6 +432,19 @@ func putBodyBuf(b *bytes.Buffer) {
 	}
 }
 
+// maxDrain bounds how much of an unread body drainClose reads. An
+// error page is a few hundred bytes; reading it to EOF hands the
+// connection back to the keep-alive pool, where closing it unread
+// would make the transport drop the connection and redial.
+const maxDrain = 64 << 10
+
+// drainClose reads at most maxDrain bytes of body, then closes it. A
+// failed read only costs the connection, as closing unread would.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxDrain)
+	body.Close()
+}
+
 // attempt performs a single HTTP round trip and decode. A non-nil
 // error means "retryable transport failure"; definitive outcomes
 // return err == nil.
@@ -445,7 +458,7 @@ func (c *Crawler) attempt(ctx context.Context, target string) (Outcome, []*image
 	if err != nil {
 		return OutcomeError, nil, false, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusNotFound, http.StatusGone:
 		return OutcomeNotFound, nil, false, nil

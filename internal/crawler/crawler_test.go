@@ -2,7 +2,11 @@ package crawler
 
 import (
 	"context"
+	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,6 +129,57 @@ func TestCrawlManyConcurrent(t *testing.T) {
 	}
 	if ok != 100 {
 		t.Fatalf("only %d/100 fetched", ok)
+	}
+}
+
+// TestCrawlReusesConnections counts the server's connections over a
+// crawl that mixes 200s with 404, 410 and 401 answers. Error bodies are
+// read to EOF before they are closed, so every connection returns to
+// the keep-alive pool after each fetch and the crawl dials at most
+// Concurrency of them. The client caps its connections at the worker
+// count: without the cap, a worker whose returned connection was
+// handed to another worker still waiting on its first dial would dial
+// again, and the count would depend on scheduling.
+func TestCrawlReusesConnections(t *testing.T) {
+	w, _, _ := testWorld(t)
+	site, _ := w.Site("imgur.com")
+	const concurrency = 4
+	var tasks []Task
+	for i := 0; i < 48; i++ {
+		switch i % 4 {
+		case 0, 1:
+			path := fmt.Sprintf("reuse%d", i)
+			site.PutImage(path, imagex.GenModel(uint64(200+i), 0, imagex.PoseNude, 24))
+			tasks = append(tasks, task("https://imgur.com/"+path, urlx.KindImageSharing))
+		case 2:
+			tasks = append(tasks, task(fmt.Sprintf("https://imgur.com/missing%d", i), urlx.KindImageSharing))
+		default:
+			tasks = append(tasks, task("https://dropbox.com/wall", urlx.KindCloudStorage),
+				task("https://imgur.com/deleted", urlx.KindImageSharing))
+		}
+	}
+	var dials atomic.Int32
+	srv := httptest.NewUnstartedServer(w)
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	client := srv.Client()
+	tr := client.Transport.(*http.Transport)
+	tr.MaxIdleConnsPerHost, tr.MaxConnsPerHost = concurrency, concurrency
+	c := New(Config{Concurrency: concurrency}, client, w.Resolver(srv.URL))
+	byOutcome := make(map[Outcome]int)
+	for _, r := range c.Crawl(context.Background(), tasks) {
+		byOutcome[r.Outcome]++
+	}
+	if byOutcome[OutcomeOK] != 24 || byOutcome[OutcomeNotFound] != 24 || byOutcome[OutcomeLoginRequired] != 12 {
+		t.Fatalf("outcomes = %v", byOutcome)
+	}
+	if n := dials.Load(); n > concurrency {
+		t.Fatalf("crawl of %d tasks opened %d connections, want at most %d", len(tasks), n, concurrency)
 	}
 }
 

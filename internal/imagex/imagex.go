@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/bits"
 	"sort"
@@ -603,15 +604,23 @@ const simgVersion = 1
 // ErrBadFormat reports a malformed SIMG payload.
 var ErrBadFormat = errors.New("imagex: malformed SIMG data")
 
+// simgHeader is the SIMG container header of an image: magic,
+// version, width and height.
+func (im *Image) simgHeader() [9]byte {
+	var h [9]byte
+	copy(h[:], simgMagic)
+	h[4] = simgVersion
+	binary.BigEndian.PutUint16(h[5:7], uint16(im.W))
+	binary.BigEndian.PutUint16(h[7:9], uint16(im.H))
+	return h
+}
+
 // Encode serialises the image into the SIMG container.
 func (im *Image) Encode() []byte {
-	buf := make([]byte, 0, 4+1+4+len(im.Pix))
-	buf = append(buf, simgMagic...)
-	buf = append(buf, simgVersion)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(im.W))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(im.H))
-	buf = append(buf, im.Pix...)
-	return buf
+	hdr := im.simgHeader()
+	buf := make([]byte, 0, len(hdr)+len(im.Pix))
+	buf = append(buf, hdr[:]...)
+	return append(buf, im.Pix...)
 }
 
 // Decode parses a SIMG payload.
@@ -637,49 +646,88 @@ func Decode(data []byte) (*Image, error) {
 
 // --- Pack archives ---------------------------------------------------
 
-// flatePool recycles deflate writers across pack encodes:
-// flate.NewWriter builds ~64 KiB of match tables per call, which
-// dominated pack encoding when every zip entry paid it.
-var flatePool = sync.Pool{New: func() any { return (*flate.Writer)(nil) }}
+// flatePool recycles the deflate writer and output buffer of pack
+// entry encodes: flate.NewWriter builds ~64 KiB of match tables per
+// call, which dominated pack encoding when every entry paid it.
+var flatePool = sync.Pool{New: func() any { return new(flateScratch) }}
 
-// pooledFlate hands a zip writer pooled Huffman-only deflate writers.
-// Synthetic rasters are per-pixel noise with no repeats for LZ77 to
-// find: on 900 model rasters BestSpeed and Huffman-only produce the
-// same 0.69 of raw size, and Huffman-only encodes about 30% faster.
-type pooledFlate struct{ fw *flate.Writer }
-
-func (p *pooledFlate) Write(b []byte) (int, error) { return p.fw.Write(b) }
-
-func (p *pooledFlate) Close() error {
-	err := p.fw.Close()
-	flatePool.Put(p.fw)
-	p.fw = nil
-	return err
+type flateScratch struct {
+	fw  *flate.Writer
+	out bytes.Buffer
 }
 
-// EncodePackZip bundles images into a zip archive with entries
+// PackEntry is one deflated pack member: an image's SIMG encoding,
+// Huffman-only deflated, with the CRC-32 and raw size its zip headers
+// record. It depends on the image alone, so a member that recurs
+// across packs can be deflated once and written raw into each.
+type PackEntry struct {
+	Data  []byte
+	CRC32 uint32
+	Size  uint64
+}
+
+// DeflatePackEntry encodes and deflates one pack member. Synthetic
+// rasters are per-pixel noise with no repeats for LZ77 to find: on 900
+// model rasters BestSpeed and Huffman-only produce the same 0.69 of
+// raw size, and Huffman-only encodes about 30% faster.
+func DeflatePackEntry(im *Image) PackEntry {
+	hdr := im.simgHeader()
+	sc := flatePool.Get().(*flateScratch)
+	sc.out.Reset()
+	if sc.fw == nil {
+		// HuffmanOnly is a valid level, so NewWriter cannot fail.
+		sc.fw, _ = flate.NewWriter(&sc.out, flate.HuffmanOnly)
+	} else {
+		sc.fw.Reset(&sc.out)
+	}
+	// Writes into a bytes.Buffer cannot fail. A Huffman-only writer
+	// cuts blocks at fixed window boundaries, so writing the header
+	// and pixels separately emits the bytes one Write of Encode would.
+	sc.fw.Write(hdr[:])
+	sc.fw.Write(im.Pix)
+	sc.fw.Close()
+	e := PackEntry{
+		Data:  bytes.Clone(sc.out.Bytes()),
+		CRC32: crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, im.Pix),
+		Size:  uint64(len(hdr) + len(im.Pix)),
+	}
+	flatePool.Put(sc)
+	return e
+}
+
+// packEntryName is the zip name of the i-th (0-based) pack member.
+func packEntryName(i int) string { return fmt.Sprintf("%04d.simg", i+1) }
+
+// WritePackZip writes deflated entries as a zip archive with entries
 // 0001.simg, 0002.simg, ... — the shape of the packs actors upload to
-// cloud storage.
-func EncodePackZip(images []*Image) ([]byte, error) {
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
-	zw.RegisterCompressor(zip.Deflate, func(out io.Writer) (io.WriteCloser, error) {
-		if fw, _ := flatePool.Get().(*flate.Writer); fw != nil {
-			fw.Reset(out)
-			return &pooledFlate{fw: fw}, nil
-		}
-		fw, err := flate.NewWriter(out, flate.HuffmanOnly)
+// cloud storage. The headers are the ones zip.Writer.Create writes
+// (Deflate, version 2.0 to extract and made by, sizes and CRC in a
+// trailing data descriptor), so the archive is byte for byte the one
+// Create would produce from the same images.
+func WritePackZip(entries []PackEntry) ([]byte, error) {
+	// Local header + name + data + descriptor, central record + name,
+	// then the end-of-directory record: the exact archive length.
+	n := 22
+	for i, e := range entries {
+		n += 30 + 16 + 46 + 2*len(packEntryName(i)) + len(e.Data)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	zw := zip.NewWriter(buf)
+	for i, e := range entries {
+		w, err := zw.CreateRaw(&zip.FileHeader{
+			Name:               packEntryName(i),
+			Method:             zip.Deflate,
+			Flags:              0x8, // sizes and CRC follow in a data descriptor
+			CreatorVersion:     20,
+			ReaderVersion:      20,
+			CRC32:              e.CRC32,
+			CompressedSize64:   uint64(len(e.Data)),
+			UncompressedSize64: e.Size,
+		})
 		if err != nil {
 			return nil, err
 		}
-		return &pooledFlate{fw: fw}, nil
-	})
-	for i, im := range images {
-		w, err := zw.Create(fmt.Sprintf("%04d.simg", i+1))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := w.Write(im.Encode()); err != nil {
+		if _, err := w.Write(e.Data); err != nil {
 			return nil, err
 		}
 	}
@@ -687,6 +735,16 @@ func EncodePackZip(images []*Image) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// EncodePackZip bundles images into a pack archive: each image
+// deflated by DeflatePackEntry, then written by WritePackZip.
+func EncodePackZip(images []*Image) ([]byte, error) {
+	entries := make([]PackEntry, len(images))
+	for i, im := range images {
+		entries[i] = DeflatePackEntry(im)
+	}
+	return WritePackZip(entries)
 }
 
 // DecodePackZip extracts every .simg entry from a zip archive, in

@@ -3,7 +3,9 @@ package imagex
 import (
 	"archive/zip"
 	"bytes"
+	"compress/flate"
 	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -268,6 +270,83 @@ func TestPackZipRoundtrip(t *testing.T) {
 		if back[i].W != imgs[i].W || back[i].H != imgs[i].H || !bytes.Equal(back[i].Pix, imgs[i].Pix) {
 			t.Fatalf("image %d corrupted in zip roundtrip", i)
 		}
+	}
+}
+
+// referencePackZip is the pack encoder before entries were deflated
+// separately: one zip.Writer.Create per image through a Huffman-only
+// compressor. WritePackZip must reproduce its bytes exactly.
+func referencePackZip(t *testing.T, images []*Image) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	zw.RegisterCompressor(zip.Deflate, func(out io.Writer) (io.WriteCloser, error) {
+		return flate.NewWriter(out, flate.HuffmanOnly)
+	})
+	for i, im := range images {
+		w, err := zw.Create(fmt.Sprintf("%04d.simg", i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(im.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPackEntryReuseMatchesCreate pins the deflate-once pack encoder:
+// a pack whose repeated members reuse one deflated entry, and a pack
+// deflated member by member, are the bytes zip.Writer.Create writes.
+// The members cover every actor transform synth applies (keep,
+// recompress to 32 and 24 levels, watermark, mirror), a screenshot of
+// another shape, and a raster larger than one 64 KiB deflate block.
+func TestPackEntryReuseMatchesCreate(t *testing.T) {
+	base := GenModel(5, 2, PoseNude, 48)
+	transforms := []func(*Image) *Image{
+		func(im *Image) *Image { return im },
+		func(im *Image) *Image { return im.Recompress(32) },
+		func(im *Image) *Image { return im.Recompress(24) },
+		func(im *Image) *Image { return im.Watermark("PACK") },
+		func(im *Image) *Image { return im.Mirror() },
+		func(*Image) *Image { return GenScreenshot(3, []string{"BTC 0.01"}, 70, 30) },
+		func(*Image) *Image { return GenModel(6, 0, PoseDressed, 300) },
+	}
+	distinct := make([]*Image, len(transforms))
+	memo := make([]PackEntry, len(transforms))
+	for i, tf := range transforms {
+		distinct[i] = tf(base)
+		memo[i] = DeflatePackEntry(distinct[i])
+	}
+	// Every member twice, in an interleaved order, as models recur
+	// across a world's packs.
+	order := []int{0, 1, 2, 3, 4, 5, 6, 4, 0, 3, 6, 1, 5, 2}
+	images := make([]*Image, len(order))
+	reused := make([]PackEntry, len(order))
+	for i, k := range order {
+		images[i] = distinct[k]
+		reused[i] = memo[k]
+	}
+	want := referencePackZip(t, images)
+	got, err := WritePackZip(reused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("pack from reused entries differs from zip.Writer.Create's (%d vs %d bytes)", len(got), len(want))
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("archive buffer sized %d for %d bytes", cap(got), len(got))
+	}
+	fresh, err := EncodePackZip(images)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh, want) {
+		t.Fatal("EncodePackZip differs from zip.Writer.Create's archive")
 	}
 }
 

@@ -14,7 +14,10 @@
 package reverse
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -81,9 +84,9 @@ func (ix *Index) Len() int {
 }
 
 // SearchHash returns every record within the radius of h, sorted by
-// ascending distance (ties by URL). It scans every record: see
-// DESIGN.md for why a chunk index loses on the study's hash
-// distribution.
+// ascending distance, then URL, then record index. It scans every
+// record: see DESIGN.md for why a chunk index loses on the study's
+// hash distribution.
 func (ix *Index) SearchHash(h imagex.Hash128) []Match {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -97,11 +100,14 @@ func (ix *Index) SearchHash(h imagex.Hash128) []Match {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
+	// out is in record order, so the stable sort makes the record index
+	// the last key: records tied on distance and URL keep the order they
+	// were indexed in.
+	slices.SortStableFunc(out, func(a, b Match) int {
+		if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+			return c
 		}
-		return out[i].URL < out[j].URL
+		return strings.Compare(a.URL, b.URL)
 	})
 	return out
 }

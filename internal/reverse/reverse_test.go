@@ -2,6 +2,7 @@ package reverse
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -66,6 +67,21 @@ func TestSearchSortedByDistance(t *testing.T) {
 	got := ix.SearchHash(imagex.Hash128{})
 	if len(got) != 2 || got[0].URL != "near" || got[1].URL != "far" {
 		t.Fatalf("search order = %+v", got)
+	}
+
+	// Records that share a URL and a distance (one image indexed from
+	// several backlinks) come back in the order they were indexed,
+	// among enough other hits that an unstable sort would move them.
+	ix = NewIndex(10)
+	for i := 0; i < 40; i++ {
+		ix.Add(imagex.Hash128{A: imagex.Hash(i % 3)}, Record{URL: fmt.Sprintf("u%d", i%5), Backlink: fmt.Sprintf("b%02d", i)})
+	}
+	got = ix.SearchHash(imagex.Hash128{})
+	for k := 1; k < len(got); k++ {
+		p, c := got[k-1], got[k]
+		if p.Distance == c.Distance && p.URL == c.URL && p.Backlink > c.Backlink {
+			t.Fatalf("ties on (distance %d, URL %s) out of index order: %s before %s", c.Distance, c.URL, p.Backlink, c.Backlink)
+		}
 	}
 }
 

@@ -13,7 +13,9 @@
 package socialgraph
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/forum"
@@ -125,17 +127,7 @@ func (g *Graph) EigenvectorCentrality(maxIter int, tol float64) map[forum.ActorI
 	if n == 0 {
 		return result
 	}
-	// Symmetrise: w[i][j] = out[i][j] + out[j][i].
-	sym := make([]map[int]float64, n)
-	for i := range sym {
-		sym[i] = make(map[int]float64)
-	}
-	for i, m := range g.out {
-		for j, w := range m {
-			sym[i][j] += w
-			sym[j][i] += w
-		}
-	}
+	sym := g.symmetric()
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 1 / math.Sqrt(float64(n))
@@ -145,13 +137,15 @@ func (g *Graph) EigenvectorCentrality(maxIter int, tol float64) map[forum.ActorI
 		for i := range next {
 			next[i] = 0
 		}
-		for i := range sym {
+		// Rows in ascending i: every next[j] sums its terms in the same
+		// order whatever order a row lists its columns in.
+		for i := 0; i < n; i++ {
 			xi := x[i]
 			if xi == 0 {
 				continue
 			}
-			for j, w := range sym[i] {
-				next[j] += w * xi
+			for k := sym.start[i]; k < sym.start[i+1]; k++ {
+				next[sym.col[k]] += sym.w[k] * xi
 			}
 		}
 		norm := 0.0
@@ -186,6 +180,66 @@ func (g *Graph) EigenvectorCentrality(maxIter int, tol float64) map[forum.ActorI
 		}
 	}
 	return result
+}
+
+// csr is a sparse matrix in compressed-sparse-row form: row i holds
+// columns col[start[i]:start[i+1]] with weights w[start[i]:start[i+1]].
+type csr struct {
+	start []int
+	col   []int32
+	w     []float64
+}
+
+// symmetric builds the symmetrised weight matrix w[i][j] = out[i][j] +
+// out[j][i] (an interaction binds both endpoints) as CSR rows sorted by
+// column. Weights are integer response counts, so the sums are exact.
+func (g *Graph) symmetric() csr {
+	n := len(g.actors)
+	// Bucket both directions of every edge by row, then sort each row
+	// by column and merge the reciprocal pairs.
+	type entry struct {
+		col int32
+		w   float64
+	}
+	type edge struct {
+		i, j int32
+		w    float64
+	}
+	edges := make([]edge, 0, g.NumEdges())
+	start := make([]int, n+1)
+	for i, m := range g.out {
+		start[i+1] += len(m)
+		for j, w := range m {
+			edges = append(edges, edge{int32(i), int32(j), w})
+			start[j+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	entries := make([]entry, start[n])
+	fill := slices.Clone(start[:n])
+	for _, e := range edges {
+		entries[fill[e.i]] = entry{e.j, e.w}
+		fill[e.i]++
+		entries[fill[e.j]] = entry{e.i, e.w}
+		fill[e.j]++
+	}
+	m := csr{start: make([]int, n+1), col: make([]int32, 0, len(entries)), w: make([]float64, 0, len(entries))}
+	for i := 0; i < n; i++ {
+		row := entries[start[i]:start[i+1]]
+		slices.SortFunc(row, func(a, b entry) int { return cmp.Compare(a.col, b.col) })
+		for k, e := range row {
+			if k > 0 && e.col == row[k-1].col {
+				m.w[len(m.w)-1] += e.w
+				continue
+			}
+			m.col = append(m.col, e.col)
+			m.w = append(m.w, e.w)
+		}
+		m.start[i+1] = len(m.col)
+	}
+	return m
 }
 
 // Popularity holds the reply-based popularity indices of one actor.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/forum"
+	"repro/internal/randx"
 )
 
 func day(n int) time.Time {
@@ -225,6 +226,116 @@ func TestQuickCentralityBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceCentrality is EigenvectorCentrality as it was before CSR:
+// the symmetrised matrix as one map per row, each visited in map
+// order. The CSR kernel must reproduce it bit for bit.
+func referenceCentrality(g *Graph, maxIter int, tol float64) map[forum.ActorID]float64 {
+	n := len(g.actors)
+	result := make(map[forum.ActorID]float64, n)
+	if n == 0 {
+		return result
+	}
+	sym := make([]map[int]float64, n)
+	for i := range sym {
+		sym[i] = make(map[int]float64)
+	}
+	for i, m := range g.out {
+		for j, w := range m {
+			sym[i][j] += w
+			sym[j][i] += w
+		}
+	}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1 / math.Sqrt(float64(n))
+	}
+	next := make([]float64, n)
+	for iter := 0; iter < maxIter; iter++ {
+		for i := range next {
+			next[i] = 0
+		}
+		for i := range sym {
+			xi := x[i]
+			if xi == 0 {
+				continue
+			}
+			for j, w := range sym[i] {
+				next[j] += w * xi
+			}
+		}
+		norm := 0.0
+		for _, v := range next {
+			norm += v * v
+		}
+		norm = math.Sqrt(norm)
+		if norm == 0 {
+			break
+		}
+		diff := 0.0
+		for i := range next {
+			next[i] /= norm
+			diff += math.Abs(next[i] - x[i])
+		}
+		x, next = next, x
+		if diff < tol {
+			break
+		}
+	}
+	max := 0.0
+	for _, v := range x {
+		if v > max {
+			max = v
+		}
+	}
+	for i, a := range g.actors {
+		if max > 0 {
+			result[a] = x[i] / max
+		} else {
+			result[a] = 0
+		}
+	}
+	return result
+}
+
+// TestCentralityMatchesMapReference holds the CSR kernel to the map
+// reference with == on every value, over random graphs with repeated
+// responses, reciprocal pairs, self-responses and silent actors, at
+// the study's iteration budget and at one that runs every iteration.
+func TestCentralityMatchesMapReference(t *testing.T) {
+	rng := randx.New(21)
+	for trial := 0; trial < 60; trial++ {
+		actors := 1 + rng.Intn(120)
+		g := NewGraph()
+		for e, edges := 0, rng.Intn(6*actors); e < edges; e++ {
+			a := forum.ActorID(1 + rng.Intn(actors))
+			b := forum.ActorID(1 + rng.Intn(actors))
+			g.AddResponse(a, b)
+			if rng.Bool(0.3) {
+				g.AddResponse(b, a)
+			}
+			if rng.Bool(0.2) {
+				g.AddResponse(a, b)
+			}
+		}
+		g.node(forum.ActorID(actors + 1)) // a starter nobody answered
+		for _, budget := range []struct {
+			iter int
+			tol  float64
+		}{{80, 1e-9}, {100, 1e-300}} {
+			got := g.EigenvectorCentrality(budget.iter, budget.tol)
+			want := referenceCentrality(g, budget.iter, budget.tol)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %d centralities, reference has %d", trial, len(got), len(want))
+			}
+			for a, w := range want {
+				if v, ok := got[a]; !ok || v != w {
+					t.Fatalf("trial %d, budget %+v: actor %d centrality %v, reference %v", trial, budget, a, v, w)
+				}
+			}
+		}
 	}
 }
 

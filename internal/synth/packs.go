@@ -257,8 +257,9 @@ func (w *World) uploadPack(st *forumState, model *Model) (string, bool) {
 		}
 		members = append(members, pm)
 	}
-	// The status draw ran after PutPack in the sequential code, but
-	// PutPack consumes no randomness, so drawing it here is identical.
+	// The status draw ran after the pack upload in the sequential code,
+	// but the upload consumes no randomness, so drawing it here is
+	// identical.
 	var status hosting.ObjectStatus
 	setStatus := false
 	if !flagged {
@@ -271,26 +272,14 @@ func (w *World) uploadPack(st *forumState, model *Model) (string, bool) {
 		}
 	}
 	w.do(func() {
-		images := make([]*imagex.Image, 0, len(members))
-		for _, pm := range members {
-			// img is the shared memoised raster: each actor transform
-			// returns a transformed copy.
-			img := w.ModelImage(model, pm.index)
-			switch pm.transform {
-			case packRecompress32:
-				img = img.Recompress(32)
-			case packRecompress24:
-				img = img.Recompress(24)
-			case packWatermark:
-				img = img.Watermark("PACK")
-			case packMirror:
-				img = img.Mirror()
-			}
-			images = append(images, img)
+		entries := make([]imagex.PackEntry, len(members))
+		for i, pm := range members {
+			entries[i] = w.packEntry(packKey{w.modelRasterKey(model, pm.index), pm.transform})
 		}
-		// PutPack's only error path is zip encoding into a bytes.Buffer,
-		// which cannot fail; the walk has already committed to the URL.
-		_ = site.PutPack(path, images)
+		// Zip-writing into a bytes.Buffer cannot fail; the walk has
+		// already committed to the URL.
+		data, _ := imagex.WritePackZip(entries)
+		site.Put(path, hosting.Object{Data: data, ContentType: hosting.ContentTypeZip})
 		if setStatus {
 			site.SetStatus(path, status)
 		}
@@ -315,6 +304,22 @@ const (
 	packWatermark
 	packMirror
 )
+
+// apply returns the member image: img itself for packKeep, else a
+// transformed copy (img may be a shared memoised raster).
+func (t packTransform) apply(img *imagex.Image) *imagex.Image {
+	switch t {
+	case packRecompress32:
+		return img.Recompress(32)
+	case packRecompress24:
+		return img.Recompress(24)
+	case packWatermark:
+		return img.Watermark("PACK")
+	case packMirror:
+		return img.Mirror()
+	}
+	return img
+}
 
 // kindOfSite reports the whitelist kind the hosting world would
 // advertise for a domain (used to wire snowball sampling in tests and

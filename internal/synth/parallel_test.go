@@ -43,13 +43,14 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRasterMemoRendersOnce pins the generation-scoped raster memo at
-// Workers 1 (inline) and 2 (the job runner sharing the memo): each
+// TestRasterMemoRendersOnce pins the generation-scoped memos at
+// Workers 1 (inline) and 2 (the job runner sharing them): each
 // (seed, variant, pose, size) raster is rendered exactly once, every
 // memoised raster still equals a fresh GenModel when generation ends
 // (a consumer that transformed a shared raster in place would fail
-// here), the memo is gone from the returned world, and the world is
-// the one Generate builds.
+// here), every memoised pack member equals a fresh deflate of its
+// transformed raster, both memos are gone from the returned world,
+// and the world is the one Generate builds.
 func TestRasterMemoRendersOnce(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		cfg := Config{Seed: 77, Scale: 0.02, ImageSize: 48, Workers: workers}
@@ -62,9 +63,10 @@ func TestRasterMemoRendersOnce(t *testing.T) {
 			mu.Unlock()
 			return imagex.GenModel(seed, variant, pose, size)
 		}
-		w := generateWith(context.Background(), cfg, memo)
-		if w.rasters != nil {
-			t.Fatalf("workers=%d: the raster memo outlived generation", workers)
+		packs := newPackMemo()
+		w := generateWith(context.Background(), cfg, memo, packs)
+		if w.rasters != nil || w.packs != nil {
+			t.Fatalf("workers=%d: a generation memo outlived generation", workers)
 		}
 		if len(renders) == 0 || len(renders) != len(memo.m) {
 			t.Fatalf("workers=%d: %d rasters rendered for %d memo entries", workers, len(renders), len(memo.m))
@@ -76,8 +78,17 @@ func TestRasterMemoRendersOnce(t *testing.T) {
 		}
 		for k, e := range memo.m {
 			fresh := imagex.GenModel(k.seed, k.variant, k.pose, k.size)
-			if e.im.W != fresh.W || e.im.H != fresh.H || !bytes.Equal(e.im.Pix, fresh.Pix) {
+			if e.v.W != fresh.W || e.v.H != fresh.H || !bytes.Equal(e.v.Pix, fresh.Pix) {
 				t.Fatalf("workers=%d: memoised raster %+v was modified during generation", workers, k)
+			}
+		}
+		if len(packs.m) == 0 {
+			t.Fatalf("workers=%d: no pack member went through the memo", workers)
+		}
+		for k, e := range packs.m {
+			raster := imagex.GenModel(k.raster.seed, k.raster.variant, k.raster.pose, k.raster.size)
+			if !reflect.DeepEqual(e.v, imagex.DeflatePackEntry(k.transform.apply(raster))) {
+				t.Fatalf("workers=%d: memoised pack member %+v differs from a fresh deflate", workers, k)
 			}
 		}
 		if !reflect.DeepEqual(w, Generate(cfg)) {
@@ -107,10 +118,15 @@ func TestGenerateWorkersOutsideIdentity(t *testing.T) {
 // TestGenerateParallelSpeedup checks that fanning generation out
 // actually buys wall clock. Parallel speedup needs parallel hardware,
 // so single-CPU machines skip (the equivalence test above still runs
-// the parallel path there).
+// the parallel path there). So do race-detector builds: two scale-0.3
+// worlds under -race outlast the default test timeout, and a timing
+// under the detector measures the detector.
 func TestGenerateParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
+	}
+	if raceEnabled {
+		t.Skip("timing test: wall clock under the race detector is not generation's")
 	}
 	procs := runtime.GOMAXPROCS(0)
 	if procs < 2 {
@@ -127,9 +143,10 @@ func TestGenerateParallelSpeedup(t *testing.T) {
 	t1 := time.Now()
 	Generate(cfg)
 	par := time.Since(t1)
-	// Image work is most but not all of generation; 1.3x at two cores
-	// is a loose floor that still catches an accidentally serialized
-	// pool.
+	// Image work is most but not all of generation, and a shared
+	// machine adds noise, so the floor is loose: parallel generation
+	// must not be slower than sequential, which still catches an
+	// accidentally serialized pool.
 	if par > seq {
 		t.Errorf("parallel generation slower than sequential: %v > %v", par, seq)
 	}

@@ -168,6 +168,8 @@ type World struct {
 	// rasters memoises model rasters for the duration of one
 	// generation (exec.go); like jobs, it is nil once Generate returns.
 	rasters *rasterMemo
+	// packs memoises deflated pack members (exec.go) for the same span.
+	packs *packMemo
 }
 
 // Generate builds the world, fanning image work out over
@@ -185,15 +187,17 @@ func Generate(cfg Config) *World {
 // cancelling ctx abandons outstanding image jobs — the half-built
 // world must then be discarded.
 func GenerateContext(ctx context.Context, cfg Config) *World {
-	return generateWith(ctx, cfg, newRasterMemo())
+	return generateWith(ctx, cfg, newRasterMemo(), newPackMemo())
 }
 
-// generateWith is GenerateContext rendering model rasters through the
-// given memo, which tests inspect once generation ends.
-func generateWith(ctx context.Context, cfg Config, rasters *rasterMemo) *World {
+// generateWith is GenerateContext rendering model rasters and pack
+// members through the given memos, which tests inspect once
+// generation ends.
+func generateWith(ctx context.Context, cfg Config, rasters *rasterMemo, packs *packMemo) *World {
 	workers := cfg.EffectiveWorkers()
 	w := newWorld(cfg)
 	w.rasters = rasters
+	w.packs = packs
 	if workers > 1 {
 		w.jobs = startJobRunner(ctx, workers)
 	}
@@ -203,6 +207,7 @@ func generateWith(ctx context.Context, cfg Config, rasters *rasterMemo) *World {
 		w.jobs = nil
 	}
 	w.rasters = nil
+	w.packs = nil
 	return w
 }
 
@@ -267,8 +272,13 @@ func (w *World) generate(ctx context.Context) {
 // During generation the raster comes from the shared memo and must
 // not be modified; after generation each call renders a fresh copy.
 func (w *World) ModelImage(m *Model, i int) *imagex.Image {
+	return w.raster(w.modelRasterKey(m, i))
+}
+
+// modelRasterKey is the raster key of image i of model m.
+func (w *World) modelRasterKey(m *Model, i int) rasterKey {
 	mi := m.Images[i]
-	return w.raster(rasterKey{m.Seed, mi.Variant, mi.Pose, w.Config.ImageSize})
+	return rasterKey{m.Seed, mi.Variant, mi.Pose, w.Config.ImageSize}
 }
 
 // SiteTypeOf maps a domain's ground-truth class to the IWF site-type
