@@ -4,7 +4,7 @@
 // start. Every benchmark here has an entry in BENCH_smoke.json (make
 // bench-diff) or BENCH_scale1.json (make bench-scale), which
 // TestEveryRootBenchmarkGated enforces. The paper's tables and figures
-// themselves are regenerated by ewreport and pinned by the report
+// themselves are regenerated by ewpipeline and pinned by the report
 // goldens; DESIGN.md §4 maps each paper value to the section that
 // renders it.
 package repro

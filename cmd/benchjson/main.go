@@ -5,7 +5,10 @@
 //
 // Each entry keeps the raw benchmark line verbatim: joining the `raw`
 // fields of two artifacts reconstructs files benchstat accepts, so the
-// JSON is both machine-queryable and benchstat-parseable.
+// JSON is both machine-queryable and benchstat-parseable. Input that
+// repeats a (name, GOMAXPROCS) row — several runs concatenated — is
+// folded to the run with the median ns/op, so one noisy run neither
+// sets a baseline nor fails a gate.
 //
 // The -diff mode is the benchmark-regression gate: it compares a
 // fresh run (text or JSON) against a committed baseline artifact and
@@ -127,21 +130,48 @@ func main() {
 }
 
 // load reads either raw `go test -bench` text or an already-converted
-// JSON artifact, sniffing by the first non-space byte.
+// JSON artifact, sniffing by the first non-space byte, and folds
+// repeated rows to their medians.
 func load(r io.Reader) (*Artifact, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	art := &Artifact{}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	if len(trimmed) > 0 && trimmed[0] == '{' {
-		art := &Artifact{}
 		if err := json.Unmarshal(trimmed, art); err != nil {
 			return nil, fmt.Errorf("parsing JSON artifact: %w", err)
 		}
-		return art, nil
+	} else if art, err = parse(bytes.NewReader(data)); err != nil {
+		return nil, err
 	}
-	return parse(bytes.NewReader(data))
+	art.Benchmarks = medianRows(art.Benchmarks)
+	return art, nil
+}
+
+// medianRows folds repeated (name, procs) rows — input that
+// concatenates several runs of the same benchmarks — into the row with
+// the median ns/op, in first-appearance order. The kept row is one
+// real run, raw line and extra units included; for an even count it is
+// the lower median.
+func medianRows(rows []Benchmark) []Benchmark {
+	groups := make(map[rowKey][]Benchmark, len(rows))
+	var order []rowKey
+	for _, b := range rows {
+		k := b.key()
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		sort.SliceStable(g, func(i, j int) bool { return g[i].NsPerOp < g[j].NsPerOp })
+		out = append(out, g[(len(g)-1)/2])
+	}
+	return out
 }
 
 // rowKey identifies one row of an artifact: a `-cpu 1,2` run reports

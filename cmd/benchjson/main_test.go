@@ -242,3 +242,63 @@ func TestDiffExtraImprovementPasses(t *testing.T) {
 		t.Fatalf("extra improvement failed the gate:\n%s", report)
 	}
 }
+
+// TestLoadFoldsRepeatsToMedian pins the fold that makes a baseline the
+// median of several concatenated runs: each (name, procs) row keeps
+// the run with the median ns/op — its raw line and extra units with
+// it — rows with other procs stay apart, first-appearance order holds,
+// and an even count keeps the lower median.
+func TestLoadFoldsRepeatsToMedian(t *testing.T) {
+	runs := `goos: linux
+BenchmarkA-2   	1	 500 ns/op	 50 B/op
+BenchmarkB     	1	 900 ns/op
+BenchmarkA-2   	1	 100 ns/op	 10 B/op
+BenchmarkA     	1	 700 ns/op
+BenchmarkA-2   	1	 300 ns/op	 30 B/op
+BenchmarkB     	1	 800 ns/op
+BenchmarkA-2   	1	 900 ns/op	 90 B/op
+BenchmarkA-2   	1	 200 ns/op	 20 B/op
+`
+	art, err := load(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		label string
+		ns    float64
+	}
+	var got []row
+	for _, b := range art.Benchmarks {
+		got = append(got, row{b.label(), b.NsPerOp})
+	}
+	want := []row{{"A-2", 300}, {"B", 800}, {"A", 700}}
+	if len(got) != len(want) {
+		t.Fatalf("folded rows = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("folded rows = %v, want %v", got, want)
+		}
+	}
+	med := art.Benchmarks[0]
+	if med.Extra["B/op"] != 30 || !strings.Contains(med.Raw, " 300 ns/op") {
+		t.Errorf("median row lost its own run: %+v", med)
+	}
+}
+
+// TestDiffFoldsRepeatedInput pins the fold on -diff's inputs: one slow
+// run among five does not fail the gate, because the median does not
+// move.
+func TestDiffFoldsRepeatedInput(t *testing.T) {
+	base, err := load(strings.NewReader("BenchmarkA 1 100 ns/op\nBenchmarkA 1 102 ns/op\nBenchmarkA 1 98 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := load(strings.NewReader("BenchmarkA 1 101 ns/op\nBenchmarkA 1 400 ns/op\nBenchmarkA 1 99 ns/op\nBenchmarkA 1 103 ns/op\nBenchmarkA 1 97 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report, failed := diffArtifacts(base, cur, 0.10); failed {
+		t.Fatalf("one slow run of five failed the gate:\n%s", report)
+	}
+}

@@ -3,7 +3,7 @@
 // aggregated into per-artefact mean / stddev / 95% CI tables, a
 // paper-vs-measured stability table and (for scale ladders)
 // scale-sensitivity slopes. It is the many-seed generalization of
-// cmd/ewreport's single study.
+// cmd/ewpipeline's single study.
 //
 // Presets:
 //
@@ -217,7 +217,7 @@ func printTrace(tracer *tracex.Tracer, id, remote, out string) {
 		return
 	}
 	if remote != "" {
-		remoteTr, err := stableRemoteTrace(studysvc.NewClient(remote, nil), id)
+		remoteTr, err := studysvc.NewClient(remote, nil).Trace(context.Background(), id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ewsweep: fetching server-side trace: %v\n", err)
 		} else {
@@ -325,30 +325,6 @@ func writeSampleTrace(res *loadgen.Result, out string) {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (trace %s)\n", out, res.SampleTraceID)
-}
-
-// stableRemoteTrace fetches the server half of a trace, polling until
-// two consecutive reads agree on the span count: the request span
-// covering the final POST is recorded just after its response is
-// written, so a single immediate fetch can land one beat early.
-func stableRemoteTrace(client *studysvc.Client, id string) (*tracex.Trace, error) {
-	ctx := context.Background()
-	tr, err := client.Trace(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 10; i++ {
-		time.Sleep(50 * time.Millisecond)
-		next, err := client.Trace(ctx, id)
-		if err != nil {
-			return tr, nil
-		}
-		if len(next.Spans) == len(tr.Spans) {
-			return next, nil
-		}
-		tr = next
-	}
-	return tr, nil
 }
 
 func fatalf(format string, args ...any) {

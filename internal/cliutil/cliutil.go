@@ -1,6 +1,6 @@
 // Package cliutil holds the small helpers the command-line tools
-// share: remote-study submission (ewpipeline -remote and ewreport
-// -remote route through the same client path), -only list parsing and
+// share: remote-study submission (ewpipeline -remote and the benchmark
+// harness route through the same client path), -only list parsing and
 // service readiness polling (ewsweep -load waits for a booting
 // ewserve before driving it).
 package cliutil

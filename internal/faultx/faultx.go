@@ -25,6 +25,7 @@ package faultx
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -369,14 +370,21 @@ func FormatRetryAfter(d time.Duration) string {
 }
 
 // ParseRetryAfter parses a Retry-After header value as (possibly
-// fractional) seconds. Returns 0 for anything unparseable or
-// non-positive, including the HTTP-date form this system never emits.
+// fractional) seconds, rounded to the nearest nanosecond. Returns 0 for
+// anything unparseable, non-positive, non-finite or too large for a
+// Duration, including the HTTP-date form this system never emits.
 func ParseRetryAfter(v string) time.Duration {
 	secs, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil || secs <= 0 {
+	if err != nil || !(secs > 0) {
 		return 0
 	}
-	return time.Duration(secs * float64(time.Second))
+	// A Duration ends below 2^63 ns (float64(math.MaxInt64) rounds up
+	// to 2^63 itself); the bound also catches +Inf.
+	ns := math.Round(secs * float64(time.Second))
+	if ns >= 1<<63 {
+		return 0
+	}
+	return time.Duration(ns)
 }
 
 // ResetError is the transport-level error surfaced for Reset faults.

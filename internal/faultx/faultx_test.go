@@ -184,7 +184,7 @@ func TestRetryAfterRoundTrip(t *testing.T) {
 			t.Errorf("round-trip %v → %q → %v", d, FormatRetryAfter(d), got)
 		}
 	}
-	for _, v := range []string{"", "soon", "-1", "0", "Mon, 02 Jan 2006 15:04:05 GMT"} {
+	for _, v := range []string{"", "soon", "-1", "0", "Mon, 02 Jan 2006 15:04:05 GMT", "NaN", "Inf", "1e10"} {
 		if got := ParseRetryAfter(v); got != 0 {
 			t.Errorf("ParseRetryAfter(%q) = %v, want 0", v, got)
 		}

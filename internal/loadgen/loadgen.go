@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -267,33 +266,20 @@ drive:
 }
 
 // fetchSampleTrace merges the generator-side half of the sampled
-// cold-start trace with the server's, polling briefly: the server
-// records its request span just after the response is written, so an
-// immediate fetch can land one beat early. Falls back to whatever is
-// available (server half incomplete, or the local half alone when the
-// server runs with tracing disabled).
+// cold-start trace with the server's. One fetch suffices: the client
+// reads each reply to EOF, which the server sends only after its
+// request span has ended. When the server runs without tracing (or
+// the fetch fails) the local half alone is returned.
 func fetchSampleTrace(ctx context.Context, c *studysvc.Client, tracer *tracex.Tracer, id string) *tracex.Trace {
 	local, ok := tracer.Trace(id)
 	if !ok {
 		return nil
 	}
-	merged := local
-	for i := 0; i < 20; i++ {
-		remote, err := c.Trace(ctx, id)
-		if err == nil {
-			merged = tracex.Merge(local, *remote)
-			for _, s := range remote.Spans {
-				if strings.HasPrefix(s.Name, "http ") {
-					return &merged
-				}
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return &merged
-		case <-time.After(50 * time.Millisecond):
-		}
+	remote, err := c.Trace(ctx, id)
+	if err != nil {
+		return &local
 	}
+	merged := tracex.Merge(local, *remote)
 	return &merged
 }
 

@@ -1,5 +1,5 @@
 // Package report renders the study's tables and figures as plain
-// text, with the same rows and series the paper prints. cmd/ewreport
+// text, with the same rows and series the paper prints. cmd/ewpipeline
 // and the benchmark harness both use it.
 package report
 

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faultx"
 	"repro/internal/sweep"
 	"repro/internal/tracex"
 )
@@ -283,10 +284,6 @@ func decodeError(resp *http.Response) error {
 	} else if msg := string(bytes.TrimSpace(body)); msg != "" {
 		e.Msg = msg
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-			e.RetryAfter = time.Duration(secs) * time.Second
-		}
-	}
+	e.RetryAfter = faultx.ParseRetryAfter(resp.Header.Get("Retry-After"))
 	return e
 }

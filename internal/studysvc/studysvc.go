@@ -723,7 +723,7 @@ func (s *Service) handleRun(w http.ResponseWriter, req *http.Request) {
 				"reason", err.Error(), "retry_after_s", secs)
 			// The header is the machine-readable backoff hint; the JSON
 			// body repeats it for humans reading error strings.
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			w.Header().Set("Retry-After", faultx.FormatRetryAfter(time.Duration(secs)*time.Second))
 			httpError(w, http.StatusTooManyRequests,
 				fmt.Sprintf("%v; retry after %ds", err, secs))
 			return

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/tracex"
 )
@@ -20,25 +19,46 @@ func findSpan(tr *tracex.Trace, name string) *tracex.SpanRecord {
 	return nil
 }
 
-// fetchTraceWith polls the server's ring until the trace contains a
-// span named want: the request middleware ends its span only after the
-// response has been written, so the caller can observe the trace one
-// beat before that span lands.
+// fetchTraceWith fetches trace id once and fails unless it contains a
+// span named want. A single fetch is enough: the client reads every
+// reply to EOF, which the server sends only after its request span has
+// ended (TestClientReturnsAfterRequestSpan pins that ordering).
 func fetchTraceWith(t *testing.T, c *Client, id, want string) *tracex.Trace {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	tr, err := c.Trace(context.Background(), id)
+	if err != nil {
+		t.Fatalf("server never recorded trace %s: %v", id, err)
+	}
+	if findSpan(tr, want) == nil {
+		t.Fatalf("trace %s has no %q span", id, want)
+	}
+	return tr
+}
+
+// TestClientReturnsAfterRequestSpan pins the ordering every trace
+// reader relies on: when a Client call returns, the server's request
+// span for it is already in the ring. The request middleware ends its
+// span after the handler returns but before net/http finishes the
+// response, and Client.do reads each reply to EOF, so an immediate
+// fetch always sees the span. Without the drain, some fetches miss it.
+func TestClientReturnsAfterRequestSpan(t *testing.T) {
+	_, c := newTestService(t, Config{Tracer: tracex.New(tracex.Config{})})
+	clientTracer := tracex.New(tracex.Config{})
+	base := tracex.NewContext(context.Background(), clientTracer)
+	for i := 0; i < 1000; i++ {
+		ctx, span := tracex.StartSpan(base, "client call")
+		if _, err := c.Run(ctx, tinyRequest(63)); err != nil {
+			t.Fatal(err)
+		}
+		span.End()
+		id := span.Context().Trace.String()
 		tr, err := c.Trace(context.Background(), id)
-		if err == nil && findSpan(tr, want) != nil {
-			return tr
+		if err != nil {
+			t.Fatalf("call %d: trace %s: %v", i, id, err)
 		}
-		if time.Now().After(deadline) {
-			if err != nil {
-				t.Fatalf("server never recorded trace %s: %v", id, err)
-			}
-			t.Fatalf("trace %s never grew a %q span", id, want)
+		if findSpan(tr, "http POST /v1/study") == nil {
+			t.Fatalf("call %d: trace %s fetched before its request span was recorded", i, id)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -104,17 +124,12 @@ func TestTraceEndpoints(t *testing.T) {
 	if _, err := c.Run(context.Background(), tinyRequest(64)); err != nil {
 		t.Fatal(err)
 	}
-	var ids []string
-	deadline := time.Now().Add(5 * time.Second)
-	for len(ids) == 0 {
-		var err error
-		if ids, err = c.Traces(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no trace recorded for the study request")
-		}
-		time.Sleep(5 * time.Millisecond)
+	ids, err := c.Traces(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) == 0 {
+		t.Fatal("no trace recorded for the study request")
 	}
 
 	id := ids[len(ids)-1]

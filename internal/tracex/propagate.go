@@ -39,6 +39,9 @@ func ParseTraceparent(v string) (SpanContext, bool) {
 	if len(parts) < 4 || len(parts[0]) != 2 || parts[0] == "ff" {
 		return SpanContext{}, false
 	}
+	if _, err := hex.DecodeString(parts[0]); err != nil {
+		return SpanContext{}, false
+	}
 	rawTrace, err := hex.DecodeString(parts[1])
 	if err != nil || len(rawTrace) != len(TraceID{}) {
 		return SpanContext{}, false

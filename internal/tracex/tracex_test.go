@@ -179,6 +179,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "00", "ff-" + parts[1] + "-" + parts[2] + "-01",
+		"zz-" + parts[1] + "-" + parts[2] + "-01",
 		"00-zzzz-" + parts[2] + "-01",
 		"00-" + strings.Repeat("0", 32) + "-" + parts[2] + "-01",
 		"00-" + parts[1] + "-" + strings.Repeat("0", 16) + "-01",
