@@ -13,7 +13,7 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Project-invariant gate: the ewlint analyzer suite (determinism,
-# poolpair, memokey, ctxhygiene — see DESIGN.md §10). Hard gate: any
+# memokey, ctxhygiene, logfield — see DESIGN.md §10). Hard gate: any
 # finding fails the build; suppress a deliberate exception with a
 # reasoned //lint:ignore directive at the site.
 lint: fmt-check
@@ -42,8 +42,9 @@ perfbench-check:
 # cold half of the artefact-reuse pair — then its warm half at 2000
 # iterations (~0.3 s of memo hits; at 3 or 200 iterations single runs
 # on a shared 2-core box spread up to 40% above their median), then
-# the Crawl, PhotoDNAFilter and HashImage kernels at the default
-# benchtime with -benchmem, so their B/op and allocs/op are gated too.
+# the Crawl, PhotoDNAFilter and HashImage kernels and the OCR's
+# screenshot and model-photo recognisers at the default benchtime with
+# -benchmem, so their B/op and allocs/op are gated too.
 # All runs land in one benchstat-ready text file and one fresh JSON
 # artifact for CI upload, kept distinct from the committed
 # BENCH_smoke.json baseline so a smoke run never clobbers the
@@ -52,6 +53,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='^Benchmark(StudyRun(OneWorker|Concurrent)|SweepCrossSeed|ArtefactReuse)$$' -skip='^BenchmarkArtefactReuse$$/^warm$$' -benchtime=3x . | tee bench_smoke.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkArtefactReuse$$/^warm$$' -benchtime=2000x . | tee -a bench_smoke.txt
 	$(GO) test -run='^$$' -bench='^Benchmark(Crawl|PhotoDNAFilter|HashImage)$$' -benchmem . | tee -a bench_smoke.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkRecognize(Screenshot|ModelPhoto)$$' -benchmem ./internal/ocr | tee -a bench_smoke.txt
 	$(GO) run ./cmd/benchjson -in bench_smoke.txt -out BENCH_smoke.fresh.json
 
 # Benchmark-regression gate: a fresh smoke run must stay within
@@ -153,10 +155,11 @@ chaos:
 # parser, the reverse-search input that crosses a process boundary,
 # of the POST /v1/study body decode and canonicalization, of the SIMG
 # and pack-zip decoders that read every crawled image and pack, of
-# the OCR row-code kernel against its byte-matcher reference, and of
-# the Retry-After and traceparent header parsers. The committed seed
-# corpora (internal/*/testdata/fuzz) run on every plain `go test`;
-# this target explores past them.
+# the OCR row-code kernel against its byte-matcher reference, of the
+# Retry-After and traceparent header parsers, and of the fault-profile
+# grammar behind POST /v1/study "faults" and ewserve -faults. The
+# committed seed corpora (internal/*/testdata/fuzz) run on every plain
+# `go test`; this target explores past them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHash128 -fuzztime=10s ./internal/reverse
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/studysvc
@@ -164,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePackZip -fuzztime=10s ./internal/imagex
 	$(GO) test -run='^$$' -fuzz=FuzzRecognize -fuzztime=10s ./internal/ocr
 	$(GO) test -run='^$$' -fuzz=FuzzParseRetryAfter -fuzztime=10s ./internal/faultx
+	$(GO) test -run='^$$' -fuzz=FuzzParseProfile -fuzztime=10s ./internal/faultx
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/tracex
 
 clean:

@@ -1,5 +1,5 @@
 // Command ewlint runs the project's invariant analyzers (determinism,
-// poolpair, memokey, ctxhygiene — see DESIGN.md §10) over the named
+// memokey, ctxhygiene, logfield — see DESIGN.md §10) over the named
 // package patterns, multichecker-style:
 //
 //	ewlint [-run name,name] [-list] [packages]

@@ -87,7 +87,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("bad -faults: %w", err))
 	}
 	names := cliutil.SplitNames(*only)
-	if _, _, err := report.Resolve(names...); err != nil {
+	_, arts, err := report.Resolve(names...)
+	if err != nil {
 		return fail(err)
 	}
 
@@ -167,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "world generated in %v: %d threads, %d posts, %d actors\n",
 		time.Since(start).Round(time.Millisecond), store.NumThreads(), store.NumPosts(), store.NumActors())
 
-	res, err := study.Compute(ctx, names...)
+	res, err := study.Compute(ctx, arts...)
 	if err != nil {
 		return fail(err)
 	}

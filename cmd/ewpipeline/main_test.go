@@ -67,7 +67,11 @@ func TestOnlyRendersSelection(t *testing.T) {
 	names := []string{"table5", "figure2"}
 	study := core.NewStudy(core.Options{Synth: synth.Config{Seed: 77, Scale: 0.02}, AnnotationSize: 300})
 	defer study.Close()
-	res, err := study.Compute(context.Background(), names...)
+	_, arts, err := report.Resolve(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := study.Compute(context.Background(), arts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestComputeSelective(t *testing.T) {
 	defer s.Close()
 	s.UseMemo(store)
 
-	res, err := s.Compute(context.Background(), "table5")
+	res, err := s.Compute(context.Background(), ArtefactProvenance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestComputeMatchesRun(t *testing.T) {
 	}
 	s := NewStudy(artefactTestOptions())
 	defer s.Close()
-	partial, err := s.Compute(ctx, "table5", "figure2")
+	partial, err := s.Compute(ctx, ArtefactProvenance, ArtefactEarnings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,8 @@ func TestComputeIdempotent(t *testing.T) {
 	}
 }
 
-// TestResolveArtefacts covers alias expansion and rejection.
+// TestResolveArtefacts covers normalization, ordering and rejection:
+// only artefact names resolve, so a table name is unknown here.
 func TestResolveArtefacts(t *testing.T) {
 	all, err := ResolveArtefacts()
 	if err != nil || len(all) != len(Artefacts()) {
@@ -151,14 +152,16 @@ func TestResolveArtefacts(t *testing.T) {
 	}
 	// Names normalize: mixed case and stray whitespace resolve like
 	// their canonical forms (the CLI -only path feeds raw user input).
-	got, err := ResolveArtefacts("Figure4", " table5 ", "provenance")
+	got, err := ResolveArtefacts("Actors", " provenance ", "provenance")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []string{ArtefactProvenance, ArtefactActors}) {
 		t.Fatalf("resolve = %v", got)
 	}
-	if _, err := ResolveArtefacts("table99"); err == nil {
-		t.Fatal("unknown artefact accepted")
+	for _, name := range []string{"table99", "table5", "overview"} {
+		if _, err := ResolveArtefacts(name); err == nil {
+			t.Fatalf("non-artefact name %q accepted", name)
+		}
 	}
 }

@@ -72,31 +72,12 @@ func SpanDeps() map[string][]string {
 	return out
 }
 
-// artefactAliases maps the paper's table/figure names onto the
-// artefact nodes that produce them, so callers can ask for "table5"
-// and get the provenance subgraph.
-var artefactAliases = map[string]string{
-	"overview": ArtefactTable1,
-	"table1":   ArtefactTable1,
-	"table3":   ArtefactLinks,
-	"table4":   ArtefactLinks,
-	"table5":   ArtefactProvenance,
-	"table6":   ArtefactProvenance,
-	"table7":   ArtefactExchange,
-	"table8":   ArtefactActors,
-	"table9":   ArtefactActors,
-	"table10":  ArtefactActors,
-	"figure2":  ArtefactEarnings,
-	"figure3":  ArtefactEarnings,
-	"figure4":  ArtefactActors,
-	"figure5":  ArtefactActors,
-}
-
-// ResolveArtefacts maps artefact names and table/figure aliases to
-// deduplicated artefact names in canonical order. Names are
-// normalized (trimmed, lowercased) first, so "Table5" from a CLI
-// -only list resolves like "table5". An empty input resolves to
-// every artefact; unknown names are errors.
+// ResolveArtefacts maps artefact names to deduplicated artefact names
+// in canonical order. Names are normalized (trimmed, lowercased)
+// first, so "Provenance" from a CLI -only list resolves like
+// "provenance". An empty input resolves to every artefact; unknown
+// names are errors. Table and figure names belong to report.Resolve,
+// which maps them to the artefacts that produce them.
 func ResolveArtefacts(names ...string) ([]string, error) {
 	all := Artefacts()
 	if len(names) == 0 {
@@ -109,9 +90,6 @@ func ResolveArtefacts(names ...string) ([]string, error) {
 	want := make(map[string]bool, len(names))
 	for _, name := range names {
 		a := strings.ToLower(strings.TrimSpace(name))
-		if alias, ok := artefactAliases[a]; ok {
-			a = alias
-		}
 		if !valid[a] {
 			return nil, fmt.Errorf("core: unknown artefact %q (artefacts: %v)", name, all)
 		}
@@ -309,8 +287,9 @@ func (s *Study) UseMemo(store *artefact.Store) {
 
 // Compute evaluates only the named artefacts (plus their transitive
 // dependencies) and returns a partial Results holding every field the
-// evaluation produced. Names may be artefact names or table/figure
-// aliases ("table5", "figure2"); an empty list computes everything.
+// evaluation produced. Names are artefact names ("provenance",
+// "earnings"); report.Resolve maps table and figure names to them. An
+// empty list computes everything.
 // Unlike Run, Compute does not release the study's backend — call
 // Close when done — so a study can serve any number of selective
 // computations; repeated calls are idempotent and answered from the

@@ -177,8 +177,9 @@ func Backoff(attempt int, base, maxBackoff, retryAfter time.Duration) time.Durat
 	return d
 }
 
-// StatusError is a retryable non-2xx response, carrying the server's
-// Retry-After hint when it sent one.
+// StatusError is a retryable non-2xx response from the hosting world
+// or a substrate lookup (reverse search, Wayback), carrying the
+// server's Retry-After hint when it sent one.
 type StatusError struct {
 	StatusCode int
 	RetryAfter time.Duration
@@ -193,20 +194,12 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("crawler: unexpected status %d", e.StatusCode)
 }
 
-// RetryAfterHint returns the server's backoff request, if any.
-func (e *StatusError) RetryAfterHint() time.Duration { return e.RetryAfter }
-
-// retryAfterHinter is satisfied by any error carrying a server backoff
-// hint — crawler.StatusError, reverse.StatusError, wayback.StatusError
-// — without this package naming their types.
-type retryAfterHinter interface{ RetryAfterHint() time.Duration }
-
-// RetryAfterHint extracts a server backoff hint from anywhere in err's
-// chain, or 0.
+// RetryAfterHint extracts a server backoff hint from a *StatusError
+// anywhere in err's chain, or 0.
 func RetryAfterHint(err error) time.Duration {
-	var h retryAfterHinter
-	if errors.As(err, &h) {
-		return h.RetryAfterHint()
+	var se *StatusError
+	if errors.As(err, &se) {
+		return se.RetryAfter
 	}
 	return 0
 }

@@ -103,7 +103,7 @@ func TestCrawlOutcomes(t *testing.T) {
 	if res[4].Outcome != OutcomeOK || len(res[4].Images) != 1 {
 		t.Errorf("tos: %v", res[4].Outcome)
 	}
-	if res[4].Images[0].SkinFraction() > 0.01 {
+	if f, _ := res[4].Images[0].SkinStats(); f > 0.01 {
 		t.Error("tos banner contains the original content")
 	}
 }

@@ -2,9 +2,11 @@ package crawler
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -98,8 +100,6 @@ type HTTPClient struct {
 	cfg     HTTPConfig
 	http    *http.Client
 	crawler *Crawler
-	reverse *reverse.Client
-	wayback *wayback.Client
 }
 
 // NewHTTPClient builds a client for the substrate at the configured
@@ -120,18 +120,11 @@ func NewHTTPClient(cfg HTTPConfig) *HTTPClient {
 	if hc.Timeout == 0 {
 		hc.Timeout = cfg.RequestTimeout
 	}
-	h := &HTTPClient{
+	return &HTTPClient{
 		cfg:     cfg,
 		http:    hc,
 		crawler: New(cfg.Crawl, hc, hosting.Resolver(cfg.HostingURL)),
 	}
-	if cfg.ReverseURL != "" {
-		h.reverse = reverse.NewClient(cfg.ReverseURL, hc)
-	}
-	if cfg.WaybackURL != "" {
-		h.wayback = wayback.NewClient(cfg.WaybackURL, hc)
-	}
-	return h
 }
 
 // CrawlStream fetches every task against the hosting server,
@@ -175,33 +168,68 @@ func (h *HTTPClient) retry(ctx context.Context, name string, fn func(context.Con
 	return lastErr
 }
 
-// SearchHash reverse-searches a precomputed composite hash.
+// getJSON GETs rawURL and decodes its JSON reply into v. A non-200
+// reply is a *StatusError carrying the server's Retry-After hint.
+func (h *HTTPClient) getJSON(ctx context.Context, rawURL string, v any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := h.http.Do(req)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		// Read what the decoder left (the encoder's trailing newline)
+		// so the keep-alive connection goes back to the pool; a reply
+		// with more than a little left over is cheaper to drop.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
+		resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		return &StatusError{
+			StatusCode: resp.StatusCode,
+			RetryAfter: faultx.ParseRetryAfter(resp.Header.Get("Retry-After")),
+			Msg:        fmt.Sprintf("crawler: %s returned status %d", req.URL.Path, resp.StatusCode),
+		}
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return fmt.Errorf("crawler: bad response from %s: %w", req.URL.Path, err)
+	}
+	return nil
+}
+
+// SearchHash reverse-searches a precomputed composite hash, the way
+// the study queried the TinEye API.
 func (h *HTTPClient) SearchHash(ctx context.Context, hash imagex.Hash128) ([]reverse.Match, error) {
-	if h.reverse == nil {
+	if h.cfg.ReverseURL == "" {
 		return nil, fmt.Errorf("crawler: no reverse service configured")
 	}
-	var out []reverse.Match
+	var sr reverse.SearchResponse
 	err := h.retry(ctx, "reverse search", func(ctx context.Context) error {
-		var err error
-		out, err = h.reverse.SearchHash(ctx, hash)
-		return err
+		sr = reverse.SearchResponse{}
+		return h.getJSON(ctx, h.cfg.ReverseURL+"/searchhash?h="+reverse.FormatHash128(hash), &sr)
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	return sr.Matches, nil
 }
 
 // SeenBefore asks the remote Wayback service whether the URL was
 // captured strictly before the cutoff.
 func (h *HTTPClient) SeenBefore(ctx context.Context, rawURL string, cutoff time.Time) (bool, error) {
-	if h.wayback == nil {
+	if h.cfg.WaybackURL == "" {
 		return false, fmt.Errorf("crawler: no wayback service configured")
 	}
-	var seen bool
+	u := h.cfg.WaybackURL + "/available?url=" + url.QueryEscape(rawURL) +
+		"&before=" + url.QueryEscape(cutoff.UTC().Format(time.RFC3339))
+	var ar wayback.AvailabilityResponse
 	err := h.retry(ctx, "wayback lookup", func(ctx context.Context) error {
-		var err error
-		seen, err = h.wayback.SeenBefore(ctx, rawURL, cutoff)
-		return err
+		ar = wayback.AvailabilityResponse{}
+		return h.getJSON(ctx, u, &ar)
 	})
-	return seen, err
+	return err == nil && ar.Available, err
 }
 
 // VisitKind fetches a domain's landing page from the hosting server

@@ -2,6 +2,9 @@ package crawler
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -92,6 +95,70 @@ func TestHTTPClientSearchAndWayback(t *testing.T) {
 	seen, err = hc.SeenBefore(ctx, byHash[0].URL, time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC))
 	if err != nil || seen {
 		t.Errorf("SeenBefore(2015) = %v, err %v; want false", seen, err)
+	}
+}
+
+// TestHTTPClientReusesConnection pins keep-alive reuse across both
+// substrate lookups: getJSON reads each reply to the end, so
+// alternating searches and Wayback lookups share one connection even
+// when the JSON value and its trailing newline arrive apart.
+func TestHTTPClientReusesConnection(t *testing.T) {
+	var dials atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/searchhash" {
+			io.WriteString(w, `{"matches":[]}`)
+		} else {
+			io.WriteString(w, `{"available":false}`)
+		}
+		w.(http.Flusher).Flush()
+		time.Sleep(2 * time.Millisecond)
+		io.WriteString(w, "\n")
+	}))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	hc := NewHTTPClient(HTTPConfig{ReverseURL: srv.URL, WaybackURL: srv.URL, Client: srv.Client()})
+	defer hc.Close()
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if _, err := hc.SearchHash(ctx, imagex.Hash128{A: imagex.Hash(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hc.SeenBefore(ctx, "http://a.example/x", time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("10 sequential lookups opened %d connections, want 1", got)
+	}
+}
+
+// TestHTTPClientLookupStatusError pins the lookups' failure shape: a
+// non-200 reply, once retries are spent, is a *StatusError carrying
+// the server's Retry-After hint.
+func TestHTTPClientLookupStatusError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	hc := NewHTTPClient(HTTPConfig{ReverseURL: srv.URL, WaybackURL: srv.URL, MaxRetries: -1})
+	defer hc.Close()
+	ctx := context.Background()
+	_, searchErr := hc.SearchHash(ctx, imagex.Hash128{})
+	seen, waybackErr := hc.SeenBefore(ctx, "http://a.example/x", time.Now())
+	for _, err := range []error{searchErr, waybackErr} {
+		var se *StatusError
+		if !errors.As(err, &se) || se.StatusCode != http.StatusServiceUnavailable || se.RetryAfter != 7*time.Second {
+			t.Errorf("err = %#v, want a 503 *StatusError with a 7s Retry-After", err)
+		}
+	}
+	if seen {
+		t.Error("failed Wayback lookup reported seen")
 	}
 }
 

@@ -194,7 +194,8 @@ func ParseProfile(profile string) (*Plan, error) {
 		case "rot":
 			spec, hosts, scoped := strings.Cut(val, "@")
 			rate, err := strconv.ParseFloat(strings.TrimSpace(spec), 64)
-			if err != nil || rate < 0 || rate > 1 {
+			// The negated range test also rejects NaN.
+			if err != nil || !(rate >= 0 && rate <= 1) {
 				return nil, fmt.Errorf("faultx: bad rot rate %q", val)
 			}
 			if scoped {
@@ -221,8 +222,11 @@ func splitHosts(val string) []string {
 	return out
 }
 
-// String renders the plan's host table for logs and reports, sorted
-// for determinism.
+// String renders the plan in the profile grammar, hosts sorted, so
+// ParseProfile(p.String()) yields an equal plan; a nil plan renders as
+// "off". A scalar clause appears only where a host's schedule needs a
+// value other than the one in force, so a plan parsed from a profile
+// that kept the defaults renders without them.
 func (p *Plan) String() string {
 	if p == nil {
 		return "off"
@@ -232,30 +236,56 @@ func (p *Plan) String() string {
 		hosts = append(hosts, h)
 	}
 	sort.Strings(hosts)
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d", p.Seed)
-	if p.Rot > 0 {
-		fmt.Fprintf(&b, " rot=%g", p.Rot)
+	clauses := []string{"seed=" + strconv.FormatUint(p.Seed, 10)}
+	if p.Rot != 0 {
+		clauses = append(clauses, "rot="+strconv.FormatFloat(p.Rot, 'g', -1, 64))
+	}
+	// The scalars in force, starting from ParseProfile's defaults.
+	scalars := map[string]string{"failures": "2", "retry-after": "1ms", "stall": "0s"}
+	set := func(key, val string) {
+		if scalars[key] != val {
+			scalars[key] = val
+			clauses = append(clauses, key+"="+val)
+		}
 	}
 	for _, h := range hosts {
 		hf := p.Hosts[h]
-		fmt.Fprintf(&b, " %s{", h)
-		switch {
-		case hf.Down:
-			b.WriteString("down")
-		case hf.Reset:
-			fmt.Fprintf(&b, "reset×%d", hf.Failures)
-		case hf.Status != 0:
-			fmt.Fprintf(&b, "%d×%d", hf.Status, hf.Failures)
-		case hf.Stall > 0:
-			fmt.Fprintf(&b, "slow×%d", hf.Failures)
+		// Every scheduled clause sets Failures and Stall from the
+		// scalars, so one setting serves them all. Only ratelimit sets
+		// RetryAfter, and a later flaky or reset keeps it.
+		var sched []string
+		if hf.Status == http.StatusTooManyRequests || hf.RetryAfter > 0 {
+			sched = append(sched, "ratelimit")
 		}
-		if hf.RotRate > 0 {
-			fmt.Fprintf(&b, " rot=%g", hf.RotRate)
+		if hf.Status == http.StatusInternalServerError {
+			sched = append(sched, "flaky")
 		}
-		b.WriteString("}")
+		if hf.Reset {
+			sched = append(sched, "reset")
+		}
+		if len(sched) == 0 && (hf.Failures > 0 || hf.Stall > 0) {
+			sched = append(sched, "slow")
+		}
+		if len(sched) > 0 {
+			set("failures", strconv.Itoa(hf.Failures))
+			set("stall", hf.Stall.String())
+			if sched[0] == "ratelimit" {
+				set("retry-after", hf.RetryAfter.String())
+			}
+			for _, c := range sched {
+				clauses = append(clauses, c+"="+h)
+			}
+		}
+		if hf.Down {
+			clauses = append(clauses, "down="+h)
+		}
+		// A rot clause also keeps a host whose entry is otherwise
+		// empty ("rot=0@h" parses to one).
+		if hf.RotRate != 0 || hf == (HostFault{}) {
+			clauses = append(clauses, "rot="+strconv.FormatFloat(hf.RotRate, 'g', -1, 64)+"@"+h)
+		}
 	}
-	return b.String()
+	return strings.Join(clauses, ";")
 }
 
 // Decision is the injector's verdict for one request.

@@ -91,6 +91,8 @@ func TestParseProfileErrors(t *testing.T) {
 		"rot=2",
 		"rot=-0.1",
 		"rot=high@a.com",
+		"rot=NaN",
+		"rot=NaN@a.com",
 	} {
 		if _, err := ParseProfile(in); err == nil {
 			t.Errorf("ParseProfile(%q) accepted, want error", in)
@@ -345,7 +347,7 @@ func TestHostFuncs(t *testing.T) {
 func TestPlanString(t *testing.T) {
 	plan, _ := ParseProfile("rot=0.3;down=oron.com,zippyshare.com;failures=2;ratelimit=imgur.com")
 	got := plan.String()
-	want := `seed=2019 rot=0.3 imgur.com{429×2} oron.com{down} zippyshare.com{down}`
+	want := `seed=2019;rot=0.3;ratelimit=imgur.com;down=oron.com;down=zippyshare.com`
 	if got != want {
 		t.Fatalf("Plan.String() = %q, want %q", got, want)
 	}

@@ -1,6 +1,7 @@
 package faultx
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -23,6 +24,28 @@ func FuzzParseRetryAfter(f *testing.F) {
 		d := time.Duration(ms%(1<<30)) * time.Millisecond
 		if got := ParseRetryAfter(FormatRetryAfter(d)); got != d {
 			t.Fatalf("round trip of %v → %q → %v", d, FormatRetryAfter(d), got)
+		}
+	})
+}
+
+// FuzzParseProfile fuzzes the fault-profile grammar, which reaches the
+// service from another process through POST /v1/study "faults" and
+// `ewserve -faults`. Parsing must never panic, and an accepted
+// profile's Plan.String() must parse back to an equal plan. The seed
+// corpus lives in testdata/fuzz/FuzzParseProfile; `make fuzz-smoke`
+// runs a short fuzz.
+func FuzzParseProfile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, profile string) {
+		plan, err := ParseProfile(profile)
+		if err != nil {
+			return
+		}
+		again, err := ParseProfile(plan.String())
+		if err != nil {
+			t.Fatalf("ParseProfile(%q).String() = %q does not parse: %v", profile, plan.String(), err)
+		}
+		if !reflect.DeepEqual(again, plan) {
+			t.Fatalf("ParseProfile(%q) = %+v; its String %q parses to %+v", profile, *plan, plan.String(), *again)
 		}
 	})
 }

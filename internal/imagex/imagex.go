@@ -87,83 +87,12 @@ func (im *Image) Clone() *Image {
 	return &Image{W: im.W, H: im.H, Pix: pix}
 }
 
-// pixPool recycles pixel buffers for the *Into transform variants and
-// GetImage/PutImage, so steady-state hot paths (hashing, transform
-// chains) stop allocating per image. Buffers are stored by pointer, in
-// a *[]byte box, so Put does not allocate an interface value.
-var pixPool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
-
-// boxPool recycles the empty boxes reshape takes out of pixPool, so
-// PutImage refills one instead of allocating a fresh box per call.
-// Image keeps no box of its own: a field there would show in DeepEqual.
-var boxPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// GetImage returns an image of the given size whose pixel buffer comes
-// from the shared pool. Contents are undefined; every pixel the caller
-// does not write must be set explicitly. Release with PutImage.
-func GetImage(w, h int) *Image {
-	if w <= 0 || h <= 0 {
-		panic("imagex: non-positive dimensions")
-	}
-	im := &Image{}
-	im.reshape(w, h)
-	return im
-}
-
-// PutImage returns an image's pixel buffer to the pool. The image must
-// not be used afterwards.
-func PutImage(im *Image) {
-	if im == nil || im.Pix == nil {
-		return
-	}
-	bp := boxPool.Get().(*[]byte)
-	*bp = im.Pix[:0]
-	im.Pix = nil
-	pixPool.Put(bp)
-}
-
-// reshape sizes the image to w×h, reusing its buffer when the capacity
-// allows and drawing from the pool otherwise. A pooled buffer that is
-// too small is dropped, not put back: the next Get on this P would
-// find it first again, and every larger request would allocate until
-// the next GC. Either way the emptied box goes to boxPool for the next
-// PutImage. Pixel contents after a reshape are undefined.
-func (im *Image) reshape(w, h int) {
-	n := w * h
-	im.W, im.H = w, h
-	if cap(im.Pix) >= n {
-		im.Pix = im.Pix[:n]
-		return
-	}
-	bp := pixPool.Get().(*[]byte)
-	if cap(*bp) >= n {
-		im.Pix = (*bp)[:n]
-	} else {
-		im.Pix = make([]byte, n)
-	}
-	*bp = nil
-	boxPool.Put(bp)
-}
-
-// SkinFraction returns the fraction of pixels inside the skin band.
-func (im *Image) SkinFraction() float64 {
-	f, _ := im.SkinStats()
-	return f
-}
-
-// SkinCoherence measures how contiguous the skin pixels are: the mean
-// horizontal run length of skin pixels, normalised by image width.
-// Bodies are contiguous (high coherence); scattered skin-valued noise
-// is not. The NSFW scorer combines fraction and coherence.
-func (im *Image) SkinCoherence() float64 {
-	_, c := im.SkinStats()
-	return c
-}
-
-// SkinStats returns the skin fraction and coherence in a single
-// traversal — every skin pixel belongs to exactly one horizontal run,
-// so the run-length fold also yields the band count. The NSFW scorer
-// consumes both, and the fused pass halves its per-image cost.
+// SkinStats returns the fraction of pixels inside the skin band and
+// the skin coherence: the mean horizontal run length of skin pixels,
+// normalised by image width. Bodies are contiguous (high coherence);
+// scattered skin-valued noise is not. Every skin pixel belongs to
+// exactly one run, so one run-length fold yields both; the NSFW
+// scorer combines them.
 func (im *Image) SkinStats() (fraction, coherence float64) {
 	if im.W <= 0 || im.H <= 0 || len(im.Pix) == 0 {
 		return 0, 0
@@ -352,55 +281,24 @@ func (im *Image) Watermark(text string) *Image {
 // Shade returns a copy with the bottom strip (frac of the height)
 // darkened — another common preview modification.
 func (im *Image) Shade(frac float64) *Image {
-	out := im.Clone()
-	out.ShadeInto(out, frac)
-	return out
-}
-
-// ShadeInto is Shade writing into dst, reusing dst's pixel buffer
-// (growing it from the pool if needed). dst may alias im for an
-// in-place shade.
-func (im *Image) ShadeInto(dst *Image, frac float64) {
 	if frac < 0 {
 		frac = 0
 	}
 	if frac > 1 {
 		frac = 1
 	}
-	if dst != im {
-		dst.reshape(im.W, im.H)
-		copy(dst.Pix, im.Pix)
-	}
+	out := im.Clone()
 	y0 := int(float64(im.H) * (1 - frac))
 	if y0 < 0 {
 		y0 = 0
 	}
 	for y := y0; y < im.H; y++ {
-		row := dst.Pix[y*im.W : (y+1)*im.W]
+		row := out.Pix[y*im.W : (y+1)*im.W]
 		for i, p := range row {
 			row[i] = p / 3
 		}
 	}
-}
-
-// Resize box-samples the image to the given dimensions.
-func (im *Image) Resize(w, h int) *Image {
-	if w <= 0 || h <= 0 {
-		panic("imagex: non-positive resize dimensions")
-	}
-	out := &Image{W: w, H: h, Pix: make([]byte, w*h)}
-	im.resizePix(out.Pix, w, h)
 	return out
-}
-
-// ResizeInto is Resize writing into dst, reusing dst's pixel buffer
-// (growing it from the pool if needed). dst must not alias im.
-func (im *Image) ResizeInto(dst *Image, w, h int) {
-	if w <= 0 || h <= 0 {
-		panic("imagex: non-positive resize dimensions")
-	}
-	dst.reshape(w, h)
-	im.resizePix(dst.Pix, w, h)
 }
 
 // resizePix box-samples into dst (len w*h). Each target cell averages
@@ -538,7 +436,7 @@ const hash128ColBound = 512
 // once into a per-column accumulator; at each band boundary the
 // column sums are reduced into both grids' cells along the x
 // boundaries. Per-cell counts come from the box boundaries, which for
-// W>=9 and H>=8 partition the raster exactly as Resize does (the
+// W>=9 and H>=8 partition the raster exactly as resizePix does (the
 // upsampling fixup never fires), keeping every output bit identical
 // to the AHash/DHash reference path. All state lives on the stack:
 // steady-state heap allocations are zero.

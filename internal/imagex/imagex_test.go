@@ -50,13 +50,12 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestSkinFraction(t *testing.T) {
 	im := New(10, 10, 0)
-	if im.SkinFraction() != 0 {
+	if f, _ := im.SkinStats(); f != 0 {
 		t.Fatal("black image has skin")
 	}
 	im.FillRect(randx.New(1), 0, 0, 10, 5, (SkinLo+SkinHi)/2, 0)
-	got := im.SkinFraction()
-	if got != 0.5 {
-		t.Fatalf("SkinFraction = %v want 0.5", got)
+	if got, _ := im.SkinStats(); got != 0.5 {
+		t.Fatalf("skin fraction = %v want 0.5", got)
 	}
 }
 
@@ -68,9 +67,10 @@ func TestSkinCoherenceContiguousVsScattered(t *testing.T) {
 	for i := 0; i < 200; i += 2 {
 		scattered.Pix[i] = skin
 	}
-	if contiguous.SkinCoherence() <= scattered.SkinCoherence() {
-		t.Fatalf("coherence: contiguous %.3f <= scattered %.3f",
-			contiguous.SkinCoherence(), scattered.SkinCoherence())
+	_, c := contiguous.SkinStats()
+	_, s := scattered.SkinStats()
+	if c <= s {
+		t.Fatalf("coherence: contiguous %.3f <= scattered %.3f", c, s)
 	}
 }
 
@@ -167,12 +167,13 @@ func TestShadeBounds(t *testing.T) {
 func TestResize(t *testing.T) {
 	im := New(10, 10, 0)
 	im.FillRect(randx.New(1), 0, 0, 10, 5, 200, 0)
-	small := im.Resize(2, 2)
-	if small.W != 2 || small.H != 2 {
-		t.Fatal("resize shape wrong")
+	small := make([]byte, 2*2)
+	im.resizePix(small, 2, 2)
+	if !bytes.Equal(small, refResize(im, 2, 2).Pix) {
+		t.Fatalf("resizePix = %v, reference %v", small, refResize(im, 2, 2).Pix)
 	}
-	if small.At(0, 0) != 200 || small.At(0, 1) != 0 {
-		t.Fatalf("resize values: top %d bottom %d", small.At(0, 0), small.At(0, 1))
+	if small[0] != 200 || small[2] != 0 {
+		t.Fatalf("resize values: top %d bottom %d", small[0], small[2])
 	}
 }
 
@@ -362,7 +363,8 @@ func TestGenModelPoseSkinOrdering(t *testing.T) {
 		sum := 0.0
 		const n = 40
 		for i := 0; i < n; i++ {
-			sum += GenModel(uint64(1000+i), 0, pose, 48).SkinFraction()
+			f, _ := GenModel(uint64(1000+i), 0, pose, 48).SkinStats()
+			sum += f
 		}
 		return sum / n
 	}
@@ -378,7 +380,7 @@ func TestGenModelPoseSkinOrdering(t *testing.T) {
 
 func TestGenScreenshotLowSkin(t *testing.T) {
 	im := GenScreenshot(5, []string{"PAYPAL: $500.00 RECEIVED", "FROM: CUSTOMER"}, 120, 60)
-	if f := im.SkinFraction(); f > 0.02 {
+	if f, _ := im.SkinStats(); f > 0.02 {
 		t.Fatalf("screenshot skin fraction %.4f too high", f)
 	}
 }
@@ -386,9 +388,10 @@ func TestGenScreenshotLowSkin(t *testing.T) {
 func TestGenLandscapeSkinLike(t *testing.T) {
 	plain := GenLandscape(8, 48, false)
 	sandy := GenLandscape(8, 48, true)
-	if sandy.SkinFraction() <= plain.SkinFraction() {
-		t.Fatalf("skinLike landscape %.3f <= plain %.3f",
-			sandy.SkinFraction(), plain.SkinFraction())
+	s, _ := sandy.SkinStats()
+	p, _ := plain.SkinStats()
+	if s <= p {
+		t.Fatalf("skinLike landscape %.3f <= plain %.3f", s, p)
 	}
 }
 
@@ -408,7 +411,7 @@ func TestGenErrorBannerHasText(t *testing.T) {
 
 func TestGenThumbnailGridMixesSignals(t *testing.T) {
 	im := GenThumbnailGrid(3, 77, 100, 60)
-	if im.SkinFraction() == 0 {
+	if f, _ := im.SkinStats(); f == 0 {
 		t.Fatal("thumbnail grid has no skin pixels")
 	}
 	ink := false

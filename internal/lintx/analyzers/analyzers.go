@@ -1,5 +1,5 @@
-// Package analyzers holds the project's invariant checkers: the five
-// ewlint analyzers that mechanize the determinism, pooling, memo-key,
+// Package analyzers holds the project's invariant checkers: the four
+// ewlint analyzers that mechanize the determinism, memo-key,
 // context-hygiene and structured-logging rules the codebase previously
 // enforced only by convention (see DESIGN.md §10).
 package analyzers
@@ -16,7 +16,6 @@ import (
 func All() []*lintx.Analyzer {
 	return []*lintx.Analyzer{
 		Determinism,
-		PoolPair,
 		MemoKey,
 		CtxHygiene,
 		LogField,
@@ -60,7 +59,7 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgName, funcName string) b
 		return false
 	}
 	if fn.Type().(*types.Signature).Recv() != nil {
-		return false // methods don't count: hosting.Site.PutImage vs imagex.PutImage
+		return false // methods don't count: only package-level functions match
 	}
 	return fn.Pkg().Name() == pkgName && fn.Name() == funcName
 }
@@ -70,34 +69,6 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgName, funcName string) b
 func pathSegments(pkgPath string) []string {
 	segs := strings.Split(strings.TrimSuffix(pkgPath, "_test"), "/")
 	return segs
-}
-
-// buildParents maps every node under root to its parent.
-func buildParents(root ast.Node) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
-}
-
-// enclosingBlock returns the innermost *ast.BlockStmt containing n.
-func enclosingBlock(parents map[ast.Node]ast.Node, n ast.Node) *ast.BlockStmt {
-	for p := parents[n]; p != nil; p = parents[p] {
-		if b, ok := p.(*ast.BlockStmt); ok {
-			return b
-		}
-	}
-	return nil
 }
 
 // funcDecls yields every function declaration with a body in the

@@ -19,6 +19,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/imagex"
 )
@@ -100,14 +101,16 @@ func Recognize(im *imagex.Image) Result {
 	if w < imagex.GlyphW || h < imagex.GlyphH {
 		return Result{}
 	}
-	// The ink mask is pooled, so this function owns its lifetime:
-	// acquire here, fill via binariseInto, release on every exit
-	// (poolpair forbids pooled rasters crossing function boundaries).
-	inkMask := imagex.GetImage(w, h)
-	defer imagex.PutImage(inkMask)
-	binariseInto(inkMask, im)
-	encodeRows(inkMask)
-	codes := inkMask.Pix
+	// The ink mask is borrowed from maskPool for this call only;
+	// encodeRows turns it into row codes in place.
+	box := maskPool.Get().(*[]byte)
+	defer maskPool.Put(box)
+	if cap(*box) < w*h {
+		*box = make([]byte, w*h)
+	}
+	codes := (*box)[:w*h]
+	binarise(codes, im)
+	encodeRows(codes, w)
 
 	var cands []candidate
 	for y := 0; y+imagex.GlyphH <= h; y++ {
@@ -146,19 +149,27 @@ func Recognize(im *imagex.Image) Result {
 	return Result{Glyphs: glyphs, Words: words, Text: text}
 }
 
-// binariseInto writes the ink mask of im into the caller-owned dst
-// (same dimensions): 1 where the pixel reads as ink, 0 elsewhere.
-func binariseInto(dst, im *imagex.Image) {
+// maskPool recycles Recognize's ink-mask buffers. Each buffer sits in
+// a *[]byte box, so Put does not allocate an interface value, and a
+// box whose buffer is too small grows it in place and keeps it: a
+// large raster never leaves behind a small buffer that every later
+// large raster would have to replace.
+var maskPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// binarise writes the ink mask of im into dst (len(im.Pix) cells): 1
+// where the pixel reads as ink, 0 elsewhere.
+func binarise(dst []byte, im *imagex.Image) {
 	for i, p := range im.Pix {
 		if p < inkThreshold {
-			dst.Pix[i] = 1
+			dst[i] = 1
 		} else {
-			dst.Pix[i] = 0
+			dst[i] = 0
 		}
 	}
 }
 
-// encodeRows rewrites a binarised mask at least GlyphW wide in place.
+// encodeRows rewrites a binarised mask of w-cell rows, w at least
+// GlyphW, in place.
 // In each row with ink, cell x becomes the row code of columns
 // x..x+GlyphW-1 for every x a glyph window can start at, and the last
 // cell, where no window starts, becomes 1: the row's ink flag. A blank
@@ -166,10 +177,9 @@ func binariseInto(dst, im *imagex.Image) {
 // clear flag. The walk runs left to right and each cell reads only
 // itself and cells to its right, so no cell is read after it has been
 // overwritten.
-func encodeRows(mask *imagex.Image) {
-	w := mask.W
-	for y := 0; y < mask.H; y++ {
-		row := mask.Pix[y*w : (y+1)*w]
+func encodeRows(mask []byte, w int) {
+	for y := 0; y+w <= len(mask); y += w {
+		row := mask[y : y+w]
 		if bytes.IndexByte(row, 1) < 0 {
 			continue
 		}

@@ -216,9 +216,8 @@ func referenceRecognize(im *imagex.Image) Result {
 	if im.W <= 0 || im.H <= 0 {
 		return Result{}
 	}
-	mask := imagex.New(im.W, im.H, 0)
-	binariseInto(mask, im)
-	ink := mask.Pix
+	ink := make([]byte, len(im.Pix))
+	binarise(ink, im)
 	rowHasInk := make([]bool, im.H)
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
@@ -402,28 +401,63 @@ func TestRowCodeMatchesReferenceOnScenes(t *testing.T) {
 	}
 }
 
-// TestRecognizeAllocs pins the kernel's allocation count on a fixed
-// screenshot. The byte matcher made 29 allocations here; the row-code
-// kernel keeps its ink flags in the pooled mask, which drops the
-// per-image rowHasInk slice, and sorting candidates with
-// slices.SortFunc instead of sort.Slice drops the reflect swappers.
-//
-// The test starts from an empty raster pool (two GCs clear it and its
-// victim cache): AllocsPerRun's warm-up call allocates the mask and
-// returns it to the pool, and every timed call reuses it. It runs at
-// the GOMAXPROCS=1 that AllocsPerRun runs at, so all calls share one
-// P's pool.
-func TestRecognizeAllocs(t *testing.T) {
-	im := imagex.GenScreenshot(1, []string{
+// allocScreenshot is the fixed 180x48 screenshot the allocation tests
+// recognise.
+func allocScreenshot() *imagex.Image {
+	return imagex.GenScreenshot(1, []string{
 		"PAYPAL DASHBOARD",
 		"BALANCE: $843.22",
 		"RECENT: +$50.00 +$25.00",
 		"FROM: THREE CUSTOMERS",
 	}, 180, 48)
+}
+
+// allocsFromEmptyPool runs f under testing.AllocsPerRun starting from
+// an empty mask pool (two GCs clear it and its victim cache), so
+// AllocsPerRun's warm-up call allocates the masks and every timed
+// call reuses them. It runs at the GOMAXPROCS=1 that AllocsPerRun
+// runs at, so all calls share one P's pool.
+func allocsFromEmptyPool(f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
 	runtime.GC()
-	if avg := testing.AllocsPerRun(100, func() { Recognize(im) }); avg > 22 {
-		t.Fatalf("Recognize made %.1f allocations per call, want at most 22", avg)
+	return testing.AllocsPerRun(100, f)
+}
+
+// TestRecognizeAllocs pins the kernel's allocation count on a fixed
+// screenshot. The byte matcher made 29 allocations here; the row-code
+// kernel keeps its ink flags in the pooled mask, which drops the
+// per-image rowHasInk slice, and sorting candidates with
+// slices.SortFunc instead of sort.Slice drops the reflect swappers.
+// The bound is the 21 measured when the mask pool moved into ocr.
+func TestRecognizeAllocs(t *testing.T) {
+	im := allocScreenshot()
+	if avg := allocsFromEmptyPool(func() { Recognize(im) }); avg > 21 {
+		t.Fatalf("Recognize made %.1f allocations per call, want at most 21", avg)
+	}
+}
+
+// TestMaskPoolKeepsGrownBuffer alternates a small and a large raster.
+// The small one goes first, so the pooled mask is too small for every
+// large call until it grows; a pool that grows the buffer and keeps
+// it allocates no more per pair than the two sizes do on their own. A
+// pool that drops the grown buffer, or puts the small one back,
+// allocates a large mask on every large call.
+func TestMaskPoolKeepsGrownBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops values at random")
+	}
+	small := imagex.GenModel(1, 0, imagex.PoseNude, 48)
+	large := allocScreenshot()
+	if small.W*small.H >= large.W*large.H {
+		t.Fatalf("small raster %dx%d is not smaller than large %dx%d", small.W, small.H, large.W, large.H)
+	}
+	alone := allocsFromEmptyPool(func() { Recognize(small) }) + allocsFromEmptyPool(func() { Recognize(large) })
+	pair := allocsFromEmptyPool(func() {
+		Recognize(small)
+		Recognize(large)
+	})
+	if pair != alone {
+		t.Fatalf("alternating sizes made %.1f allocations per pair, the sizes alone %.1f", pair, alone)
 	}
 }

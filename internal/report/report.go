@@ -448,10 +448,12 @@ func Sections() []Section {
 
 // Resolve maps requested names to the sections to render (in layout
 // order) and the core artefacts to compute. A name may be a section
-// name (selecting that section), or a core artefact name / alias
-// (selecting every section that artefact produces — "actors" selects
-// Tables 8-10 and Figures 4-5). Section names win when a name is
-// both. An empty input selects everything; unknown names are errors.
+// name (selecting that section), or a core artefact name (selecting
+// every section that artefact produces — "actors" selects Tables 8-10
+// and Figures 4-5). Section names win when a name is both. An empty
+// input selects everything; unknown names are errors. The sections
+// are the one table from report names to artefacts: callers pass the
+// artefacts Resolve returns to core.Study.Compute.
 func Resolve(names ...string) (sections []Section, artefacts []string, err error) {
 	all := Sections()
 	if len(names) == 0 {

@@ -1,14 +1,11 @@
 package reverse
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,6 +110,25 @@ func TestSeenBefore(t *testing.T) {
 	}
 }
 
+// getMatches queries srv's /searchhash for h and decodes the reply's
+// matches from the wire format.
+func getMatches(t *testing.T, srv *httptest.Server, h imagex.Hash128) []Match {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + "/searchhash?h=" + FormatHash128(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/searchhash = %d", resp.StatusCode)
+	}
+	var sr SearchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	return sr.Matches
+}
+
 func TestHTTPServiceRoundtrip(t *testing.T) {
 	ix := NewIndex(0)
 	origin := imagex.GenModel(12, 1, imagex.PosePartial, 48)
@@ -123,11 +139,7 @@ func TestHTTPServiceRoundtrip(t *testing.T) {
 	srv := httptest.NewServer(Handler(ix))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, srv.Client())
-	matches, err := c.SearchHash(context.Background(), imagex.Hash128Of(origin))
-	if err != nil {
-		t.Fatal(err)
-	}
+	matches := getMatches(t, srv, imagex.Hash128Of(origin))
 	if len(matches) != 1 {
 		t.Fatalf("matches = %d", len(matches))
 	}
@@ -194,11 +206,7 @@ func TestSearchHashEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler(ix))
 	defer srv.Close()
 
-	c := NewClient(srv.URL, srv.Client())
-	got, err := c.SearchHash(context.Background(), imagex.Hash128Of(origin))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := getMatches(t, srv, imagex.Hash128Of(origin))
 	want := ix.SearchHash(imagex.Hash128Of(origin))
 	if len(got) != len(want) || got[0].URL != want[0].URL || got[0].Distance != want[0].Distance {
 		t.Fatalf("remote hash search = %+v, want %+v", got, want)
@@ -226,34 +234,5 @@ func TestHashWireFormatRoundtrip(t *testing.T) {
 	}
 	if got != h {
 		t.Fatalf("roundtrip %v != %v", got, h)
-	}
-}
-
-// TestClientReusesConnection pins keep-alive reuse: the client reads
-// each reply to the end, so sequential searches share one connection
-// even when the JSON value and its trailing newline arrive apart.
-func TestClientReusesConnection(t *testing.T) {
-	var dials atomic.Int32
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"matches":[]}`)
-		w.(http.Flusher).Flush()
-		time.Sleep(2 * time.Millisecond)
-		io.WriteString(w, "\n")
-	}))
-	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-		if state == http.StateNew {
-			dials.Add(1)
-		}
-	}
-	srv.Start()
-	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
-	for i := 0; i < 5; i++ {
-		if _, err := c.SearchHash(context.Background(), imagex.Hash128{A: imagex.Hash(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("5 sequential searches opened %d connections, want 1", got)
 	}
 }

@@ -568,7 +568,7 @@ func (s *Service) execute(r *run) {
 	// memo store carries node values across runs.
 	var res *core.Results
 	var err error
-	sections, _, rerr := report.Resolve(r.opts.Artefacts...)
+	sections, arts, rerr := report.Resolve(r.opts.Artefacts...)
 	if rerr != nil {
 		// Unreachable for canonicalized options, but never run an
 		// unvalidated selection.
@@ -576,7 +576,7 @@ func (s *Service) execute(r *run) {
 	} else if len(r.opts.Artefacts) == 0 {
 		res, err = study.Run(ctx)
 	} else {
-		res, err = study.Compute(ctx, r.opts.Artefacts...)
+		res, err = study.Compute(ctx, arts...)
 		study.Close()
 	}
 	elapsed := time.Since(start)

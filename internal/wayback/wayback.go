@@ -6,38 +6,17 @@
 // forums, we have used the Wayback Machine").
 //
 // The archive is exposed both as an in-process index and over HTTP
-// with an API shaped like the real availability endpoint.
+// with an API shaped like the real availability endpoint; the study's
+// HTTP client for it is crawler.HTTPClient.
 package wayback
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/faultx"
 )
-
-// StatusError is a non-200 availability response. RetryAfterHint
-// exposes the parsed Retry-After header so retrying callers (crawler.
-// HTTPClient) can honor the server's backoff request without this
-// package knowing who retries.
-type StatusError struct {
-	StatusCode int
-	RetryAfter time.Duration
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("wayback: status %d", e.StatusCode)
-}
-
-// RetryAfterHint returns the server's backoff request, if any.
-func (e *StatusError) RetryAfterHint() time.Duration { return e.RetryAfter }
 
 // Archive is a snapshot index. Safe for concurrent use.
 type Archive struct {
@@ -97,8 +76,8 @@ func (a *Archive) Snapshots(rawURL string) []time.Time {
 	return out
 }
 
-// availabilityResponse mirrors the shape of the real availability API.
-type availabilityResponse struct {
+// AvailabilityResponse mirrors the shape of the real availability API.
+type AvailabilityResponse struct {
 	URL       string `json:"url"`
 	Available bool   `json:"available"`
 	FirstSeen string `json:"first_seen,omitempty"`
@@ -118,7 +97,7 @@ func Handler(a *Archive) http.Handler {
 			http.Error(w, "missing url parameter", http.StatusBadRequest)
 			return
 		}
-		resp := availabilityResponse{URL: target}
+		resp := AvailabilityResponse{URL: target}
 		first, ok := a.FirstSeen(target)
 		if ok {
 			if beforeRaw := q.Get("before"); beforeRaw != "" {
@@ -139,52 +118,4 @@ func Handler(a *Archive) http.Handler {
 		json.NewEncoder(w).Encode(resp)
 	})
 	return mux
-}
-
-// Client queries a wayback service over HTTP.
-type Client struct {
-	BaseURL string
-	HTTP    *http.Client
-}
-
-// NewClient returns a client for the service at baseURL. httpClient
-// may be nil.
-func NewClient(baseURL string, httpClient *http.Client) *Client {
-	if httpClient == nil {
-		httpClient = http.DefaultClient
-	}
-	return &Client{BaseURL: baseURL, HTTP: httpClient}
-}
-
-// SeenBefore reports whether the URL was captured strictly before the
-// cutoff, asking the remote service.
-func (c *Client) SeenBefore(ctx context.Context, rawURL string, cutoff time.Time) (bool, error) {
-	u := fmt.Sprintf("%s/available?url=%s&before=%s",
-		c.BaseURL, url.QueryEscape(rawURL), url.QueryEscape(cutoff.UTC().Format(time.RFC3339)))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer func() {
-		// Read what the decoder left (the encoder's trailing newline)
-		// so the keep-alive connection goes back to the pool; a reply
-		// with more than a little left over is cheaper to drop.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return false, &StatusError{
-			StatusCode: resp.StatusCode,
-			RetryAfter: faultx.ParseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
-	var ar availabilityResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
-		return false, fmt.Errorf("wayback: bad response: %w", err)
-	}
-	return ar.Available, nil
 }

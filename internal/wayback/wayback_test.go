@@ -1,12 +1,10 @@
 package wayback
 
 import (
-	"context"
-	"io"
-	"net"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
+	"net/url"
 	"testing"
 	"time"
 )
@@ -62,19 +60,32 @@ func TestHTTPAvailable(t *testing.T) {
 	a.Add("http://x.com/img.jpg", day(3))
 	srv := httptest.NewServer(Handler(a))
 	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
+	available := func(rawURL string, before time.Time) AvailabilityResponse {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/available?url=" + url.QueryEscape(rawURL) +
+			"&before=" + url.QueryEscape(before.Format(time.RFC3339)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/available = %d", resp.StatusCode)
+		}
+		var ar AvailabilityResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
+			t.Fatal(err)
+		}
+		return ar
+	}
 
-	ok, err := c.SeenBefore(context.Background(), "http://x.com/img.jpg", day(5))
-	if err != nil || !ok {
-		t.Fatalf("SeenBefore = %v %v", ok, err)
+	if ar := available("http://x.com/img.jpg", day(5)); !ar.Available || ar.FirstSeen != day(3).Format(time.RFC3339) || ar.Snapshots != 1 {
+		t.Fatalf("available = %+v", ar)
 	}
-	ok, err = c.SeenBefore(context.Background(), "http://x.com/img.jpg", day(2))
-	if err != nil || ok {
-		t.Fatalf("SeenBefore(before capture) = %v %v", ok, err)
+	if ar := available("http://x.com/img.jpg", day(2)); ar.Available {
+		t.Fatalf("available(before capture) = %+v", ar)
 	}
-	ok, err = c.SeenBefore(context.Background(), "http://never.com", day(100))
-	if err != nil || ok {
-		t.Fatalf("SeenBefore(unknown) = %v %v", ok, err)
+	if ar := available("http://never.com", day(100)); ar.Available {
+		t.Fatalf("available(unknown) = %+v", ar)
 	}
 }
 
@@ -131,34 +142,5 @@ func TestConcurrentAddAndQuery(t *testing.T) {
 	<-done
 	if len(a.Snapshots("http://x.com")) != 500 {
 		t.Fatal("lost snapshots under concurrency")
-	}
-}
-
-// TestClientReusesConnection pins keep-alive reuse: the client reads
-// each reply to the end, so sequential lookups share one connection
-// even when the JSON value and its trailing newline arrive apart.
-func TestClientReusesConnection(t *testing.T) {
-	var dials atomic.Int32
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, `{"available":false}`)
-		w.(http.Flusher).Flush()
-		time.Sleep(2 * time.Millisecond)
-		io.WriteString(w, "\n")
-	}))
-	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-		if state == http.StateNew {
-			dials.Add(1)
-		}
-	}
-	srv.Start()
-	defer srv.Close()
-	c := NewClient(srv.URL, srv.Client())
-	for i := 0; i < 5; i++ {
-		if _, err := c.SeenBefore(context.Background(), "http://a.example/x", time.Now()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("5 sequential lookups opened %d connections, want 1", got)
 	}
 }
