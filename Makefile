@@ -156,8 +156,9 @@ chaos:
 # of the POST /v1/study body decode and canonicalization, of the SIMG
 # and pack-zip decoders that read every crawled image and pack, of
 # the OCR row-code kernel against its byte-matcher reference, of the
-# Retry-After and traceparent header parsers, and of the fault-profile
-# grammar behind POST /v1/study "faults" and ewserve -faults. The
+# Retry-After and traceparent header parsers, of the fault-profile
+# grammar behind POST /v1/study "faults" and ewserve -faults, and of
+# the landing-page parser behind HTTPClient.VisitKind. The
 # committed seed corpora (internal/*/testdata/fuzz) run on every plain
 # `go test`; this target explores past them.
 fuzz-smoke:
@@ -169,6 +170,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRetryAfter -fuzztime=10s ./internal/faultx
 	$(GO) test -run='^$$' -fuzz=FuzzParseProfile -fuzztime=10s ./internal/faultx
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/tracex
+	$(GO) test -run='^$$' -fuzz=FuzzParseLandingKind -fuzztime=10s ./internal/hosting
 
 clean:
 	rm -f bench_smoke.txt bench_smoke_runs.txt bench_scale1.txt BENCH_smoke.fresh.json \

@@ -328,7 +328,9 @@ func parse(r io.Reader) (*Artifact, error) {
 			art.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			art.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
+		case strings.HasPrefix(line, "pkg:") && art.Pkg == "":
+			// A multi-package run repeats the header per package; the
+			// artifact keeps the first, the package its run led with.
 			art.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			art.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))

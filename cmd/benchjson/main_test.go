@@ -40,6 +40,30 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParseKeepsFirstPackage: make bench-smoke benches the root package
+// and then ./internal/ocr in one output; the artifact is labelled with
+// the package the run led with, not the last header seen.
+func TestParseKeepsFirstPackage(t *testing.T) {
+	twoPkgs := sample + `goos: linux
+goarch: amd64
+pkg: repro/internal/ocr
+cpu: AMD EPYC 7B13
+BenchmarkRecognizeScreenshot-8   	   10000	    101234 ns/op	   14512 B/op	      21 allocs/op
+PASS
+ok  	repro/internal/ocr	1.5s
+`
+	art, err := parse(strings.NewReader(twoPkgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Pkg != "repro" {
+		t.Errorf("pkg = %q, want the first header's %q", art.Pkg, "repro")
+	}
+	if len(art.Benchmarks) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3 across both packages", len(art.Benchmarks))
+	}
+}
+
 func TestParseRejectsGarbage(t *testing.T) {
 	if _, err := parse(strings.NewReader("BenchmarkBroken-8 notanumber 5 ns/op\n")); err == nil {
 		t.Error("bad iteration count accepted")

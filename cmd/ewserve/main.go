@@ -13,7 +13,7 @@
 //	        [-hosting :8081] [-reverse :8082] [-wayback :8083] [-study :8084]
 //	        [-study-runs N] [-study-cache N] [-study-max-scale F]
 //	        [-study-queue N] [-study-queue-wait 2s]
-//	        [-log-level info] [-pprof 127.0.0.1:6060]
+//	        [-trace-buffer 64] [-pprof 127.0.0.1:6060]
 //	        [-shutdown-timeout 10s] [-faults profile]
 //
 // -faults wraps the three substrate handlers in internal/faultx's
@@ -21,10 +21,12 @@
 // limits, flaky 5xx, link rot, dead hosts), so remote crawlers face
 // the same adversary `core.Options.Faults` injects in-process.
 //
-// All operational output is JSON lines on stderr (internal/logx): one
-// line per request with its request ID and latency, one per study run,
-// and the usual lifecycle events — greppable and machine-tailable.
-// -log-level debug adds per-artefact-node memo traces. -pprof mounts
+// All operational output is JSON lines on stderr (log/slog's JSON
+// handler): the lifecycle events, plus one line per study-service
+// request (trace reads excepted) and one per study run. Those are the
+// service's request and run spans written out as they end — request
+// ID, status and duration — so they need tracing on: -trace-buffer 0
+// turns them off along with the trace ring. -pprof mounts
 // net/http/pprof on a separate loopback address for live profiling.
 //
 // Lifecycle: all listeners are opened before anything serves, so a bad
@@ -40,6 +42,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -49,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/faultx"
-	"repro/internal/logx"
 	"repro/internal/pipeline"
 	"repro/internal/reverse"
 	"repro/internal/studysvc"
@@ -70,19 +72,13 @@ func main() {
 	studyMaxScale := flag.Float64("study-max-scale", 0.25, "largest scale the study service accepts")
 	studyQueue := flag.Int("study-queue", 0, "admission queue depth before shedding (0 = 2×study-runs, negative disables queueing)")
 	studyQueueWait := flag.Duration("study-queue-wait", 0, "longest a queued request waits for a run slot before shedding (0 = default)")
-	traceBuffer := flag.Int("trace-buffer", tracex.DefaultMaxTraces, "recent traces kept for GET /v1/trace (0 disables tracing)")
+	traceBuffer := flag.Int("trace-buffer", tracex.DefaultMaxTraces, "recent traces kept for GET /v1/trace (0 disables tracing and the per-request and per-run log lines)")
 	faults := flag.String("faults", "", `inject deterministic faults into the substrate handlers (faultx profile, e.g. "ratelimit=*;failures=2" or "rot=0.3;down=oron.com"; see internal/faultx)`)
-	logLevel := flag.String("log-level", "info", "log level: debug, info or error")
 	pprofAddr := flag.String("pprof", "", "mount net/http/pprof on this address (empty disables)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown deadline")
 	flag.Parse()
 
-	level, err := logx.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ewserve:", err)
-		os.Exit(1)
-	}
-	lg := logx.New(os.Stderr, level).With("service", "ewserve")
+	lg := slog.New(slog.NewJSONHandler(os.Stderr, nil)).With("service", "ewserve")
 
 	start := time.Now()
 	w := synth.Generate(synth.Config{Seed: *seed, Scale: *scale})
@@ -143,7 +139,7 @@ func main() {
 			MaxQueueDepth:     *studyQueue,
 			MaxQueueWait:      *studyQueueWait,
 			BaseContext:       ctx,
-			Logger:            lg.With("component", "studysvc"),
+			Log:               lg.With("component", "studysvc"),
 			Tracer:            tracer,
 		})
 		services = append(services, service{"study", *studyAddr, svc.Handler()})

@@ -252,11 +252,3 @@ func TestPhaseOf(t *testing.T) {
 		t.Error("phase names wrong")
 	}
 }
-
-func BenchmarkBuildProfiles(b *testing.B) {
-	ew := ewAll()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = BuildProfiles(world.Store, ew)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/logx"
 	"repro/internal/pipeline"
 	"repro/internal/tracex"
 )
@@ -79,9 +78,9 @@ func (s *Store) ledger(node string) *nodeLedger {
 
 // resolve returns the memoized value for (node, key), computing it
 // with fn on first use, and records the outcome in the node's ledger
-// row, on the "node X" span and in the context logger's "memo ..."
-// debug line. An empty key bypasses the store entirely (the node is
-// computed every time, and still ledgered).
+// row and as the "node X" span's outcome attr. An empty key bypasses
+// the store entirely (the node is computed every time, and still
+// ledgered).
 //
 // A waiter that observes the creator's failure retries with its own
 // fn instead of inheriting the error: one evaluation's timeout or
@@ -89,11 +88,8 @@ func (s *Store) ledger(node string) *nodeLedger {
 // waiting on its in-flight nodes. Only the waiter's own cancellation
 // ends its attempt.
 func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.Context) (any, error)) (any, error) {
-	// The context logger (when the caller bound one — the study
-	// service's request/run ids arrive this way) sees every memo
-	// outcome at debug level; the context tracer records the same
-	// outcomes as "node X" spans, with computed work nested inside.
-	lg := logx.FromContext(ctx)
+	// The context tracer (when the caller bound one) records the
+	// outcome as a "node X" span, with computed work nested inside.
 	ctx, sp := tracex.StartSpan(ctx, "node "+node)
 	defer sp.End()
 	if key == "" {
@@ -101,7 +97,6 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 		l := s.ledger(node)
 		l.computes++
 		s.mu.Unlock()
-		lg.Debug("memo bypass", "node", node)
 		sp.SetAttr("outcome", "bypass")
 		return l.compute(ctx, sp, fn)
 	}
@@ -133,7 +128,6 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 			s.mu.Lock()
 			l.hits++
 			s.mu.Unlock()
-			lg.Debug("memo hit", "node", node)
 			sp.SetAttr("outcome", "hit")
 			return cur.val, nil
 		}
@@ -144,7 +138,6 @@ func (s *Store) resolve(ctx context.Context, node, key string, fn func(context.C
 		}
 	}
 
-	lg.Debug("memo compute", "node", node)
 	sp.SetAttr("outcome", "compute")
 	e.val, e.err = l.compute(ctx, sp, fn)
 	if e.err != nil {

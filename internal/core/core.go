@@ -26,6 +26,7 @@ import (
 	"repro/internal/imagex"
 	"repro/internal/ml"
 	"repro/internal/nsfv"
+	"repro/internal/nsfw"
 	"repro/internal/photodna"
 	"repro/internal/pipeline"
 	"repro/internal/reverse"
@@ -736,7 +737,6 @@ func samplePackImages(packImages []SafeImage, k int) []SafeImage {
 		}
 		return order[i].url < order[j].url
 	})
-	scorer := nsfv.New().Scorer
 	var out []SafeImage
 	type scored struct {
 		si    SafeImage
@@ -747,7 +747,7 @@ func samplePackImages(packImages []SafeImage, k int) []SafeImage {
 		// (a full raster traversal) on every comparison.
 		imgs := make([]scored, len(groups[key]))
 		for i, si := range groups[key] {
-			imgs[i] = scored{si: si, score: scorer.Score(si.Image)}
+			imgs[i] = scored{si: si, score: nsfw.Score(si.Image)}
 		}
 		sort.Slice(imgs, func(i, j int) bool {
 			return imgs[i].score < imgs[j].score

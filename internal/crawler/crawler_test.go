@@ -291,29 +291,6 @@ func TestOutcomeString(t *testing.T) {
 	}
 }
 
-func BenchmarkCrawl100(b *testing.B) {
-	w := hosting.NewWorld()
-	site := w.AddSite(hosting.SiteConfig{Domain: "imgur.com", Kind: urlx.KindImageSharing})
-	var tasks []Task
-	for i := 0; i < 100; i++ {
-		path := "img" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-		site.PutImage(path, imagex.GenModel(uint64(i), 0, imagex.PoseNude, 24))
-		tasks = append(tasks, Task{
-			Link: urlx.Link{URL: "https://imgur.com/" + path, Domain: "imgur.com", Kind: urlx.KindImageSharing},
-		})
-	}
-	srv := httptest.NewServer(w)
-	defer srv.Close()
-	c := New(Config{Concurrency: 16}, srv.Client(), w.Resolver(srv.URL))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := c.Crawl(context.Background(), tasks)
-		if res[0].Outcome != OutcomeOK {
-			b.Fatal("crawl failed")
-		}
-	}
-}
-
 // TestCrawlStreamMatchesCrawl pins the stream's ordering contract: a
 // single-worker crawl and a 16-worker crawl deliver the same results
 // in task order.

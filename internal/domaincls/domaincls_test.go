@@ -158,12 +158,3 @@ func TestDirectory(t *testing.T) {
 		t.Fatal("Len wrong")
 	}
 }
-
-func BenchmarkTally(b *testing.B) {
-	dir, domains := testDirectory(3000, 3000)
-	mc := NewMcAfee(dir)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Tally(mc, domains, 85)
-	}
-}

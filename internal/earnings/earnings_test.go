@@ -228,21 +228,3 @@ func TestTallyExchange(t *testing.T) {
 		t.Fatalf("table = %+v", tbl)
 	}
 }
-
-func BenchmarkAnnotateImage(b *testing.B) {
-	p := Proof{
-		Platform: PlatformPayPal, Currency: USD, Total: 500,
-		Date: date(2017, 1, 1),
-		Transactions: []Transaction{
-			{Amount: 100, Currency: USD, Date: date(2017, 1, 1)},
-			{Amount: 400, Currency: USD, Date: date(2017, 1, 2)},
-		},
-	}
-	im := RenderProofImage(1, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnnotateImage(im, p.Date); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

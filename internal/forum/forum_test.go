@@ -197,21 +197,3 @@ func TestAllThreads(t *testing.T) {
 		t.Fatalf("AllThreads = %v", got)
 	}
 }
-
-func BenchmarkSearchHeadings(b *testing.B) {
-	s := NewStore()
-	hf := s.AddForum("HF")
-	bd := s.AddBoard(hf, "b", "c")
-	ac := s.AddActor(hf, "a", day(0))
-	for i := 0; i < 10000; i++ {
-		h := "random thread about gaming"
-		if i%10 == 0 {
-			h = "my ewhoring setup"
-		}
-		s.AddThread(bd, ac, h, "x", day(i%100))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.SearchHeadings("ewhor", "e-whor")
-	}
-}

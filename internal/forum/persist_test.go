@@ -106,21 +106,3 @@ func TestExportDeterministic(t *testing.T) {
 		t.Fatal("Export not deterministic")
 	}
 }
-
-func BenchmarkExport(b *testing.B) {
-	s := NewStore()
-	hf := s.AddForum("HF")
-	bd := s.AddBoard(hf, "b", "c")
-	ac := s.AddActor(hf, "a", day(0))
-	for i := 0; i < 1000; i++ {
-		tid := s.AddThread(bd, ac, "thread heading", "body text", day(i%100))
-		s.AddReply(tid, ac, "reply body", day(i%100+1), 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := s.Export(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -463,34 +463,3 @@ func TestQuickHashDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkGenModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = GenModel(uint64(i), 0, PoseNude, 48)
-	}
-}
-
-func BenchmarkDHash(b *testing.B) {
-	im := GenModel(1, 0, PoseNude, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = DHash(im)
-	}
-}
-
-func BenchmarkPackZip(b *testing.B) {
-	imgs := make([]*Image, 20)
-	for i := range imgs {
-		imgs[i] = GenModel(uint64(i), i, PoseNude, 48)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := EncodePackZip(imgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := DecodePackZip(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -240,21 +240,3 @@ func TestHashImageZeroAlloc(t *testing.T) {
 		t.Fatalf("SkinStats allocates %.1f per op, want 0", avg)
 	}
 }
-
-func BenchmarkHash128Of(b *testing.B) {
-	im := GenModel(1, 0, PoseNude, 48)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Hash128Of(im)
-	}
-}
-
-func BenchmarkSkinStats(b *testing.B) {
-	im := GenModel(1, 0, PoseNude, 48)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		im.SkinStats()
-	}
-}

@@ -8,16 +8,19 @@ import (
 )
 
 // LogField keeps the service spine's operational output structured: in
-// internal/studysvc and cmd/ewserve, every log line is a logx JSON
-// record with a request or run ID — a raw fmt.Print*/log.Print* there
-// bypasses the logger, loses the IDs, and tears a hole in what an
-// operator can grep. The ban covers the stdout/stderr convenience
-// printers only; fmt.Fprintf to an explicit writer stays legal (it is
-// how CLIs in other packages talk to users, and how logx itself is
-// built), as does everything in test files.
+// internal/studysvc and cmd/ewserve, every log line is a JSON record
+// written through the slog.Logger the binary configures — the request
+// and run lines carry their span's ids. A raw fmt.Print*/log.Print*
+// there bypasses that logger, loses the ids, and tears a hole in what
+// an operator can grep; so does a package-level slog.Info & co., which
+// writes through the process default logger instead of the configured
+// one. The ban covers those implicit-destination printers only:
+// fmt.Fprintf to an explicit writer stays legal (it is how CLIs in
+// other packages talk to users), as do methods on a *slog.Logger and
+// everything in test files.
 var LogField = &lintx.Analyzer{
 	Name: "logfield",
-	Doc:  "studysvc and ewserve must log through logx, not raw fmt/log printers",
+	Doc:  "studysvc and ewserve must log through the configured slog.Logger, not raw fmt/log printers or slog's package-level functions",
 	Run:  runLogField,
 }
 
@@ -33,11 +36,14 @@ var logFieldPackages = [][2]string{
 }
 
 // bannedPrinters maps package name → the package-level printers that
-// write to stdout/stderr implicitly. fmt's F-variants take a writer
-// and are deliberately absent.
+// write to an implicit destination: stdout/stderr, or slog's process
+// default logger. fmt's F-variants take a writer and are deliberately
+// absent.
 var bannedPrinters = map[string][]string{
 	"fmt": {"Print", "Printf", "Println"},
 	"log": {"Print", "Printf", "Println", "Fatal", "Fatalf", "Fatalln", "Panic", "Panicf", "Panicln"},
+	"slog": {"Debug", "DebugContext", "Info", "InfoContext", "Warn", "WarnContext",
+		"Error", "ErrorContext", "Log", "LogAttrs"},
 }
 
 func runLogField(pass *lintx.Pass) error {
@@ -75,7 +81,7 @@ func runLogField(pass *lintx.Pass) error {
 			}
 			for _, name := range names {
 				if fn.Name() == name && isPkgFunc(pass.Info, call, fn.Pkg().Name(), name) {
-					pass.Reportf(call.Pos(), "%s.%s in %s: log through logx so the line carries the request ID and JSON structure",
+					pass.Reportf(call.Pos(), "%s.%s in %s: log through the configured slog.Logger so the line keeps its ids and JSON structure",
 						fn.Pkg().Name(), fn.Name(), strings.Join(tail[:], "/"))
 					break
 				}

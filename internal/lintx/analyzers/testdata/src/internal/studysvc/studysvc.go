@@ -1,5 +1,5 @@
-// Fixture: the service spine logs through logx; raw stdout/stderr
-// printers lose the request ID and the JSON structure.
+// Fixture: the service spine logs through its configured slog.Logger;
+// raw stdout/stderr printers lose the span ids and the JSON structure.
 package studysvc
 
 import (

@@ -218,28 +218,3 @@ func TestQuickF1Between(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkTrainSVM(b *testing.B) {
-	examples := linearlySeparable(1000, 3)
-	cfg := DefaultSVMConfig()
-	cfg.Epochs = 5
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TrainSVM(examples, 2, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPredict(b *testing.B) {
-	examples := linearlySeparable(500, 3)
-	model, err := TrainSVM(examples, 2, DefaultSVMConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := examples[0].X
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = model.Predict(x)
-	}
-}

@@ -48,15 +48,14 @@ func PaperThresholds() Thresholds {
 	}
 }
 
-// Classifier combines the nudity scorer and OCR under a threshold set.
+// Classifier combines the nudity score and OCR under a threshold set.
 type Classifier struct {
-	Scorer     nsfw.Scorer
 	Thresholds Thresholds
 }
 
 // New returns the classifier with the paper's calibration.
 func New() *Classifier {
-	return &Classifier{Scorer: nsfw.Default(), Thresholds: PaperThresholds()}
+	return &Classifier{Thresholds: PaperThresholds()}
 }
 
 // Verdict is the outcome of classifying one image.
@@ -70,7 +69,7 @@ type Verdict struct {
 // decision needs it, as the pipeline does (OCR is the expensive step).
 func (c *Classifier) Classify(im *imagex.Image) Verdict {
 	t := c.Thresholds
-	score := c.Scorer.Score(im)
+	score := nsfw.Score(im)
 	switch {
 	case score < t.SafeBelow:
 		return Verdict{SFV: true, NSFW: score, Words: -1}
@@ -213,7 +212,7 @@ func (c *Classifier) Evaluate(corpus []LabeledImage) Eval {
 // perfect NSFV detection (ties broken towards the more conservative,
 // i.e. lower, NSFVAbove). If no combination reaches perfect detection
 // the one with the highest detection wins.
-func Tune(corpus []LabeledImage, scorer nsfw.Scorer) (Thresholds, Eval) {
+func Tune(corpus []LabeledImage) (Thresholds, Eval) {
 	safeBelows := []float64{0.005, 0.01, 0.02}
 	nsfvAboves := []float64{0.2, 0.3, 0.4, 0.5}
 	lowBands := []float64{0.03, 0.05, 0.1}
@@ -230,7 +229,7 @@ func Tune(corpus []LabeledImage, scorer nsfw.Scorer) (Thresholds, Eval) {
 	cache := make([]measured, len(corpus))
 	for i, li := range corpus {
 		cache[i] = measured{
-			score:    scorer.Score(li.Image),
+			score:    nsfw.Score(li.Image),
 			words:    ocr.WordCount(li.Image),
 			indecent: li.Indecent,
 		}

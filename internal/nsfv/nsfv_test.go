@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/imagex"
-	"repro/internal/nsfw"
 )
 
 func TestPaperThresholdsValues(t *testing.T) {
@@ -114,12 +113,12 @@ func TestFalsePositivesComeFromWarmTextures(t *testing.T) {
 
 func TestTuneReachesPerfectDetection(t *testing.T) {
 	corpus := BuildValidationSet(77)
-	th, e := Tune(corpus, nsfw.Default())
+	th, e := Tune(corpus)
 	if e.Detection != 1.0 {
 		t.Fatalf("tuned detection %.3f", e.Detection)
 	}
 	// Tuned thresholds must themselves evaluate identically.
-	c := &Classifier{Scorer: nsfw.Default(), Thresholds: th}
+	c := &Classifier{Thresholds: th}
 	e2 := c.Evaluate(corpus)
 	if e2 != e {
 		t.Fatalf("Tune eval mismatch: %+v vs %+v", e, e2)
@@ -128,7 +127,7 @@ func TestTuneReachesPerfectDetection(t *testing.T) {
 
 func TestTuneNoWorseThanPaper(t *testing.T) {
 	corpus := BuildValidationSet(123)
-	_, tuned := Tune(corpus, nsfw.Default())
+	_, tuned := Tune(corpus)
 	paper := New().Evaluate(corpus)
 	if tuned.Detection < paper.Detection {
 		t.Fatalf("tuning lost detection: %.3f < %.3f", tuned.Detection, paper.Detection)
@@ -142,23 +141,5 @@ func TestEvaluateEmptyCorpus(t *testing.T) {
 	e := New().Evaluate(nil)
 	if e.Detection != 0 || e.FalsePositive != 0 || e.N != 0 {
 		t.Fatalf("empty eval = %+v", e)
-	}
-}
-
-func BenchmarkClassifyModel(b *testing.B) {
-	c := New()
-	im := imagex.GenModel(1, 0, imagex.PoseNude, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Classify(im)
-	}
-}
-
-func BenchmarkClassifyScreenshot(b *testing.B) {
-	c := New()
-	im := imagex.GenScreenshot(1, []string{"PAYPAL", "BALANCE: $10.00"}, 140, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Classify(im)
 	}
 }

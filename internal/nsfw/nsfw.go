@@ -17,49 +17,22 @@ import (
 	"repro/internal/imagex"
 )
 
-// Scorer scores images for nudity. The zero value uses default
-// calibration; fields allow the ablation benches to perturb it.
+// Score returns the nudity score of the image in [0, 1].
 //
 // The mapping is convex (a power curve), mirroring how OpenNSFW
 // behaves on real imagery: clearly innocuous photos — even ones
 // containing some skin, like a person photographed at a distance —
 // score well below 0.01, while the score climbs steeply once skin
-// dominates the frame.
-type Scorer struct {
-	// FractionGain is the final multiplicative gain. Default 1.6.
-	FractionGain float64
-	// CoherenceGain scales the coherence multiplier. Default 3.
-	CoherenceGain float64
-	// Exponent is the convexity of the response curve. Default 1.7.
-	Exponent float64
-}
-
-// Default returns the calibrated scorer used throughout the study.
-func Default() Scorer {
-	return Scorer{FractionGain: 1.6, CoherenceGain: 3, Exponent: 1.7}
-}
-
-// Score returns the nudity score of the image in [0, 1].
-func (s Scorer) Score(im *imagex.Image) float64 {
-	fg := s.FractionGain
-	if fg == 0 {
-		fg = 1.6
-	}
-	cg := s.CoherenceGain
-	if cg == 0 {
-		cg = 3
-	}
-	exp := s.Exponent
-	if exp == 0 {
-		exp = 1.7
-	}
+// dominates the frame. The calibration is fixed: a coherence gain of
+// 3, a response exponent of 1.7 and a final gain of 1.6.
+func Score(im *imagex.Image) float64 {
 	f, c := im.SkinStats()
-	cmul := cg * c
+	cmul := 3 * c
 	if cmul > 1 {
 		cmul = 1
 	}
 	raw := f * (0.6 + 1.4*cmul)
-	score := fg * math.Pow(raw, exp)
+	score := 1.6 * math.Pow(raw, 1.7)
 	if score > 1 {
 		score = 1
 	}
@@ -68,6 +41,3 @@ func (s Scorer) Score(im *imagex.Image) float64 {
 	}
 	return score
 }
-
-// Score is a convenience wrapper using the default calibration.
-func Score(im *imagex.Image) float64 { return Default().Score(im) }

@@ -165,19 +165,6 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func BenchmarkMatch(b *testing.B) {
-	hl := NewHashList(0)
-	for i := 0; i < 1000; i++ {
-		h := uint64(i) * 0x9e3779b97f4a7c15
-		hl.AddHash(RobustHash{A: imagex.Hash(h), D: imagex.Hash(h >> 1)}, Entry{ID: i})
-	}
-	im := imagex.GenModel(5, 0, imagex.PoseNude, 48)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hl.Match(im)
-	}
-}
-
 // TestMatchHashTieBreakDeterministic pins the distance tie-break: with
 // several entries equidistant from the query, the lowest entry ID must
 // win regardless of map iteration order (DESIGN.md §1).

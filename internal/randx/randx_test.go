@@ -343,17 +343,3 @@ func TestQuickDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkUint64(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Uint64()
-	}
-}
-
-func BenchmarkIntn(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Intn(1000)
-	}
-}

@@ -186,19 +186,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func BenchmarkSearch10k(b *testing.B) {
-	ix := NewIndex(0)
-	for i := 0; i < 10000; i++ {
-		h := uint64(i) * 0x9e3779b97f4a7c15
-		ix.Add(imagex.Hash128{A: imagex.Hash(h), D: imagex.Hash(h >> 3)}, Record{URL: "u", Domain: "d"})
-	}
-	h := imagex.Hash128Of(imagex.GenModel(3, 0, imagex.PoseNude, 48))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.SearchHash(h)
-	}
-}
-
 func TestSearchHashEndpoint(t *testing.T) {
 	ix := NewIndex(0)
 	origin := imagex.GenModel(5, 0, imagex.PoseNude, 48)

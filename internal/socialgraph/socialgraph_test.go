@@ -338,16 +338,3 @@ func TestCentralityMatchesMapReference(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkEigenvectorCentrality(b *testing.B) {
-	g := NewGraph()
-	for i := 0; i < 2000; i++ {
-		a := forum.ActorID(i%500 + 1)
-		t := forum.ActorID((i*7)%500 + 1)
-		g.AddResponse(a, t)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.EigenvectorCentrality(50, 1e-9)
-	}
-}

@@ -87,14 +87,3 @@ func TestGiantComponentOnWorld(t *testing.T) {
 		t.Fatalf("giant component %.2f of graph; interaction network fragmented", frac)
 	}
 }
-
-func BenchmarkComponents(b *testing.B) {
-	g := NewGraph()
-	for i := 0; i < 5000; i++ {
-		g.AddResponse(forum.ActorID(i%800+1), forum.ActorID((i*13)%800+1))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.Components()
-	}
-}

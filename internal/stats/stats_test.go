@@ -307,14 +307,3 @@ func TestLinreg(t *testing.T) {
 		t.Error("constant x should not fit")
 	}
 }
-
-func BenchmarkECDFBuild(b *testing.B) {
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = float64(i * 7 % 1000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = NewECDF(xs)
-	}
-}

@@ -38,7 +38,8 @@ func TestFaultedRequestDegradesEnvelope(t *testing.T) {
 	if env.Cached || env.ID == baseline.ID {
 		t.Fatal("faulted request shared the fault-free run's cache entry")
 	}
-	if env.Options.Faults != "down=*" {
+	// The canonical profile is the plan's own spelling, defaults included.
+	if env.Options.Faults != "seed=2019;down=*" {
 		t.Fatalf("canonical faults = %q", env.Options.Faults)
 	}
 	if env.Summary.CrawlErrorRate != 100 {
@@ -117,5 +118,25 @@ func TestOffFaultsShareFaultFreeKey(t *testing.T) {
 	}
 	if st := svc.Stats(); st.RunsStarted != 1 {
 		t.Fatalf("runs started = %d, want 1", st.RunsStarted)
+	}
+}
+
+// TestFaultSpellingsShareKey: three spellings of one fault plan — the
+// bare clause, the default failures count written out, and stray
+// spaces and separators — canonicalize to one faults string and one
+// cache key, so they are one study, not three.
+func TestFaultSpellingsShareKey(t *testing.T) {
+	var keys []string
+	for _, faults := range []string{"flaky=a.com", "failures=2;flaky=a.com", " flaky = a.com ;"} {
+		req := tinyRequest(3)
+		req.Faults = faults
+		c, err := canonicalize(req)
+		if err != nil {
+			t.Fatalf("%q: %v", faults, err)
+		}
+		keys = append(keys, c.key())
+	}
+	if keys[0] != keys[1] || keys[0] != keys[2] {
+		t.Fatalf("one plan, several keys:\n%s", strings.Join(keys, "\n"))
 	}
 }

@@ -1,23 +1,25 @@
 package studysvc
 
 // Observability spine: per-request ids, in-flight request tracking,
-// the per-artefact-node view of the memo store's ledger and the
-// admission-control queue. The HTTP middleware here binds a
-// request-scoped logger into the request context; studysvc passes it
-// (rebased onto BaseContext) into core.Study, whose memo lookups log
-// through it — so one request id threads the whole stack.
+// the service log, the per-artefact-node view of the memo store's
+// ledger and the admission-control queue. The service log is a view of
+// the trace: each request span and each run span becomes one log line
+// when it ends (logSpan), so an event is recorded once and read two
+// ways.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/logx"
 	"repro/internal/pipeline"
 	"repro/internal/tracex"
 )
@@ -45,12 +47,11 @@ type openRequest struct {
 }
 
 // instrument wraps the API mux with the request middleware: it assigns
-// (or adopts) a request id, binds a request-scoped logger and the
-// service tracer into the context, opens a request span (joined to the
-// caller's trace when a traceparent header arrived, echoed back on the
-// response so the caller learns the shared trace id), tracks the
-// request in the open set and logs start/finish with status and
-// duration.
+// (or adopts) a request id, binds the service tracer into the context,
+// opens a request span (joined to the caller's trace when a
+// traceparent header arrived, echoed back on the response so the
+// caller learns the shared trace id), tracks the request in the open
+// set and logs the ended span with its status.
 func (s *Service) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := req.Header.Get("X-Request-ID")
@@ -61,8 +62,7 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 			s.reqMu.Unlock()
 		}
 		w.Header().Set("X-Request-ID", id)
-		lg := s.log().With("request_id", id)
-		ctx := logx.NewContext(context.WithValue(req.Context(), reqIDKey{}, id), lg)
+		ctx := context.WithValue(req.Context(), reqIDKey{}, id)
 		var span *tracex.Span
 		// Reading the trace ring must not write to it: a span per
 		// GET /v1/trace would make every fetch the newest trace.
@@ -87,18 +87,36 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 			s.reqMu.Unlock()
 		}()
 
-		lg.Debug("request start", "method", req.Method, "path", req.URL.Path)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
 		next.ServeHTTP(sw, req.WithContext(ctx))
 		span.SetAttr("status", strconv.Itoa(sw.code))
-		span.End()
-		lg.Info("request",
-			"method", req.Method,
-			"path", req.URL.Path,
-			"status", sw.code,
-			"elapsed_ms", time.Since(start).Milliseconds())
+		s.logSpan(span.End())
 	})
+}
+
+// logSpan writes one ended span as a service log line: the span name
+// is the message, followed by the trace, span and parent ids, the
+// duration and the span's attrs in sorted key order. A span carrying
+// an error attr logs at error level. The zero record — tracing off, or
+// a span already ended — writes nothing.
+func (s *Service) logSpan(rec tracex.SpanRecord) {
+	if s.cfg.Log == nil || rec.SpanID == "" {
+		return
+	}
+	attrs := make([]slog.Attr, 0, 4+len(rec.Attrs))
+	attrs = append(attrs, slog.String("trace_id", rec.TraceID), slog.String("span_id", rec.SpanID))
+	if rec.Parent != "" {
+		attrs = append(attrs, slog.String("parent_id", rec.Parent))
+	}
+	attrs = append(attrs, slog.Float64("dur_ms", float64(rec.DurUS)/1e3))
+	for _, k := range slices.Sorted(maps.Keys(rec.Attrs)) {
+		attrs = append(attrs, slog.String(k, rec.Attrs[k]))
+	}
+	level := slog.LevelInfo
+	if _, failed := rec.Attrs["error"]; failed {
+		level = slog.LevelError
+	}
+	s.cfg.Log.LogAttrs(s.cfg.BaseContext, level, rec.Name, attrs...)
 }
 
 // statusWriter captures the response status for the request log.
@@ -139,9 +157,6 @@ func (s *Service) InFlightRequests() []string {
 	}
 	return out
 }
-
-// log returns the configured logger (nil — a no-op — when none is).
-func (s *Service) log() *logx.Logger { return s.cfg.Logger }
 
 // admit reserves one worker-pool slot for a fresh run. The fast path
 // takes a free slot immediately. When the pool is saturated, requests

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -41,7 +42,6 @@ import (
 	"repro/internal/artefact"
 	"repro/internal/core"
 	"repro/internal/faultx"
-	"repro/internal/logx"
 	"repro/internal/pipeline"
 	"repro/internal/report"
 	"repro/internal/sweep"
@@ -87,10 +87,11 @@ type Config struct {
 	// Retry-After header (default 1s, rounded up to whole seconds on
 	// the wire).
 	RetryAfter time.Duration
-	// Logger receives the service's structured log stream (requests,
-	// runs, sheds; nil = silent). Request-scoped children of it travel
-	// in the request context into core and the artefact store.
-	Logger *logx.Logger
+	// Log receives the service log: one line per request span and one
+	// per run span, written when the span ends (nil = silent). The
+	// lines are built from the Tracer's span records, so with no
+	// Tracer nothing is logged.
+	Log *slog.Logger
 	// Tracer records request/run/node/crawl spans into a bounded ring
 	// served at GET /v1/trace/{id} (nil = tracing off, at zero cost on
 	// the study hot path). Incoming traceparent headers join the
@@ -205,12 +206,13 @@ func canonicalize(r Request) (Canonical, error) {
 	if c.CrawlConcurrency <= 0 {
 		c.CrawlConcurrency = def.CrawlConcurrency
 	}
-	c.Faults = strings.TrimSpace(r.Faults)
-	if plan, err := faultx.ParseProfile(c.Faults); err != nil {
+	// A profile canonicalizes to its plan's own spelling, so every way
+	// of writing one plan shares one key; "" and "off" mean no
+	// injection and share the fault-free key.
+	if plan, err := faultx.ParseProfile(r.Faults); err != nil {
 		return Canonical{}, err
-	} else if plan == nil {
-		// "" and "off" canonicalize to no injection, sharing one key.
-		c.Faults = ""
+	} else if plan != nil {
+		c.Faults = plan.String()
 	}
 	if len(r.Artefacts) > 0 {
 		seen := make(map[string]bool, len(r.Artefacts))
@@ -297,8 +299,8 @@ type run struct {
 	key  string
 	opts Canonical
 	// origin is the request id that started the run ("" outside an
-	// HTTP request) — the log field that joins a run's node events
-	// back to the HTTP request that caused them.
+	// HTTP request) — the run span's origin_request attr, which joins
+	// the run back to the HTTP request that caused it.
 	origin string
 	// originSpan is the starting request's span identity (zero outside
 	// an HTTP request or with tracing off): the run's spans join the
@@ -518,10 +520,10 @@ func (s *Service) lookup(key string) (r *run, cached, ok bool) {
 // (getOrStart) already admitted it into the worker pool; execute
 // releases the slot when done.
 //
-// Deferred calls run last first: the run span ends, the slot is
-// released, and only then does done close. By that time the run is
-// filed — out of the in-flight table, into the cache or the failed
-// list, counted — so a requester woken by done that repeats its
+// Deferred calls run last first: the run span ends and is logged,
+// the slot is released, and only then does done close. By that time
+// the run is filed — out of the in-flight table, into the cache or the
+// failed list, counted — so a requester woken by done that repeats its
 // request gets a cache hit, never a coalesce onto a finished run.
 func (s *Service) execute(r *run) {
 	defer close(r.done)
@@ -530,24 +532,19 @@ func (s *Service) execute(r *run) {
 		s.testRunHook()
 	}
 
-	lg := s.log().With("run", r.id)
-	if r.origin != "" {
-		lg = lg.With("origin_request", r.origin)
-	}
 	// Runs are detached from their requesting HTTP context (coalesced
 	// requests share them), so the run context is BaseContext plus the
-	// run-scoped logger: the memo store logs each node outcome under
-	// this run's — and origin request's — id.
-	// The tracer rides the same way, re-parented onto the originating
-	// request's span so the run's node spans land in the caller's trace.
-	ctx := logx.NewContext(s.cfg.BaseContext, lg)
-	ctx = tracex.NewContext(ctx, s.cfg.Tracer)
+	// tracer, re-parented onto the originating request's span so the
+	// run's node spans land in the caller's trace.
+	ctx := tracex.NewContext(s.cfg.BaseContext, s.cfg.Tracer)
 	ctx = tracex.WithRemote(ctx, r.originSpan)
 	ctx, runSpan := tracex.StartSpan(ctx, "run")
 	runSpan.SetAttr("run", r.id)
 	runSpan.SetAttr("options", r.key)
-	defer runSpan.End()
-	lg.Info("run start", "options", r.key)
+	if r.origin != "" {
+		runSpan.SetAttr("origin_request", r.origin)
+	}
+	defer func() { s.logSpan(runSpan.End()) }()
 
 	start := time.Now()
 	// Worlds are shared across runs with the same canonical synth
@@ -605,15 +602,9 @@ func (s *Service) execute(r *run) {
 	} else {
 		r.errMsg = err.Error()
 		r.status = StatusFailed
+		runSpan.SetAttr("error", r.errMsg)
 	}
-
 	runSpan.SetAttr("status", r.status)
-
-	if err == nil {
-		lg.Info("run done", "status", r.status, "elapsed_ms", elapsed.Milliseconds(), "artefacts", len(r.sections))
-	} else {
-		lg.Error("run failed", "error", err.Error(), "elapsed_ms", elapsed.Milliseconds())
-	}
 
 	s.mu.Lock()
 	delete(s.inflight, r.key)
@@ -719,8 +710,6 @@ func (s *Service) handleRun(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		if errors.Is(err, ErrSaturated) {
 			secs := s.retryAfterSeconds()
-			logx.FromContext(req.Context()).Info("shed",
-				"reason", err.Error(), "retry_after_s", secs)
 			// The header is the machine-readable backoff hint; the JSON
 			// body repeats it for humans reading error strings.
 			w.Header().Set("Retry-After", faultx.FormatRetryAfter(time.Duration(secs)*time.Second))

@@ -1,9 +1,13 @@
 package studysvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/tracex"
@@ -161,4 +165,117 @@ func TestTraceEndpoints(t *testing.T) {
 	} else if he, ok := err.(*HTTPError); !ok || he.Status != http.StatusNotFound {
 		t.Errorf("untraced server error = %v, want 404", err)
 	}
+}
+
+// lockedBuffer is a log sink the server goroutines write while the
+// test reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestLogLinesAreSpanRecords pins the service log as a view of the
+// trace: a traced service writes exactly one JSON line per request
+// span and one per run span, each carrying the ids, duration and attrs
+// of the record the tracer filed, and no line for node spans. Without
+// a tracer the same logger writes nothing.
+func TestLogLinesAreSpanRecords(t *testing.T) {
+	t.Run("traced", func(t *testing.T) {
+		var out lockedBuffer
+		tr := tracex.New(tracex.Config{})
+		_, c := newTestService(t, Config{Tracer: tr, Log: slog.New(slog.NewJSONHandler(&out, nil))})
+		ctx := context.Background()
+		fresh, err := c.Run(ctx, tinyRequest(67))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(ctx, tinyRequest(67)); err != nil { // cache hit: no run span
+			t.Fatal(err)
+		}
+		if _, err := c.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		logged := map[string]tracex.SpanRecord{} // span id → every span a line is due for
+		for _, id := range tr.TraceIDs() {
+			trace, _ := tr.Trace(id)
+			for _, sp := range trace.Spans {
+				if sp.Name == "run" || strings.HasPrefix(sp.Name, "http ") {
+					logged[sp.SpanID] = sp
+				}
+			}
+		}
+		lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		if len(lines) != len(logged) || len(lines) != 4 {
+			t.Fatalf("%d log lines for %d request/run spans, want 3 requests + 1 run:\n%s", len(lines), len(logged), out.String())
+		}
+		var runLine map[string]any
+		originAt := map[string]int{} // request id → its line's index
+		for i, line := range lines {
+			var got map[string]any
+			if err := json.Unmarshal([]byte(line), &got); err != nil {
+				t.Fatalf("log line is not JSON: %v\n%s", err, line)
+			}
+			rec, ok := logged[got["span_id"].(string)]
+			if !ok {
+				t.Fatalf("log line for no request or run span: %s", line)
+			}
+			delete(logged, rec.SpanID)
+			want := map[string]any{
+				"time": got["time"], "level": "INFO", "msg": rec.Name,
+				"trace_id": rec.TraceID, "span_id": rec.SpanID,
+				"dur_ms": float64(rec.DurUS) / 1e3,
+			}
+			if rec.Parent != "" {
+				want["parent_id"] = rec.Parent
+			}
+			for k, v := range rec.Attrs {
+				want[k] = v
+			}
+			if len(got) != len(want) {
+				t.Errorf("line has %d fields, the span record %d:\n%s", len(got), len(want), line)
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Errorf("line field %s = %v, want %v:\n%s", k, got[k], v, line)
+				}
+			}
+			if rec.Name == "run" {
+				runLine = got
+				if len(originAt) > 0 {
+					t.Errorf("run line after a request line; the request waits on its run")
+				}
+			} else if id, _ := got["request_id"].(string); id != "" {
+				originAt[id] = i
+			}
+		}
+		if runLine["run"] != fresh.ID || runLine["status"] != StatusDone {
+			t.Errorf("run line does not name run %s and its status: %v", fresh.ID, runLine)
+		}
+		if origin, _ := runLine["origin_request"].(string); originAt[origin] != 1 {
+			t.Errorf("run line's origin_request %q is not the first request's id (%v)", origin, originAt)
+		}
+	})
+	t.Run("untraced", func(t *testing.T) {
+		var out lockedBuffer
+		_, c := newTestService(t, Config{Log: slog.New(slog.NewJSONHandler(&out, nil))})
+		if _, err := c.Run(context.Background(), tinyRequest(67)); err != nil {
+			t.Fatal(err)
+		}
+		if s := out.String(); s != "" {
+			t.Fatalf("untraced service logged:\n%s", s)
+		}
+	})
 }

@@ -327,9 +327,3 @@ func TestInterestCategoriesPresent(t *testing.T) {
 		t.Error("missing The Lounge")
 	}
 }
-
-func BenchmarkGenerateSmall(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = Generate(Config{Seed: uint64(i + 1), Scale: 0.01})
-	}
-}

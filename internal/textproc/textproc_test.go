@@ -207,25 +207,3 @@ func TestQuickTFIDFInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkTokenize(b *testing.B) {
-	text := "WTS unsaturated pack: 120 pics + 3 vids, verification templates included, PayPal or AGC accepted!"
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Tokenize(text)
-	}
-}
-
-func BenchmarkTFIDFVector(b *testing.B) {
-	v := NewVocab()
-	docs := make([][]string, 200)
-	for i := range docs {
-		docs[i] = Tokenize("selling unsaturated pack pics vids paypal agc trade proof earnings")
-	}
-	v.Fit(docs)
-	doc := Tokenize("selling pack with proof of earnings")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.TFIDFVector(doc)
-	}
-}

@@ -162,27 +162,3 @@ func TestHeuristicRejectsQuestions(t *testing.T) {
 		t.Error("tutorial heading accepted")
 	}
 }
-
-func BenchmarkTrain(b *testing.B) {
-	all := annotated(400, 3)
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(world.Store, urlx.DefaultWhitelist(), all, ml.DefaultSVMConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClassify(b *testing.B) {
-	all := annotated(400, 3)
-	h, err := Train(world.Store, urlx.DefaultWhitelist(), all, ml.DefaultSVMConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	threads := world.EWhoringAll()[:100]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tid := range threads {
-			_ = h.Classify(tid)
-		}
-	}
-}

@@ -1,12 +1,14 @@
-// Package tracex is the service spine's span tracer: the causal
-// counterpart of logx. Where a logx line says "node crawl computed in
-// 300ms", a tracex span says *under which request, run and parent
-// stage* it did — the span tree over one trace is the study's actual
-// execution DAG with wall time on every edge, which is what the
-// critical-path analyzer (critpath.go) consumes to answer "what
-// dominates a cold start".
+// Package tracex is the service spine's span tracer and its one event
+// stream. A span records that "node crawl computed in 300ms" *under
+// which request, run and parent stage* it did — the span tree over one
+// trace is the study's actual execution DAG with wall time on every
+// edge, which is what the critical-path analyzer (critpath.go)
+// consumes to answer "what dominates a cold start". The study
+// service's log is a view of the same records: End returns the record
+// it filed, and the service writes its request and run spans out as
+// log lines.
 //
-// The design constraints mirror logx:
+// The design constraints:
 //
 //   - a nil *Tracer — and a context with no tracer bound — is a
 //     complete no-op: StartSpan returns a nil *Span whose every method
@@ -220,16 +222,19 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, attr{key, value})
 }
 
-// End completes the span and records it into the tracer's ring.
-// Idempotent; safe on nil.
-func (s *Span) End() {
+// End completes the span, records it into the tracer's ring and
+// returns the record it filed — the one event a log line about the
+// span is built from. The returned Attrs map is the filed record's
+// own, so callers read it and never write it. Idempotent; a nil span,
+// or a second End, returns the zero record.
+func (s *Span) End() SpanRecord {
 	if s == nil {
-		return
+		return SpanRecord{}
 	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
-		return
+		return SpanRecord{}
 	}
 	s.ended = true
 	rec := SpanRecord{
@@ -250,6 +255,7 @@ func (s *Span) End() {
 	}
 	s.mu.Unlock()
 	s.tracer.record(s.sc.Trace, rec)
+	return rec
 }
 
 // startSpan opens a span under parent (zero parent starts a new trace).

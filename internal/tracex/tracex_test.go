@@ -3,6 +3,7 @@ package tracex
 import (
 	"context"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +38,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	var sp *Span
 	sp.SetAttr("k", "v")
-	sp.End()
+	if rec := sp.End(); !reflect.DeepEqual(rec, SpanRecord{}) {
+		t.Fatalf("nil span End returned %+v, want the zero record", rec)
+	}
 	if sc := sp.Context(); sc.IsValid() {
 		t.Fatal("nil span has a valid context")
 	}
@@ -153,11 +156,17 @@ func TestEndIdempotent(t *testing.T) {
 	tr := newTestTracer()
 	ctx := NewContext(context.Background(), tr)
 	_, sp := StartSpan(ctx, "once")
-	sp.End()
-	sp.End()
+	sp.SetAttr("k", "v")
+	first := sp.End()
+	if second := sp.End(); !reflect.DeepEqual(second, SpanRecord{}) {
+		t.Fatalf("second End returned %+v, want the zero record", second)
+	}
 	got, _ := tr.Trace(sp.Context().Trace.String())
 	if len(got.Spans) != 1 {
 		t.Fatalf("double End recorded %d spans", len(got.Spans))
+	}
+	if !reflect.DeepEqual(first, got.Spans[0]) {
+		t.Fatalf("End returned %+v, but filed %+v", first, got.Spans[0])
 	}
 }
 

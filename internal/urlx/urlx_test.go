@@ -195,13 +195,3 @@ func TestQuickExtractWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkExtract(b *testing.B) {
-	text := `TOP quality pack! Preview: https://imgur.com/a1b2c3 and
-https://gyazo.com/d4e5f6 — full pack at https://mediafire.com/file/xyz
-reply below or buy at https://mega.nz/f/abc`
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Extract(text)
-	}
-}
