@@ -95,9 +95,9 @@ bench-scale-baseline:
 	for i in 1 2 3; do $(GO) test -run='^$$' -bench='^BenchmarkScale' -benchtime=1x -cpu 1,2 -timeout 30m . | tee -a bench_scale1.txt || exit 1; done
 	$(GO) run ./cmd/benchjson -in bench_scale1.txt -out BENCH_scale1.json
 
-# SLO load smoke: boot a small ewserve in the background (loopback
-# 1808x ports so a dev server on the defaults is undisturbed), drive a
-# short target-RPS window at it with `ewsweep -load` (which waits for
+# SLO load smoke: boot ewserve in the background (loopback port 18084
+# so a dev server on the default is undisturbed), drive a short
+# target-RPS window at it with `ewsweep -load` (which waits for
 # readiness itself) and write the resulting latency/shed artifact plus
 # a Perfetto export of the sampled cold-start trace. The server log
 # lands in ewserve_load.log for post-mortems.
@@ -105,10 +105,7 @@ LOAD_RPS ?= 30
 LOAD_DURATION ?= 5s
 load-smoke:
 	$(GO) build -o ewserve_load_bin ./cmd/ewserve
-	./ewserve_load_bin -seed 2019 -scale 0.01 \
-		-hosting 127.0.0.1:18081 -reverse 127.0.0.1:18082 \
-		-wayback 127.0.0.1:18083 -study 127.0.0.1:18084 \
-		2> ewserve_load.log & \
+	./ewserve_load_bin -study 127.0.0.1:18084 2> ewserve_load.log & \
 	SRV=$$!; trap 'kill $$SRV 2>/dev/null' EXIT; \
 	$(GO) run ./cmd/ewsweep -remote http://127.0.0.1:18084 -load \
 		-rps $(LOAD_RPS) -duration $(LOAD_DURATION) -scale 0.01 \
@@ -136,9 +133,10 @@ load-baseline: load-smoke
 
 # Chaos gate (DESIGN.md §13): the fault-injection suites — faultx
 # itself plus every Fault/Breaker/Retry test in the crawler, the core
-# equivalence pair and the service — under the race detector with the
-# fixed faultx seed, then the adversarial-hosts sweep ladder, whose
-# JSON lands in sweep_adversarial.json for CI upload. The sweep run
+# fault tests (retryable equivalence, dead-host degradation) and the
+# service — under the race detector with the fixed faultx seed, then
+# the adversarial-hosts sweep ladder, whose JSON lands in
+# sweep_adversarial.json for CI upload. The sweep run
 # doubles as an end-to-end check that degraded cells still aggregate
 # (ewsweep exits non-zero if any cell errors).
 CHAOS_SEEDS ?= 2
@@ -151,18 +149,15 @@ chaos:
 		-seeds $(CHAOS_SEEDS) -scale $(CHAOS_SCALE) -quiet -json \
 		> sweep_adversarial.json
 
-# Fuzz smoke: short native-fuzz runs of the /searchhash wire-format
-# parser, the reverse-search input that crosses a process boundary,
-# of the POST /v1/study body decode and canonicalization, of the SIMG
-# and pack-zip decoders that read every crawled image and pack, of
-# the OCR row-code kernel against its byte-matcher reference, of the
-# Retry-After and traceparent header parsers, of the fault-profile
-# grammar behind POST /v1/study "faults" and ewserve -faults, and of
-# the landing-page parser behind HTTPClient.VisitKind. The
-# committed seed corpora (internal/*/testdata/fuzz) run on every plain
-# `go test`; this target explores past them.
+# Fuzz smoke: short native-fuzz runs of the POST /v1/study body decode
+# and canonicalization, of the SIMG and pack-zip decoders that read
+# every crawled image and pack, of the OCR row-code kernel against its
+# byte-matcher reference, of the Retry-After and traceparent header
+# parsers, of the fault-profile grammar behind POST /v1/study
+# "faults", and of the forum JSONL loader that reads ewsynth -export
+# dumps. The committed seed corpora (internal/*/testdata/fuzz) run on
+# every plain `go test`; this target explores past them.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzParseHash128 -fuzztime=10s ./internal/reverse
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/studysvc
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/imagex
 	$(GO) test -run='^$$' -fuzz=FuzzDecodePackZip -fuzztime=10s ./internal/imagex
@@ -170,7 +165,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRetryAfter -fuzztime=10s ./internal/faultx
 	$(GO) test -run='^$$' -fuzz=FuzzParseProfile -fuzztime=10s ./internal/faultx
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/tracex
-	$(GO) test -run='^$$' -fuzz=FuzzParseLandingKind -fuzztime=10s ./internal/hosting
+	$(GO) test -run='^$$' -fuzz=FuzzImport -fuzztime=10s ./internal/forum
 
 clean:
 	rm -f bench_smoke.txt bench_smoke_runs.txt bench_scale1.txt BENCH_smoke.fresh.json \

@@ -290,7 +290,7 @@ func (s *Study) UseMemo(store *artefact.Store) {
 // evaluation produced. Names are artefact names ("provenance",
 // "earnings"); report.Resolve maps table and figure names to them. An
 // empty list computes everything.
-// Unlike Run, Compute does not release the study's backend — call
+// Unlike Run, Compute does not stop the embedded hosting server — call
 // Close when done — so a study can serve any number of selective
 // computations; repeated calls are idempotent and answered from the
 // study's memo (private, or the shared store given to UseMemo).

@@ -51,8 +51,8 @@ type Options struct {
 	// never move a result: Workers 1 with CrawlConcurrency 1 is the
 	// in-process reference every other count must reproduce.
 	Workers int
-	// Faults is a faultx profile injected into the in-process crawl
-	// seam (see faultx.ParseProfile), "" for none. It is part of the
+	// Faults is a faultx profile injected into the crawl transport
+	// (see faultx.ParseProfile), "" for none. It is part of the
 	// study's identity — artefact keys include it — because a faulted
 	// crawl may legitimately produce a different (degraded) corpus.
 	// Validate at the API boundary: an unparseable profile here is
@@ -86,11 +86,6 @@ type Study struct {
 	serverMu sync.Mutex
 	server   *httptest.Server
 
-	// backend is how the study reaches the web substrate (crawl,
-	// reverse search, Wayback, snowball visits). Defaults to the
-	// in-process world; UseBackend swaps in an HTTP backend.
-	backend Backend
-
 	// memo, when set via UseMemo, shares artefact values across runs
 	// and studies under their canonical node keys; otherwise the
 	// study memoizes privately into localMemo, so repeated Compute
@@ -99,8 +94,8 @@ type Study struct {
 	memo      *artefact.Store
 	localMemo *artefact.Store
 
-	// faultInj injects the parsed Opts.Faults plan into the in-process
-	// crawl transport; nil when fault injection is off.
+	// faultInj injects the parsed Opts.Faults plan into the crawl
+	// transport; nil when fault injection is off.
 	faultInj *faultx.Injector
 }
 
@@ -153,22 +148,11 @@ func NewStudyWithWorldContext(ctx context.Context, opts Options, world *synth.Wo
 	if plan, err := faultx.ParseProfile(opts.Faults); err == nil {
 		s.faultInj = faultx.NewInjector(plan)
 	}
-	s.backend = &worldBackend{study: s}
 	return s
 }
 
-// UseBackend replaces the study's substrate backend — e.g. with an
-// HTTPBackend so the crawl, reverse search and Wayback lookups run
-// against live services instead of the in-process world. Must be
-// called before the first run.
-func (s *Study) UseBackend(b Backend) {
-	s.backend = b
-}
-
-// Close shuts down the embedded hosting server if one was started and
-// releases backend resources.
+// Close shuts down the embedded hosting server if one was started.
 func (s *Study) Close() {
-	s.backend.Close()
 	s.serverMu.Lock()
 	defer s.serverMu.Unlock()
 	if s.server != nil {
@@ -193,6 +177,23 @@ func (s *Study) hostingServer() *httptest.Server {
 			2 * s.Opts.CrawlConcurrency
 	}
 	return s.server
+}
+
+// newCrawler builds a crawler against the embedded hosting server,
+// under Opts.CrawlConcurrency workers.
+func (s *Study) newCrawler() *crawler.Crawler {
+	srv := s.hostingServer()
+	client := srv.Client()
+	if s.faultInj != nil {
+		// The fault seam: the adversary lives in the transport, so the
+		// hosting substrate itself stays honest and the crawler's
+		// retry/breaker path is exercised for real.
+		cp := *client
+		cp.Transport = faultx.Transport(client.Transport, s.faultInj)
+		client = &cp
+	}
+	return crawler.New(crawler.Config{Concurrency: s.Opts.CrawlConcurrency},
+		client, s.World.Web.Resolver(srv.URL))
 }
 
 // --- Step 0: dataset selection (§3, Table 1) ---------------------------
@@ -348,9 +349,8 @@ func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) (LinkEx
 		}
 	}
 	// Snowball sampling against site landing pages.
-	visit := func(domain string) (urlx.Kind, bool) { return s.backend.VisitKind(ctx, domain) }
 	whitelist := urlx.DefaultWhitelist()
-	added := urlx.Snowball(whitelist, urls, visit, 5)
+	added := urlx.Snowball(whitelist, urls, s.World.Web.VisitKind, 5)
 
 	out := LinkExtraction{SnowballAdded: added}
 	var links []urlx.Link
@@ -374,12 +374,11 @@ func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) (LinkEx
 
 // --- Step 3: crawling (§4.2) -------------------------------------------
 
-// CrawlLinks downloads every task over live HTTP through the study's
-// backend (embedded hosting server by default; remote services with an
-// HTTPBackend) under Opts.CrawlConcurrency workers, returning results
+// CrawlLinks downloads every task over live HTTP from the embedded
+// hosting server under Opts.CrawlConcurrency workers, returning results
 // in task order.
 func (s *Study) CrawlLinks(ctx context.Context, tasks []crawler.Task) ([]crawler.Result, error) {
-	results := pipeline.Collect(s.backend.CrawlStream(ctx, tasks))
+	results := pipeline.Collect(s.newCrawler().CrawlStream(ctx, tasks))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -405,7 +404,7 @@ func (s *Study) FilterAbuse(ctx context.Context, results []crawler.Result) ([]Sa
 	var safe []SafeImage
 	outcomes := pipeline.Map(ctx, "photodna §4.3", s.Opts.Workers,
 		pipeline.Emit(ctx, results),
-		func(ctx context.Context, r crawler.Result) matchOutcome { return s.matchResult(ctx, r) })
+		func(_ context.Context, r crawler.Result) matchOutcome { return s.matchResult(r) })
 	for o := range outcomes {
 		for _, rep := range o.reports {
 			hotline.Report(rep)
@@ -430,7 +429,7 @@ type matchOutcome struct {
 // finds the same image. Pure: reporting is the caller's job, so the
 // gate can fan out across workers while reports are filed in task
 // order.
-func (s *Study) matchResult(ctx context.Context, r crawler.Result) matchOutcome {
+func (s *Study) matchResult(r crawler.Result) matchOutcome {
 	var o matchOutcome
 	if r.Outcome != crawler.OutcomeOK || len(r.Images) == 0 {
 		return o
@@ -447,7 +446,7 @@ func (s *Study) matchResult(ctx context.Context, r crawler.Result) matchOutcome 
 		}
 		// Report with the URLs where reverse search finds the same
 		// image, reusing the hash already computed for the gate.
-		matches := s.backend.SearchHash(ctx, h)
+		matches := s.World.Reverse.SearchHash(h)
 		var urlReports []photodna.URLReport
 		if len(matches) > 0 {
 			urlReports = make([]photodna.URLReport, 0, len(matches))
@@ -577,8 +576,8 @@ func (s *Study) Provenance(ctx context.Context, n NSFVResult) (ProvenanceResult,
 	}
 	searched := pipeline.Map(ctx, "reverse §4.5", s.Opts.Workers,
 		pipeline.Emit(ctx, items),
-		func(ctx context.Context, it provItem) provSearched {
-			return provSearched{it.pack, s.searchImage(ctx, it.si)}
+		func(_ context.Context, it provItem) provSearched {
+			return provSearched{it.pack, s.searchImage(it.si)}
 		})
 	fold := newProvFold()
 	for o := range searched {
@@ -606,9 +605,9 @@ type searchOutcome struct {
 
 // searchImage reverse-searches one image and checks Seen-Before
 // against the post date and the Wayback archive.
-func (s *Study) searchImage(ctx context.Context, si SafeImage) searchOutcome {
+func (s *Study) searchImage(si SafeImage) searchOutcome {
 	posted := s.World.Store.Post(si.Task.Post).Created
-	matches := s.backend.SearchHash(ctx, imagex.Hash128Of(si.Image))
+	matches := s.World.Reverse.SearchHash(imagex.Hash128Of(si.Image))
 	o := searchOutcome{thread: si.Task.Thread, matches: len(matches)}
 	if len(matches) == 0 {
 		return o
@@ -616,7 +615,7 @@ func (s *Study) searchImage(ctx context.Context, si SafeImage) searchOutcome {
 	o.seen = reverse.SeenBefore(matches, posted)
 	if !o.seen {
 		for _, m := range matches {
-			if s.backend.WaybackSeenBefore(ctx, m.URL, posted) {
+			if s.World.Wayback.SeenBefore(m.URL, posted) {
 				o.seen = true
 				break
 			}
@@ -1000,7 +999,7 @@ func (r *Results) Degraded() bool {
 }
 
 // Run executes the complete study: it computes every artefact of the
-// graph, then releases the study's backend. Independent nodes (the
+// graph, then stops the embedded hosting server. Independent nodes (the
 // §4.2-§4.5 image chain and the §5/§6 branch) run concurrently, and
 // each stage method folds its fanned-out items in input order, so
 // Results depend on the options and never on the worker counts

@@ -1,8 +1,8 @@
 // Package crawler implements the study's custom crawler (§4.2): it
 // takes the preview and pack links extracted from Threads Offering
-// Packs, downloads them over HTTP with bounded concurrency, per-host
-// politeness delays and retries, decompresses pack archives, and
-// annotates every downloaded image with the post metadata it came from
+// Packs, downloads them over HTTP with bounded concurrency and
+// retries, decompresses pack archives, and annotates every downloaded
+// image with the post metadata it came from
 // ("for each link, we also annotate associated metadata (e.g., the
 // post identifier and author)").
 package crawler
@@ -92,10 +92,6 @@ type Result struct {
 type Config struct {
 	// Concurrency is the number of parallel workers (default 8).
 	Concurrency int
-	// PerHostDelay is the politeness delay between requests to the
-	// same virtual domain (default 0 — tests and simulations need no
-	// throttling, the field exists for live use).
-	PerHostDelay time.Duration
 	// MaxRetries is the number of re-attempts after transport errors
 	// (default 2).
 	MaxRetries int
@@ -107,8 +103,6 @@ type Config struct {
 	// MaxBackoff caps any single retry sleep, hinted or not (default
 	// 2s) — an adversarial Retry-After must not stall a worker.
 	MaxBackoff time.Duration
-	// MaxBodyBytes caps a response body (default 64 MiB).
-	MaxBodyBytes int64
 	// BreakerThreshold is the number of consecutive retry-exhausted
 	// fetches that opens a host's circuit breaker (default 4; negative
 	// disables the breaker). While open, fetches to the host fail fast
@@ -144,9 +138,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 2 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 4
 	}
@@ -177,20 +168,14 @@ func Backoff(attempt int, base, maxBackoff, retryAfter time.Duration) time.Durat
 	return d
 }
 
-// StatusError is a retryable non-2xx response from the hosting world
-// or a substrate lookup (reverse search, Wayback), carrying the
-// server's Retry-After hint when it sent one.
+// StatusError is a retryable non-2xx response from the hosting world,
+// carrying the server's Retry-After hint when it sent one.
 type StatusError struct {
 	StatusCode int
 	RetryAfter time.Duration
-	// Msg overrides the rendered message when set.
-	Msg string
 }
 
 func (e *StatusError) Error() string {
-	if e.Msg != "" {
-		return e.Msg
-	}
 	return fmt.Sprintf("crawler: unexpected status %d", e.StatusCode)
 }
 
@@ -216,7 +201,6 @@ type Crawler struct {
 	resolve func(string) (string, error)
 
 	mu       sync.Mutex
-	lastHost map[string]time.Time
 	breakers map[string]*breakerState
 	retries  map[string]int
 }
@@ -244,7 +228,6 @@ func New(cfg Config, client *http.Client, resolve func(string) (string, error)) 
 		cfg:      cfg.withDefaults(),
 		client:   client,
 		resolve:  resolve,
-		lastHost: make(map[string]time.Time),
 		breakers: make(map[string]*breakerState),
 		retries:  make(map[string]int),
 	}
@@ -351,11 +334,6 @@ func (c *Crawler) fetchOne(ctx context.Context, t Task) (res Result) {
 	}
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if err := c.politeness(ctx, t.Link.Domain); err != nil {
-			res.Outcome = OutcomeError
-			res.Err = err
-			return res
-		}
 		attempts++
 		outcome, images, isPack, err := c.attempt(ctx, target)
 		if err == nil {
@@ -386,31 +364,6 @@ func (c *Crawler) fetchOne(ctx context.Context, t Task) (res Result) {
 	return res
 }
 
-// politeness enforces the per-host delay.
-func (c *Crawler) politeness(ctx context.Context, host string) error {
-	if c.cfg.PerHostDelay <= 0 {
-		return nil
-	}
-	c.mu.Lock()
-	now := time.Now()
-	next := c.lastHost[host].Add(c.cfg.PerHostDelay)
-	if next.Before(now) {
-		next = now
-	}
-	c.lastHost[host] = next
-	c.mu.Unlock()
-	wait := time.Until(next)
-	if wait <= 0 {
-		return nil
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(wait):
-		return nil
-	}
-}
-
 // bodyPool recycles response-body buffers across fetches; outsized
 // bodies are dropped on return instead of pinning pool memory.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -424,6 +377,9 @@ func putBodyBuf(b *bytes.Buffer) {
 		bodyPool.Put(b)
 	}
 }
+
+// maxBodyBytes caps a response body.
+const maxBodyBytes = 64 << 20
 
 // maxDrain bounds how much of an unread body drainClose reads. An
 // error page is a few hundred bytes; reading it to EOF hands the
@@ -480,7 +436,7 @@ func (c *Crawler) attempt(ctx context.Context, target string) (Outcome, []*image
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer putBodyBuf(buf)
 	buf.Reset()
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes)); err != nil {
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBodyBytes)); err != nil {
 		return OutcomeError, nil, false, err
 	}
 	body := buf.Bytes()
@@ -617,22 +573,6 @@ func Summarize(results []Result) Stats {
 	s.UniqueImages = len(seen)
 	s.Coverage = CoverageOf(results)
 	return s
-}
-
-// ErrNoTasks is returned by helpers that require at least one task.
-var ErrNoTasks = errors.New("crawler: no tasks")
-
-// TasksFromLinks builds tasks from classified links plus uniform
-// provenance, skipping unknown-kind links.
-func TasksFromLinks(links []urlx.Link, thread forum.ThreadID, post forum.PostID, author forum.ActorID) []Task {
-	var out []Task
-	for _, l := range links {
-		if l.Kind == urlx.KindUnknown {
-			continue
-		}
-		out = append(out, Task{Link: l, Thread: thread, Post: post, Author: author})
-	}
-	return out
 }
 
 // OutcomeCounts renders ByOutcome in a stable order for reports.

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/hosting"
 	"repro/internal/imagex"
@@ -211,34 +210,6 @@ func TestCrawlBadResolver(t *testing.T) {
 	}
 }
 
-func TestPerHostDelay(t *testing.T) {
-	_, _, _ = testWorld(t) // ensure world wiring compiles in this mode
-	w := hosting.NewWorld()
-	site := w.AddSite(hosting.SiteConfig{Domain: "imgur.com", Kind: urlx.KindImageSharing})
-	site.PutImage("a", imagex.GenModel(1, 0, imagex.PoseNude, 24))
-	site.PutImage("b", imagex.GenModel(2, 0, imagex.PoseNude, 24))
-	site.PutImage("c", imagex.GenModel(3, 0, imagex.PoseNude, 24))
-	srv := httptest.NewServer(w)
-	defer srv.Close()
-	c := New(Config{Concurrency: 4, PerHostDelay: 30 * time.Millisecond}, srv.Client(), w.Resolver(srv.URL))
-	start := time.Now()
-	res := c.Crawl(context.Background(), []Task{
-		task("https://imgur.com/a", urlx.KindImageSharing),
-		task("https://imgur.com/b", urlx.KindImageSharing),
-		task("https://imgur.com/c", urlx.KindImageSharing),
-	})
-	elapsed := time.Since(start)
-	for _, r := range res {
-		if r.Outcome != OutcomeOK {
-			t.Fatalf("outcome %v err %v", r.Outcome, r.Err)
-		}
-	}
-	// Three same-host requests with 30ms spacing need >= ~60ms.
-	if elapsed < 50*time.Millisecond {
-		t.Fatalf("crawl finished in %v; politeness delay not applied", elapsed)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	_, _, c := testWorld(t)
 	res := c.Crawl(context.Background(), []Task{
@@ -265,17 +236,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if len(s.OutcomeCounts()) == 0 {
 		t.Error("OutcomeCounts empty")
-	}
-}
-
-func TestTasksFromLinks(t *testing.T) {
-	links := []urlx.Link{
-		{URL: "https://imgur.com/a", Domain: "imgur.com", Kind: urlx.KindImageSharing},
-		{URL: "https://random.net/b", Domain: "random.net", Kind: urlx.KindUnknown},
-	}
-	tasks := TasksFromLinks(links, 5, 6, 7)
-	if len(tasks) != 1 || tasks[0].Thread != 5 {
-		t.Fatalf("tasks = %+v", tasks)
 	}
 }
 

@@ -12,14 +12,10 @@
 // retry budget) yields results bit-identical to the fault-free run, and
 // an exhausted-host schedule fails the same URLs on every run.
 //
-// The same Injector plugs into both crawl seams:
-//
-//   - Transport wraps an http.RoundTripper, so the in-process
-//     core.Backend path (which crawls its embedded hosting server over
-//     a real HTTP client) faces the adversary without the substrate
-//     knowing;
-//   - Middleware wraps the substrate's HTTP handlers, so `ewserve
-//     -faults` subjects remote crawlers to the identical schedule.
+// The Injector plugs into the crawl through one seam: Transport wraps
+// the http.RoundTripper the study's crawler uses against its embedded
+// hosting server, so the crawl faces the adversary without the
+// substrate knowing.
 package faultx
 
 import (
@@ -329,8 +325,8 @@ func NewInjector(plan *Plan) *Injector {
 }
 
 // Decide returns the fault decision for one request identified by its
-// logical host (the substrate site name, e.g. "imgur.com", or a fixed
-// service name like "reverse") and URL path.
+// logical host (the substrate site name, e.g. "imgur.com") and URL
+// path.
 //
 // Precedence: a Down host always fails; then link rot (permanent 404
 // by pure hash); then the host's scheduled fault while its per-URL
@@ -392,9 +388,10 @@ func rotHash(seed uint64, host, url string) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// FormatRetryAfter renders a backoff hint as the header value both
-// seams emit: fractional seconds, so millisecond-scale test schedules
-// do not round up to whole-second sleeps.
+// FormatRetryAfter renders a backoff hint as the header value the
+// transport seam and the study service emit: fractional seconds, so
+// millisecond-scale test schedules do not round up to whole-second
+// sleeps.
 func FormatRetryAfter(d time.Duration) string {
 	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
 }
@@ -426,13 +423,10 @@ func (e *ResetError) Error() string {
 	return "faultx: connection reset by " + e.Host
 }
 
-// HostFunc extracts the logical host from a request for Decide.
-type HostFunc func(*http.Request) string
-
-// PathHost is the HostFunc for the hosting substrate, whose URLs are
-// /<site>/<path...> under one server: the first path segment is the
-// site. It is the default everywhere a nil HostFunc is passed.
-func PathHost(r *http.Request) string {
+// pathHost names the logical host of a hosting-substrate request,
+// whose URLs are /<site>/<path...> under one server: the first path
+// segment is the site.
+func pathHost(r *http.Request) string {
 	p := strings.TrimPrefix(r.URL.Path, "/")
 	if i := strings.IndexByte(p, '/'); i >= 0 {
 		p = p[:i]
@@ -440,37 +434,26 @@ func PathHost(r *http.Request) string {
 	return p
 }
 
-// FixedHost returns a HostFunc that names every request the same —
-// for single-purpose services like the reverse-search or wayback
-// endpoints, which are one logical host each.
-func FixedHost(host string) HostFunc {
-	return func(*http.Request) string { return host }
-}
-
 type transport struct {
 	base http.RoundTripper
 	inj  *Injector
-	host HostFunc
 }
 
-// Transport wraps base with fault injection — the in-process seam. A
-// nil injector returns base unchanged; a nil host defaults to
-// PathHost; a nil base defaults to http.DefaultTransport.
-func Transport(base http.RoundTripper, inj *Injector, host HostFunc) http.RoundTripper {
+// Transport wraps base with fault injection, keyed by the site each
+// request's path names. A nil injector returns base unchanged; a nil
+// base defaults to http.DefaultTransport.
+func Transport(base http.RoundTripper, inj *Injector) http.RoundTripper {
 	if inj == nil {
 		return base
 	}
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	if host == nil {
-		host = PathHost
-	}
-	return &transport{base: base, inj: inj, host: host}
+	return &transport{base: base, inj: inj}
 }
 
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	h := t.host(req)
+	h := pathHost(req)
 	d := t.inj.Decide(h, req.URL.Path)
 	if d.Stall > 0 {
 		select {
@@ -500,42 +483,4 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		ContentLength: 0,
 		Request:       req,
 	}, nil
-}
-
-// Middleware wraps an HTTP handler with fault injection — the remote
-// seam, applied by `ewserve -faults` to the substrate handlers. A nil
-// injector is the identity; a nil host defaults to PathHost. Reset
-// faults abort the connection via http.ErrAbortHandler, which the
-// client observes as an EOF-class transport error, matching the
-// Transport seam's behaviour.
-func Middleware(inj *Injector, host HostFunc) func(http.Handler) http.Handler {
-	if host == nil {
-		host = PathHost
-	}
-	return func(next http.Handler) http.Handler {
-		if inj == nil {
-			return next
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			d := inj.Decide(host(r), r.URL.Path)
-			if d.Stall > 0 {
-				select {
-				case <-r.Context().Done():
-					return
-				case <-time.After(d.Stall):
-				}
-			}
-			if d.Reset {
-				panic(http.ErrAbortHandler)
-			}
-			if d.Status != 0 {
-				if d.RetryAfter > 0 {
-					w.Header().Set("Retry-After", FormatRetryAfter(d.RetryAfter))
-				}
-				http.Error(w, "faultx: injected fault", d.Status)
-				return
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
 }

@@ -207,7 +207,7 @@ func TestTransportSeam(t *testing.T) {
 
 	plan, _ := ParseProfile("failures=2;ratelimit=imgur.com")
 	client := srv.Client()
-	client.Transport = Transport(client.Transport, NewInjector(plan), nil)
+	client.Transport = Transport(client.Transport, NewInjector(plan))
 
 	for i := 0; i < 2; i++ {
 		resp, err := client.Get(srv.URL + "/imgur.com/img1")
@@ -250,7 +250,7 @@ func TestTransportReset(t *testing.T) {
 	defer srv.Close()
 	plan, _ := ParseProfile("failures=1;reset=imgur.com")
 	client := srv.Client()
-	client.Transport = Transport(client.Transport, NewInjector(plan), nil)
+	client.Transport = Transport(client.Transport, NewInjector(plan))
 	_, err := client.Get(srv.URL + "/imgur.com/x")
 	if err == nil || !strings.Contains(err.Error(), "connection reset by imgur.com") {
 		t.Fatalf("reset fault error = %v, want ResetError", err)
@@ -267,7 +267,7 @@ func TestTransportStallHonorsContext(t *testing.T) {
 	defer srv.Close()
 	plan, _ := ParseProfile("failures=1;stall=10s;slow=imgur.com")
 	client := srv.Client()
-	client.Transport = Transport(client.Transport, NewInjector(plan), nil)
+	client.Transport = Transport(client.Transport, NewInjector(plan))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -282,65 +282,20 @@ func TestTransportStallHonorsContext(t *testing.T) {
 	}
 }
 
-func TestMiddlewareSeam(t *testing.T) {
-	hits := 0
-	next := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits++
-		io.WriteString(w, "real")
-	})
-	plan, _ := ParseProfile("failures=1;ratelimit=imgur.com;reset=oron.com")
-	inj := NewInjector(plan)
-	srv := httptest.NewServer(Middleware(inj, nil)(next))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/imgur.com/img1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 429 || ParseRetryAfter(resp.Header.Get("Retry-After")) != time.Millisecond {
-		t.Fatalf("middleware fault: status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	resp, err = http.Get(srv.URL + "/imgur.com/img1")
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("post-schedule: %v / %v", resp, err)
-	}
-	resp.Body.Close()
-
-	// Reset faults abort the connection: the client sees a transport
-	// error, not a status — matching the Transport seam.
-	if _, err := http.Get(srv.URL + "/oron.com/f1"); err == nil {
-		t.Fatal("reset fault answered instead of aborting")
-	}
-	if _, err := http.Get(srv.URL + "/oron.com/f1"); err != nil {
-		t.Fatalf("post-reset request failed: %v", err)
-	}
-	if hits != 2 {
-		t.Fatalf("real handler saw %d requests, want 2", hits)
-	}
-}
-
-func TestMiddlewareNilInjectorIsIdentity(t *testing.T) {
-	next := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})
-	if got := Middleware(nil, nil)(next); got == nil {
-		t.Fatal("nil-injector middleware returned nil handler")
-	}
-	if Transport(nil, nil, nil) != nil {
+func TestTransportNilInjectorIsIdentity(t *testing.T) {
+	if Transport(nil, nil) != nil {
 		t.Fatal("Transport with nil injector must return base unchanged (nil)")
 	}
 }
 
-func TestHostFuncs(t *testing.T) {
+func TestPathHost(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/imgur.com/im/abc.jpg", nil)
-	if got := PathHost(req); got != "imgur.com" {
-		t.Fatalf("PathHost = %q", got)
+	if got := pathHost(req); got != "imgur.com" {
+		t.Fatalf("pathHost = %q", got)
 	}
 	req = httptest.NewRequest(http.MethodGet, "/landing", nil)
-	if got := PathHost(req); got != "landing" {
-		t.Fatalf("PathHost bare segment = %q", got)
-	}
-	if got := FixedHost("reverse")(req); got != "reverse" {
-		t.Fatalf("FixedHost = %q", got)
+	if got := pathHost(req); got != "landing" {
+		t.Fatalf("pathHost bare segment = %q", got)
 	}
 }
 

@@ -29,8 +29,8 @@ func FuzzParseRetryAfter(f *testing.F) {
 }
 
 // FuzzParseProfile fuzzes the fault-profile grammar, which reaches the
-// service from another process through POST /v1/study "faults" and
-// `ewserve -faults`. Parsing must never panic, and an accepted
+// service from another process through POST /v1/study "faults".
+// Parsing must never panic, and an accepted
 // profile's Plan.String() must parse back to an equal plan. The seed
 // corpus lives in testdata/fuzz/FuzzParseProfile; `make fuzz-smoke`
 // runs a short fuzz.

@@ -102,16 +102,15 @@ func (s *Store) Export(w io.Writer) error {
 }
 
 // Import loads a JSONL dump produced by Export into a fresh store. It
-// fails on malformed lines, out-of-order references or a non-empty
-// receiver.
+// fails on malformed lines and on references to a forum, board, actor,
+// thread or quoted post that no earlier line defined.
 func Import(r io.Reader) (*Store, error) {
 	s := NewStore()
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<20))
 	line := 0
 	// Threads carry their first post separately in the JSONL stream
 	// (the post records follow), so AddThread's implicit first post
-	// cannot be used; track thread shells and splice posts in.
-	pendingThreads := 0
+	// cannot be used; append thread shells and splice posts in.
 	for {
 		var rec jsonRecord
 		if err := dec.Decode(&rec); err == io.EOF {
@@ -132,6 +131,9 @@ func Import(r io.Reader) (*Store, error) {
 			if rec.Registered == nil {
 				return nil, fmt.Errorf("forum: import line %d: actor without registration date", line)
 			}
+			if int(rec.Forum) > len(s.forums) || rec.Forum < 1 {
+				return nil, fmt.Errorf("forum: import line %d: actor references unknown forum %d", line, rec.Forum)
+			}
 			s.AddActor(rec.Forum, rec.Name, *rec.Registered)
 		case recThread:
 			if rec.Created == nil {
@@ -139,6 +141,9 @@ func Import(r io.Reader) (*Store, error) {
 			}
 			if int(rec.Board) > len(s.boards) || rec.Board < 1 {
 				return nil, fmt.Errorf("forum: import line %d: thread references unknown board %d", line, rec.Board)
+			}
+			if int(rec.Author) > len(s.actors) || rec.Author < 1 {
+				return nil, fmt.Errorf("forum: import line %d: thread references unknown actor %d", line, rec.Author)
 			}
 			b := s.boards[rec.Board-1]
 			id := ThreadID(len(s.threads) + 1)
@@ -148,13 +153,19 @@ func Import(r io.Reader) (*Store, error) {
 			})
 			s.threadsByBoard[rec.Board] = append(s.threadsByBoard[rec.Board], id)
 			s.threadsByActor[rec.Author] = append(s.threadsByActor[rec.Author], id)
-			pendingThreads++
 		case recPost:
 			if rec.Created == nil {
 				return nil, fmt.Errorf("forum: import line %d: post without creation date", line)
 			}
 			if int(rec.Thread) > len(s.threads) || rec.Thread < 1 {
 				return nil, fmt.Errorf("forum: import line %d: post references unknown thread %d", line, rec.Thread)
+			}
+			if int(rec.Author) > len(s.actors) || rec.Author < 1 {
+				return nil, fmt.Errorf("forum: import line %d: post references unknown actor %d", line, rec.Author)
+			}
+			// 0 is "no quote"; a quote names a post read earlier.
+			if int(rec.Quotes) > len(s.posts) || rec.Quotes < 0 {
+				return nil, fmt.Errorf("forum: import line %d: post quotes unknown post %d", line, rec.Quotes)
 			}
 			s.addPost(rec.Thread, rec.Author, rec.Body, *rec.Created, rec.Quotes)
 		default:

@@ -66,6 +66,17 @@ func TestExportImportRoundtrip(t *testing.T) {
 	}
 }
 
+// persistPrefix defines forum 1, board 1 and actor 1; persistThread
+// adds thread 1 by actor 1.
+const (
+	persistPrefix = `{"type":"forum","name":"HF"}
+{"type":"board","forum":1,"name":"b","category":"c"}
+{"type":"actor","forum":1,"name":"a","registered":"2015-01-01T00:00:00Z"}
+`
+	persistThread = `{"type":"thread","board":1,"author":1,"heading":"h","created":"2015-01-02T00:00:00Z"}
+`
+)
+
 func TestImportRejectsGarbage(t *testing.T) {
 	cases := []string{
 		`{"type":"mystery"}`,
@@ -74,11 +85,21 @@ func TestImportRejectsGarbage(t *testing.T) {
 		`not json at all`,
 		`{"type":"post","thread":5,"author":1,"created":"2015-01-01T00:00:00Z"}`,
 		`{"type":"thread","board":7,"author":1,"heading":"x","created":"2015-01-01T00:00:00Z"}`,
+		`{"type":"actor","forum":5,"registered":"2019-01-01T00:00:00Z"}`,
+		persistPrefix + `{"type":"thread","board":1,"author":2,"heading":"h","created":"2015-01-02T00:00:00Z"}`,
+		persistPrefix + persistThread + `{"type":"post","thread":1,"author":0,"created":"2015-01-02T00:00:00Z"}`,
+		persistPrefix + persistThread + `{"type":"post","thread":1,"author":1,"quotes":1,"created":"2015-01-02T00:00:00Z"}`,
 	}
 	for i, c := range cases {
 		if _, err := Import(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
+	}
+	// The same prefix with a valid post loads, so each case above is
+	// rejected for its bad reference alone.
+	ok := persistPrefix + persistThread + `{"type":"post","thread":1,"author":1,"created":"2015-01-02T00:00:00Z"}`
+	if _, err := Import(strings.NewReader(ok)); err != nil {
+		t.Fatalf("valid dump rejected: %v", err)
 	}
 }
 

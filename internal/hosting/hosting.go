@@ -162,8 +162,9 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request, path string) {
 	}
 }
 
-// serveLanding writes the landing page used by the snowball-sampling
-// "visit" step: it advertises what kind of site this is.
+// serveLanding writes the site's landing page, which advertises what
+// kind of site this is; a crawled bare-domain link lands here.
+// Snowball sampling reads the same kind in-process via VisitKind.
 func (s *Site) serveLanding(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", ContentTypeHTML)
 	var kind string
@@ -245,13 +246,6 @@ func (w *World) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // ("http://127.0.0.1:PORT/imgur.com/aB3dE"). baseURL must not end with
 // a slash.
 func (w *World) Resolver(baseURL string) func(string) (string, error) {
-	return Resolver(baseURL)
-}
-
-// Resolver is the package-level form of World.Resolver: the rewrite is
-// a pure function of the base URL, so remote crawlers that never hold
-// a *World (crawler.HTTPClient) can share it.
-func Resolver(baseURL string) func(string) (string, error) {
 	return func(raw string) (string, error) {
 		u, err := url.Parse(raw)
 		if err != nil {
@@ -270,31 +264,6 @@ func Resolver(baseURL string) func(string) (string, error) {
 			resolved += "?" + u.RawQuery
 		}
 		return resolved, nil
-	}
-}
-
-// ParseLandingKind recovers the advertised site kind from a landing
-// page served by serveLanding — the over-the-wire counterpart of
-// VisitKind, used by crawlers that only see the HTTP substrate.
-func ParseLandingKind(body []byte) (urlx.Kind, bool) {
-	const marker = `<meta name="site-kind" content="`
-	s := string(body)
-	i := strings.Index(s, marker)
-	if i < 0 {
-		return urlx.KindUnknown, false
-	}
-	rest := s[i+len(marker):]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return urlx.KindUnknown, false
-	}
-	switch rest[:j] {
-	case "image-sharing":
-		return urlx.KindImageSharing, true
-	case "cloud-storage":
-		return urlx.KindCloudStorage, true
-	default:
-		return urlx.KindUnknown, true
 	}
 }
 

@@ -16,7 +16,6 @@ package reverse
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -109,20 +108,6 @@ func (ix *Index) SearchHash(h imagex.Hash128) []Match {
 		}
 		return strings.Compare(a.URL, b.URL)
 	})
-	return out
-}
-
-// Domains returns the distinct domains across a set of matches.
-func Domains(matches []Match) []string {
-	seen := make(map[string]struct{})
-	var out []string
-	for _, m := range matches {
-		if _, ok := seen[m.Domain]; !ok {
-			seen[m.Domain] = struct{}{}
-			out = append(out, m.Domain)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -1,11 +1,7 @@
 package reverse
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -82,18 +78,6 @@ func TestSearchSortedByDistance(t *testing.T) {
 	}
 }
 
-func TestDomains(t *testing.T) {
-	matches := []Match{
-		{Record: Record{Domain: "b.com"}},
-		{Record: Record{Domain: "a.com"}},
-		{Record: Record{Domain: "b.com"}},
-	}
-	got := Domains(matches)
-	if len(got) != 2 || got[0] != "a.com" || got[1] != "b.com" {
-		t.Fatalf("Domains = %v", got)
-	}
-}
-
 func TestSeenBefore(t *testing.T) {
 	matches := []Match{
 		{Record: Record{CrawlDate: day(10)}},
@@ -107,119 +91,5 @@ func TestSeenBefore(t *testing.T) {
 	}
 	if SeenBefore(nil, day(100)) {
 		t.Fatal("empty matches seen before")
-	}
-}
-
-// getMatches queries srv's /searchhash for h and decodes the reply's
-// matches from the wire format.
-func getMatches(t *testing.T, srv *httptest.Server, h imagex.Hash128) []Match {
-	t.Helper()
-	resp, err := srv.Client().Get(srv.URL + "/searchhash?h=" + FormatHash128(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/searchhash = %d", resp.StatusCode)
-	}
-	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		t.Fatal(err)
-	}
-	return sr.Matches
-}
-
-func TestHTTPServiceRoundtrip(t *testing.T) {
-	ix := NewIndex(0)
-	origin := imagex.GenModel(12, 1, imagex.PosePartial, 48)
-	ix.AddImage(origin, Record{
-		URL: "http://blog.example/post/1/img.jpg", Domain: "blog.example",
-		Backlink: "http://blog.example/post/1", CrawlDate: day(3),
-	})
-	srv := httptest.NewServer(Handler(ix))
-	defer srv.Close()
-
-	matches := getMatches(t, srv, imagex.Hash128Of(origin))
-	if len(matches) != 1 {
-		t.Fatalf("matches = %d", len(matches))
-	}
-	m := matches[0]
-	if m.Domain != "blog.example" || m.Backlink != "http://blog.example/post/1" {
-		t.Fatalf("match = %+v", m)
-	}
-	if !m.CrawlDate.Equal(day(3)) {
-		t.Fatalf("crawl date %v", m.CrawlDate)
-	}
-}
-
-func TestHTTPRejectsBadRequests(t *testing.T) {
-	srv := httptest.NewServer(Handler(NewIndex(0)))
-	defer srv.Close()
-	for _, path := range []string{
-		"/searchhash",        // no hash
-		"/searchhash?h=0123", // too short
-		"/searchhash?h=" + strings.Repeat("g", 32), // not hex
-	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("GET %s = %d, want 400", path, resp.StatusCode)
-		}
-	}
-}
-
-func TestStatsEndpoint(t *testing.T) {
-	ix := NewIndex(0)
-	ix.Add(imagex.Hash128{A: 1}, Record{})
-	srv := httptest.NewServer(Handler(ix))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("stats = %d", resp.StatusCode)
-	}
-}
-
-func TestSearchHashEndpoint(t *testing.T) {
-	ix := NewIndex(0)
-	origin := imagex.GenModel(5, 0, imagex.PoseNude, 48)
-	ix.AddImage(origin, Record{URL: "http://pornsite.example/m5", Domain: "pornsite.example", CrawlDate: day(0)})
-	srv := httptest.NewServer(Handler(ix))
-	defer srv.Close()
-
-	got := getMatches(t, srv, imagex.Hash128Of(origin))
-	want := ix.SearchHash(imagex.Hash128Of(origin))
-	if len(got) != len(want) || got[0].URL != want[0].URL || got[0].Distance != want[0].Distance {
-		t.Fatalf("remote hash search = %+v, want %+v", got, want)
-	}
-	if !got[0].CrawlDate.Equal(want[0].CrawlDate) {
-		t.Errorf("crawl date did not survive the wire: %v != %v", got[0].CrawlDate, want[0].CrawlDate)
-	}
-
-	// Malformed hashes are rejected.
-	resp, err := srv.Client().Get(srv.URL + "/searchhash?h=nothex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("bad hash: status %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestHashWireFormatRoundtrip(t *testing.T) {
-	h := imagex.Hash128{A: 0xdeadbeef01234567, D: 0x89abcdef00000001}
-	got, err := ParseHash128(FormatHash128(h))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("roundtrip %v != %v", got, h)
 	}
 }

@@ -4,15 +4,9 @@
 // was online before the image was posted in the forum ("to analyse
 // whether the images were online before they were posted in the
 // forums, we have used the Wayback Machine").
-//
-// The archive is exposed both as an in-process index and over HTTP
-// with an API shaped like the real availability endpoint; the study's
-// HTTP client for it is crawler.HTTPClient.
 package wayback
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -64,58 +58,4 @@ func (a *Archive) FirstSeen(rawURL string) (time.Time, bool) {
 func (a *Archive) SeenBefore(rawURL string, cutoff time.Time) bool {
 	t, ok := a.FirstSeen(rawURL)
 	return ok && t.Before(cutoff)
-}
-
-// Snapshots returns all capture times for the URL, ascending.
-func (a *Archive) Snapshots(rawURL string) []time.Time {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	s := a.snaps[rawURL]
-	out := make([]time.Time, len(s))
-	copy(out, s)
-	return out
-}
-
-// AvailabilityResponse mirrors the shape of the real availability API.
-type AvailabilityResponse struct {
-	URL       string `json:"url"`
-	Available bool   `json:"available"`
-	FirstSeen string `json:"first_seen,omitempty"`
-	Snapshots int    `json:"snapshots"`
-}
-
-// Handler serves the archive over HTTP:
-//
-//	GET /available?url=<u>            → capture availability
-//	GET /available?url=<u>&before=<t> → availability strictly before t (RFC3339)
-func Handler(a *Archive) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/available", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		target := q.Get("url")
-		if target == "" {
-			http.Error(w, "missing url parameter", http.StatusBadRequest)
-			return
-		}
-		resp := AvailabilityResponse{URL: target}
-		first, ok := a.FirstSeen(target)
-		if ok {
-			if beforeRaw := q.Get("before"); beforeRaw != "" {
-				cutoff, err := time.Parse(time.RFC3339, beforeRaw)
-				if err != nil {
-					http.Error(w, "bad before parameter", http.StatusBadRequest)
-					return
-				}
-				ok = first.Before(cutoff)
-			}
-		}
-		if ok {
-			resp.Available = true
-			resp.FirstSeen = first.UTC().Format(time.RFC3339)
-			resp.Snapshots = len(a.Snapshots(target))
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	return mux
 }
