@@ -57,7 +57,7 @@ func setup(b *testing.B) *fixture {
 		if fixErr = err; fixErr != nil {
 			return
 		}
-		f.links, _ = f.study.ExtractLinks(ctx, cls.Extract.TOPs)
+		f.links, _ = f.study.ExtractLinks(cls.Extract.TOPs)
 		if f.crawl, fixErr = f.study.CrawlLinks(ctx, f.links.Tasks); fixErr != nil {
 			return
 		}

@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("hybrid classifier: P=%.2f R=%.2f → %d TOPs\n",
 		cls.Metrics.Precision(), cls.Metrics.Recall(), len(cls.Extract.TOPs))
 
-	links, _ := study.ExtractLinks(ctx, cls.Extract.TOPs)
+	links, _ := study.ExtractLinks(cls.Extract.TOPs)
 	fmt.Printf("link extraction: %d whitelisted links from %d TOPs\n",
 		len(links.Tasks), links.ThreadsWithLinks)
 	fmt.Println("top image-sharing sites:")

@@ -197,7 +197,7 @@ func newStudyGraph() *artefact.Graph[*Study] {
 			// The snowball-expanded whitelist travels in the value, so
 			// the earnings node (and any study that receives this value
 			// from memo) classifies against the expanded list.
-			links, whitelist := s.ExtractLinks(ctx, cls.Extract.TOPs)
+			links, whitelist := s.ExtractLinks(cls.Extract.TOPs)
 			return linksValue{links: links, whitelist: whitelist}, nil
 		},
 	})

@@ -330,7 +330,7 @@ type LinkExtraction struct {
 // snowball-expands a copy of the default whitelist against the live
 // web, and classifies the links. It returns the expanded whitelist
 // too: the §5 analysis classifies its links against the same list.
-func (s *Study) ExtractLinks(ctx context.Context, tops []forum.ThreadID) (LinkExtraction, *urlx.Whitelist) {
+func (s *Study) ExtractLinks(tops []forum.ThreadID) (LinkExtraction, *urlx.Whitelist) {
 	store := s.World.Store
 	type located struct {
 		url    string

@@ -300,11 +300,6 @@ type Decision struct {
 	Reset bool
 }
 
-// Fault reports whether the decision alters the exchange at all.
-func (d Decision) Fault() bool {
-	return d.Status != 0 || d.Reset || d.Stall > 0
-}
-
 // Injector evaluates a Plan against requests. The only mutable state
 // is the per-(host,url) request counter behind the scheduled fault
 // classes; everything else is a pure function of the plan.

@@ -112,7 +112,7 @@ func TestDecideScheduledCounter(t *testing.T) {
 			t.Fatalf("request %d: %+v, want 429 + hint", i, d)
 		}
 	}
-	if d := inj.Decide("a.com", "/x"); d.Fault() {
+	if d := inj.Decide("a.com", "/x"); d != (Decision{}) {
 		t.Fatalf("request 3 for same URL still faulted: %+v", d)
 	}
 	// A different URL on the same host has its own counter.
@@ -120,7 +120,7 @@ func TestDecideScheduledCounter(t *testing.T) {
 		t.Fatalf("fresh URL not faulted: %+v", d)
 	}
 	// An unlisted host passes through (no wildcard in this plan).
-	if d := inj.Decide("b.com", "/x"); d.Fault() {
+	if d := inj.Decide("b.com", "/x"); d != (Decision{}) {
 		t.Fatalf("unlisted host faulted: %+v", d)
 	}
 }

@@ -111,13 +111,6 @@ func (s *Site) SetStatus(path string, st ObjectStatus) bool {
 	return true
 }
 
-// NumObjects returns the number of hosted objects.
-func (s *Site) NumObjects() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects)
-}
-
 // serve handles a request for path (already stripped of the domain
 // segment).
 func (s *Site) serve(w http.ResponseWriter, r *http.Request, path string) {
@@ -210,17 +203,6 @@ func (w *World) Site(domain string) (*Site, bool) {
 	defer w.mu.RUnlock()
 	s, ok := w.sites[domain]
 	return s, ok
-}
-
-// Domains returns all registered domains.
-func (w *World) Domains() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	out := make([]string, 0, len(w.sites))
-	for d := range w.sites {
-		out = append(out, d)
-	}
-	return out
 }
 
 // ServeHTTP routes /<domain>/<path...> to the matching site.

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -123,52 +124,132 @@ func (im *Image) SkinStats() (fraction, coherence float64) {
 }
 
 // FillRect fills the rectangle [x0,x1)x[y0,y1) with value v plus
-// per-pixel noise of amplitude amp (kept within [lo, hi] if the base
-// value lies in that range band).
+// per-pixel noise of amplitude amp, clamped to a byte. Pixels off the
+// image are not written but still consume their noise draw, so the
+// rng leaves the fill in the same state wherever the shape lies.
 func (im *Image) FillRect(rng *randx.Rand, x0, y0, x1, y1 int, v byte, amp int) {
+	n := newFillNoise(rng, v, amp)
 	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			p := int(v)
-			if amp > 0 {
-				p += rng.Intn(2*amp+1) - amp
-			}
-			if p < 0 {
-				p = 0
-			}
-			if p > 255 {
-				p = 255
-			}
-			im.Set(x, y, byte(p))
-		}
+		n.span(im.row(y), x0, x1)
 	}
 }
 
 // FillEllipse fills the axis-aligned ellipse centred at (cx, cy) with
-// radii (rx, ry), value v and noise amplitude amp.
+// radii (rx, ry), value v and noise amplitude amp. A pixel is inside
+// when dx*dx+dy*dy <= 1 for its offsets scaled by the radii; on each
+// row that set is the span [cx-k, cx+k].
 func (im *Image) FillEllipse(rng *randx.Rand, cx, cy, rx, ry int, v byte, amp int) {
 	if rx <= 0 || ry <= 0 {
 		return
 	}
+	n := newFillNoise(rng, v, amp)
+	frx := float64(rx)
+	inside := func(k int, dy2 float64) bool {
+		dx := float64(k) / frx
+		return dx*dx+dy2 <= 1
+	}
 	for y := cy - ry; y <= cy+ry; y++ {
-		for x := cx - rx; x <= cx+rx; x++ {
-			dx := float64(x-cx) / float64(rx)
-			dy := float64(y-cy) / float64(ry)
-			if dx*dx+dy*dy <= 1 {
-				p := int(v)
-				if amp > 0 {
-					p += rng.Intn(2*amp+1) - amp
-				}
-				if p < 0 {
-					p = 0
-				}
-				if p > 255 {
-					p = 255
-				}
-				im.Set(x, y, byte(p))
-			}
+		dy := float64(y-cy) / float64(ry)
+		dy2 := dy * dy
+		// The predicate is monotone in |x-cx| and symmetric about cx
+		// (float64(-k)/frx is exactly -(float64(k)/frx)), so the row's
+		// inside set is [cx-k, cx+k] for the largest k that passes.
+		// The square-root estimate only starts the search; the loops
+		// settle k on the predicate itself.
+		k := min(int(frx*math.Sqrt(max(0, 1-dy2))), rx)
+		for k < rx && inside(k+1, dy2) {
+			k++
+		}
+		for k >= 0 && !inside(k, dy2) {
+			k--
+		}
+		if k >= 0 {
+			n.span(im.row(y), cx-k, cx+k+1)
 		}
 	}
 }
+
+// row returns row y of the raster, or nil when y is off the image.
+func (im *Image) row(y int) []byte {
+	if y < 0 || y >= im.H {
+		return nil
+	}
+	return im.Pix[y*im.W : (y+1)*im.W]
+}
+
+// fillNoise draws a fill's pixel values: v plus rng.Intn(2*amp+1)-amp,
+// clamped to a byte. For a bound that fits 32 bits, span inlines
+// Intn's Lemire draw with the rejection threshold computed once per
+// fill; it consumes exactly the rng words Intn would.
+type fillNoise struct {
+	rng       *randx.Rand
+	v, amp    int
+	bound     uint32 // 2*amp+1; 0 when amp <= 0 or the bound needs Intn's 64-bit path
+	threshold uint32 // Lemire's rejection threshold for bound
+}
+
+func newFillNoise(rng *randx.Rand, v byte, amp int) fillNoise {
+	n := fillNoise{rng: rng, v: int(v), amp: amp}
+	if b := 2*amp + 1; amp > 0 && b > 0 && b <= math.MaxInt32 {
+		n.bound = uint32(b)
+		n.threshold = -n.bound % n.bound
+	}
+	return n
+}
+
+// pixel draws one pixel value through Intn.
+func (n *fillNoise) pixel() byte {
+	p := n.v
+	if n.amp > 0 {
+		p += n.rng.Intn(2*n.amp+1) - n.amp
+	}
+	return clampByte(p)
+}
+
+// redraw repeats a rejected Lemire draw until one is accepted.
+func (n *fillNoise) redraw() uint64 {
+	for {
+		prod := uint64(n.rng.Uint32()) * uint64(n.bound)
+		if uint32(prod) >= n.threshold {
+			return prod
+		}
+	}
+}
+
+// span draws the pixels x0..x1-1 of one row in order, writing those
+// that fall on row (nil for a row off the image).
+func (n *fillNoise) span(row []byte, x0, x1 int) {
+	lo, hi := max(x0, 0), min(x1, len(row))
+	if lo >= hi {
+		for x := x0; x < x1; x++ {
+			n.pixel()
+		}
+		return
+	}
+	for x := x0; x < lo; x++ {
+		n.pixel()
+	}
+	seg := row[lo:hi]
+	if n.bound == 0 {
+		for i := range seg {
+			seg[i] = n.pixel()
+		}
+	} else {
+		rng, bound, base := n.rng, uint64(n.bound), n.v-n.amp
+		for i := range seg {
+			prod := uint64(rng.Uint32()) * bound
+			if uint32(prod) < n.threshold {
+				prod = n.redraw()
+			}
+			seg[i] = clampByte(base + int(prod>>32))
+		}
+	}
+	for x := hi; x < x1; x++ {
+		n.pixel()
+	}
+}
+
+func clampByte(p int) byte { return byte(min(max(p, 0), 255)) }
 
 // DrawText renders text starting at (x, y) with the given integer
 // scale using the package font. Characters outside the font (and

@@ -240,3 +240,85 @@ func TestHashImageZeroAlloc(t *testing.T) {
 		t.Fatalf("SkinStats allocates %.1f per op, want 0", avg)
 	}
 }
+
+// refFillRect and refFillEllipse are the per-pixel fills the row
+// kernels replaced: one Intn draw per covered pixel, in raster order,
+// written through the bounds-checked Set.
+func refFillRect(im *Image, rng *randx.Rand, x0, y0, x1, y1 int, v byte, amp int) {
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; x++ {
+			p := int(v)
+			if amp > 0 {
+				p += rng.Intn(2*amp+1) - amp
+			}
+			if p < 0 {
+				p = 0
+			}
+			if p > 255 {
+				p = 255
+			}
+			im.Set(x, y, byte(p))
+		}
+	}
+}
+
+func refFillEllipse(im *Image, rng *randx.Rand, cx, cy, rx, ry int, v byte, amp int) {
+	if rx <= 0 || ry <= 0 {
+		return
+	}
+	for y := cy - ry; y <= cy+ry; y++ {
+		for x := cx - rx; x <= cx+rx; x++ {
+			dx := float64(x-cx) / float64(rx)
+			dy := float64(y-cy) / float64(ry)
+			if dx*dx+dy*dy <= 1 {
+				p := int(v)
+				if amp > 0 {
+					p += rng.Intn(2*amp+1) - amp
+				}
+				if p < 0 {
+					p = 0
+				}
+				if p > 255 {
+					p = 255
+				}
+				im.Set(x, y, byte(p))
+			}
+		}
+	}
+}
+
+// TestFillsMatchReference holds the row fills to the per-pixel
+// references: same pixels, and the rng left at the same draw, over
+// random shapes on, across and wholly off the image, with no noise,
+// unit noise, noise that clamps, and a bound past 32 bits.
+func TestFillsMatchReference(t *testing.T) {
+	shapes := randx.New(0xf111)
+	for _, sz := range kernelSizes {
+		for trial := 0; trial < 60; trial++ {
+			w, h := sz[0], sz[1]
+			amp := []int{0, 1, 8, 200, 1 << 20, 1 << 31, -3}[trial%7]
+			v := byte(shapes.Intn(256))
+			// Corners and centres range a shape's size beyond every edge.
+			x0, y0 := shapes.Intn(3*w+8)-w-4, shapes.Intn(3*h+8)-h-4
+			x1, y1 := x0+shapes.Intn(w+6)-1, y0+shapes.Intn(h+6)-1
+			rx, ry := shapes.Intn(w+3)-1, shapes.Intn(h+3)-1
+			seed := shapes.Uint64()
+
+			base := randImage(shapes, w, h)
+			got, want := base.Clone(), base.Clone()
+			gotRng, wantRng := randx.New(seed), randx.New(seed)
+			got.FillRect(gotRng, x0, y0, x1, y1, v, amp)
+			refFillRect(want, wantRng, x0, y0, x1, y1, v, amp)
+			if !bytes.Equal(got.Pix, want.Pix) || gotRng.Uint64() != wantRng.Uint64() {
+				t.Fatalf("FillRect(%v, [%d,%d)x[%d,%d), v=%d, amp=%d) diverged from reference",
+					sz, x0, x1, y0, y1, v, amp)
+			}
+			got.FillEllipse(gotRng, x0, y0, rx, ry, v, amp)
+			refFillEllipse(want, wantRng, x0, y0, rx, ry, v, amp)
+			if !bytes.Equal(got.Pix, want.Pix) || gotRng.Uint64() != wantRng.Uint64() {
+				t.Fatalf("FillEllipse(%v, c=(%d,%d), r=(%d,%d), v=%d, amp=%d) diverged from reference",
+					sz, x0, y0, rx, ry, v, amp)
+			}
+		}
+	}
+}

@@ -157,3 +157,19 @@ var (
 		"Web": 0.02,
 	}
 )
+
+// The interest mixes as WeightedPick weights in hfCategories order,
+// built once: background activity draws a category per post.
+var (
+	weightsBefore = categoryWeights(interestBefore)
+	weightsDuring = categoryWeights(interestDuring)
+	weightsAfter  = categoryWeights(interestAfter)
+)
+
+func categoryWeights(mix map[string]float64) []float64 {
+	weights := make([]float64, len(hfCategories))
+	for i, c := range hfCategories {
+		weights[i] = mix[c]
+	}
+	return weights
+}

@@ -18,39 +18,53 @@ import (
 //
 // A job has two halves with different ordering needs:
 //
-//   - render runs on any worker. It may only touch data that is
-//     immutable for the job's lifetime (captured scalars, the frozen
-//     parts of the world) plus the mutex-protected hosting sites,
-//     whose maps make concurrent Puts to distinct paths commutative.
+//   - render runs on any worker, at any later point of the walk: the
+//     walk never waits for it, so a job submitted early in the web
+//     phase may render while the walk is deep in the forums. It may
+//     only touch data no later step of the walk writes (captured
+//     scalars, the fields of a *Model the walk fixed when it built
+//     the model, the configuration) plus the mutex-protected hosting
+//     sites, whose maps make concurrent Puts to distinct paths
+//     commutative.
 //   - apply runs on the applier goroutine in exact submission order.
 //     Order-sensitive world mutations (reverse-index records, Wayback
 //     captures, hashlist inserts — anything whose slice order
 //     DeepEqual can see) go here, so the parallel path leaves the
 //     world in the byte-for-byte state the sequential walk would.
 //
-// pipeline.Map provides both the worker pool and the order-preserving
-// fan-in; with no runner attached (workers <= 1) World.do runs the
-// job inline at its call site, which IS the sequential semantics.
+// Submission never blocks the walk: jobs wait in an unbounded FIFO
+// until the pipeline.Map pool takes them. A bounded queue would stall
+// the walk behind render-heavy phases (the web phase submits one hash
+// job per indexed model image and does little else) and then leave
+// the pool idle through walk-heavy ones (background forum activity
+// submits none). The FIFO holds only unrendered closures, at most one
+// world's worth; Map's in-flight window bounds rendered-but-unapplied
+// results. Map also provides the order-preserving fan-in. With no
+// runner attached (workers <= 1) World.do runs the job inline at its
+// call site, which IS the sequential semantics.
 type genJob struct {
 	render func()
 	apply  func()
 }
 
-// jobRunner drives genJobs through a pipeline.Map worker pool and an
-// in-order applier.
+// jobRunner drives genJobs from the walk's FIFO through a pipeline.Map
+// worker pool and an in-order applier.
 type jobRunner struct {
-	jobs chan genJob
-	done chan struct{}
+	mu     sync.Mutex
+	queued sync.Cond // signalled on submit and close
+	queue  []genJob
+	closed bool
+	done   chan struct{}
 }
 
 // startJobRunner launches the pool. The stage is anonymous (no span,
 // no stats): per-generator tracing lives on the walk's child spans.
 func startJobRunner(ctx context.Context, workers int) *jobRunner {
-	r := &jobRunner{
-		jobs: make(chan genJob, 4*workers),
-		done: make(chan struct{}),
-	}
-	rendered := pipeline.Map(ctx, "", workers, r.jobs,
+	r := &jobRunner{done: make(chan struct{})}
+	r.queued.L = &r.mu
+	jobs := make(chan genJob)
+	go r.feed(jobs)
+	rendered := pipeline.Map(ctx, "", workers, jobs,
 		func(_ context.Context, j genJob) genJob {
 			if j.render != nil {
 				j.render()
@@ -68,10 +82,45 @@ func startJobRunner(ctx context.Context, workers int) *jobRunner {
 	return r
 }
 
+// submit appends j to the FIFO; it never waits for the pool.
+func (r *jobRunner) submit(j genJob) {
+	r.mu.Lock()
+	r.queue = append(r.queue, j)
+	r.mu.Unlock()
+	r.queued.Signal()
+}
+
+// feed moves the FIFO into the pool in submission order, taking
+// whatever has queued up at each wake, and closes jobs once the FIFO
+// is closed and empty. On cancellation Map drains its input, so feed
+// still runs to the end.
+func (r *jobRunner) feed(jobs chan<- genJob) {
+	defer close(jobs)
+	for {
+		r.mu.Lock()
+		for len(r.queue) == 0 && !r.closed {
+			r.queued.Wait()
+		}
+		batch, closed := r.queue, r.closed
+		r.queue = nil
+		r.mu.Unlock()
+		for i, j := range batch {
+			jobs <- j
+			batch[i] = genJob{} // the pool holds it now
+		}
+		if closed {
+			return
+		}
+	}
+}
+
 // close ends the stream and blocks until every submitted job has been
 // rendered and applied.
 func (r *jobRunner) close() {
-	close(r.jobs)
+	r.mu.Lock()
+	r.closed = true
+	r.mu.Unlock()
+	r.queued.Signal()
 	<-r.done
 }
 
@@ -89,7 +138,7 @@ func (w *World) do(render, apply func()) {
 		}
 		return
 	}
-	w.jobs.jobs <- genJob{render: render, apply: apply}
+	w.jobs.submit(genJob{render: render, apply: apply})
 }
 
 // onceMemo computes each key's value at most once per generation.

@@ -387,14 +387,14 @@ func (w *World) genOtherActivity(st *forumState, catBoards []forum.BoardID) {
 		for i := 0; i < other; i++ {
 			phase := rng.Float64()
 			var t0, t1 time.Time
-			var mix map[string]float64
+			var mix []float64
 			switch {
 			case phase < 0.40:
-				t0, t1, mix = at.FirstActivity, at.EwStart, interestBefore
+				t0, t1, mix = at.FirstActivity, at.EwStart, weightsBefore
 			case phase < 0.75:
-				t0, t1, mix = at.EwStart, at.EwEnd, interestDuring
+				t0, t1, mix = at.EwStart, at.EwEnd, weightsDuring
 			default:
-				t0, t1, mix = at.EwEnd, at.LastActivity, interestAfter
+				t0, t1, mix = at.EwEnd, at.LastActivity, weightsAfter
 			}
 			span := int(t1.Sub(t0).Hours() / 24)
 			if span < 1 {
@@ -405,7 +405,7 @@ func (w *World) genOtherActivity(st *forumState, catBoards []forum.BoardID) {
 			if st.isHF && rng.Bool(0.10) {
 				board = w.HFLounge // excluded from interest analysis
 			} else if st.isHF {
-				board = byCat[pickCategory(rng, mix)]
+				board = byCat[hfCategories[rng.WeightedPick(mix)]]
 			} else {
 				board = st.ewBoard
 			}
@@ -415,15 +415,6 @@ func (w *World) genOtherActivity(st *forumState, catBoards []forum.BoardID) {
 			w.postBackground(st, board, a, tm)
 		}
 	}
-}
-
-// pickCategory samples a category from an interest mix.
-func pickCategory(rng *randx.Rand, mix map[string]float64) string {
-	weights := make([]float64, len(hfCategories))
-	for i, c := range hfCategories {
-		weights[i] = mix[c]
-	}
-	return hfCategories[rng.WeightedPick(weights)]
 }
 
 // postBackground appends a post to the rolling host thread of a

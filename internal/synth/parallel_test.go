@@ -151,3 +151,54 @@ func TestGenerateParallelSpeedup(t *testing.T) {
 		t.Errorf("parallel generation slower than sequential: %v > %v", par, seq)
 	}
 }
+
+// TestJobRunnerRunsAhead pins that submitting a job never waits for
+// the pool: with every render held on a gate, the walk still submits
+// far more jobs than any bounded queue would take, and once the gate
+// opens the applies run in submission order.
+func TestJobRunnerRunsAhead(t *testing.T) {
+	const jobs = 1000
+	w := &World{jobs: startJobRunner(context.Background(), 2)}
+	gate := make(chan struct{})
+	var applied []int
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for i := 0; i < jobs; i++ {
+			w.do(func() { <-gate }, func() { applied = append(applied, i) })
+		}
+	}()
+	select {
+	case <-submitted:
+	case <-time.After(10 * time.Second):
+		t.Errorf("walk still blocked in do after 10s with renders gated")
+	}
+	close(gate)
+	<-submitted
+	w.jobs.close()
+	if len(applied) != jobs {
+		t.Fatalf("%d applies ran, want %d", len(applied), jobs)
+	}
+	for i, v := range applied {
+		if v != i {
+			t.Fatalf("apply %d ran job %d: applies left submission order", i, v)
+		}
+	}
+}
+
+// TestGenerateContextCancelledReturns pins that a cancelled context
+// abandons the pool without stranding the walk or the runner.
+func TestGenerateContextCancelledReturns(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		GenerateContext(ctx, Config{Seed: 5, Scale: 0.01, ImageSize: 48, Workers: 2})
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("GenerateContext did not return after cancellation")
+	}
+}
