@@ -51,7 +51,7 @@ func (p *Profile) DaysAfter() float64 {
 func BuildProfiles(store *forum.Store, ewThreads []forum.ThreadID) map[forum.ActorID]*Profile {
 	profiles := make(map[forum.ActorID]*Profile)
 	for _, tid := range ewThreads {
-		for _, post := range store.PostsInThread(tid) {
+		for post := range store.PostsInThread(tid) {
 			p, ok := profiles[post.Author]
 			if !ok {
 				p = &Profile{Actor: post.Author, FirstEw: post.Created, LastEw: post.Created}
@@ -67,12 +67,7 @@ func BuildProfiles(store *forum.Store, ewThreads []forum.ThreadID) map[forum.Act
 		}
 	}
 	for _, p := range profiles {
-		first, last, ok := store.ActivitySpan(p.Actor)
-		if !ok {
-			continue
-		}
-		p.FirstAny, p.LastAny = first, last
-		p.TotalPosts = len(store.PostsByActor(p.Actor))
+		p.FirstAny, p.LastAny, p.TotalPosts = store.ActivitySpan(p.Actor)
 	}
 	return profiles
 }

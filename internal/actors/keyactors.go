@@ -284,7 +284,7 @@ func Interests(store *forum.Store, key []forum.ActorID, profiles map[forum.Actor
 		if p == nil {
 			continue
 		}
-		for _, post := range store.PostsByActor(a) {
+		for post := range store.PostsByActor(a) {
 			if ewThreads.Contains(post.Thread) {
 				continue
 			}

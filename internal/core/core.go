@@ -232,7 +232,7 @@ func (s *Study) ForumOverview(ew []forum.ThreadID) []ForumOverviewRow {
 			actorsSeen[th.Forum] = make(map[forum.ActorID]struct{})
 		}
 		row.Threads++
-		for _, p := range store.PostsInThread(tid) {
+		for p := range store.PostsInThread(tid) {
 			row.Posts++
 			actorsSeen[th.Forum][p.Author] = struct{}{}
 			if row.FirstPost.IsZero() || p.Created.Before(row.FirstPost) {
@@ -291,7 +291,7 @@ func (s *Study) TrainAndExtract(ew []forum.ThreadID) (ClassifierResult, error) {
 		return ClassifierResult{}, fmt.Errorf("core: annotation sample too small (%d)", len(labeled))
 	}
 	train, test := labeled[:cut], labeled[cut:]
-	hybrid, err := topclass.Train(s.World.Store, urlx.DefaultWhitelist(), train, ml.DefaultSVMConfig())
+	hybrid, err := topclass.Train(s.World.Store, urlx.DefaultWhitelist(), train, test, ml.DefaultSVMConfig())
 	if err != nil {
 		return ClassifierResult{}, err
 	}
@@ -341,7 +341,7 @@ func (s *Study) ExtractLinks(tops []forum.ThreadID) (LinkExtraction, *urlx.White
 	var all []located
 	var urls []string
 	for _, tid := range tops {
-		for _, p := range store.PostsInThread(tid) {
+		for p := range store.PostsInThread(tid) {
 			for _, u := range urlx.Extract(p.Body) {
 				all = append(all, located{u, tid, p.ID, p.Author})
 				urls = append(urls, u)
@@ -389,7 +389,10 @@ func (s *Study) CrawlLinks(ctx context.Context, tasks []crawler.Task) ([]crawler
 
 // SafeImage is a downloaded image that passed the hashlist gate.
 type SafeImage struct {
-	Image  *imagex.Image
+	Image *imagex.Image
+	// Hash is the robust hash the gate computed; reverse search reuses
+	// it.
+	Hash   imagex.Hash128
 	Task   crawler.Task
 	IsPack bool
 }
@@ -441,7 +444,7 @@ func (s *Study) matchResult(r crawler.Result) matchOutcome {
 		h := photodna.HashImage(im)
 		entry, hit := s.World.HashList.MatchHash(h)
 		if !hit {
-			o.safe = append(o.safe, SafeImage{Image: im, Task: r.Task, IsPack: r.IsPack})
+			o.safe = append(o.safe, SafeImage{Image: im, Hash: h, Task: r.Task, IsPack: r.IsPack})
 			continue
 		}
 		// Report with the URLs where reverse search finds the same
@@ -607,7 +610,7 @@ type searchOutcome struct {
 // against the post date and the Wayback archive.
 func (s *Study) searchImage(si SafeImage) searchOutcome {
 	posted := s.World.Store.Post(si.Task.Post).Created
-	matches := s.World.Reverse.SearchHash(imagex.Hash128Of(si.Image))
+	matches := s.World.Reverse.SearchHash(si.Hash)
 	o := searchOutcome{thread: si.Task.Thread, matches: len(matches)}
 	if len(matches) == 0 {
 		return o
@@ -814,7 +817,7 @@ func (s *Study) AnalyzeEarnings(ctx context.Context, ew []forum.ThreadID, whitel
 	// Extract image-sharing links from the posts.
 	var tasks []crawler.Task
 	for _, tid := range selected.Sorted() {
-		for _, p := range store.PostsInThread(tid) {
+		for p := range store.PostsInThread(tid) {
 			for _, u := range urlx.Extract(p.Body) {
 				link := whitelist.Classify(u)
 				if link.Kind != urlx.KindImageSharing {

@@ -13,6 +13,7 @@ package forum
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 	"time"
@@ -281,14 +282,21 @@ func (s *Store) ThreadsInBoard(board BoardID) []ThreadID {
 	return s.threadsByBoard[board]
 }
 
-// PostsInThread returns the posts of a thread in posting order.
-func (s *Store) PostsInThread(thread ThreadID) []Post {
-	ids := s.postsByThread[thread]
-	out := make([]Post, len(ids))
-	for i, id := range ids {
-		out[i] = s.posts[id-1]
+// PostsInThread yields the posts of a thread in posting (ID) order,
+// read in place from the store: ranging over it allocates nothing.
+func (s *Store) PostsInThread(thread ThreadID) iter.Seq[Post] {
+	return s.postsOf(s.postsByThread[thread])
+}
+
+// postsOf yields the posts with the given IDs, in order.
+func (s *Store) postsOf(ids []PostID) iter.Seq[Post] {
+	return func(yield func(Post) bool) {
+		for _, id := range ids {
+			if !yield(s.posts[id-1]) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // FirstPost returns the opening post of a thread.
@@ -309,14 +317,10 @@ func (s *Store) NumReplies(thread ThreadID) int {
 	return n - 1
 }
 
-// PostsByActor returns an actor's posts in posting order.
-func (s *Store) PostsByActor(actor ActorID) []Post {
-	ids := s.postsByActor[actor]
-	out := make([]Post, len(ids))
-	for i, id := range ids {
-		out[i] = s.posts[id-1]
-	}
-	return out
+// PostsByActor yields an actor's posts in posting (ID) order, read in
+// place from the store: ranging over it allocates nothing.
+func (s *Store) PostsByActor(actor ActorID) iter.Seq[Post] {
+	return s.postsOf(s.postsByActor[actor])
 }
 
 // ThreadsByActor returns the IDs of threads the actor started.
@@ -352,12 +356,13 @@ func (s *Store) SearchHeadings(keywords ...string) []ThreadID {
 	return out
 }
 
-// ActivitySpan returns the times of an actor's first and last posts,
-// and false if the actor never posted.
-func (s *Store) ActivitySpan(actor ActorID) (first, last time.Time, ok bool) {
+// ActivitySpan returns the times of an actor's first and last posts
+// and how many posts the actor wrote; n is 0 if the actor never
+// posted.
+func (s *Store) ActivitySpan(actor ActorID) (first, last time.Time, n int) {
 	posts := s.postsByActor[actor]
 	if len(posts) == 0 {
-		return time.Time{}, time.Time{}, false
+		return time.Time{}, time.Time{}, 0
 	}
 	first = s.posts[posts[0]-1].Created
 	last = first
@@ -370,7 +375,7 @@ func (s *Store) ActivitySpan(actor ActorID) (first, last time.Time, ok bool) {
 			last = t
 		}
 	}
-	return first, last, true
+	return first, last, len(posts)
 }
 
 // Span returns the times of the earliest and latest posts in the

@@ -1,6 +1,8 @@
 package forum
 
 import (
+	"iter"
+	"slices"
 	"testing"
 	"time"
 )
@@ -57,7 +59,7 @@ func TestThreadAndReplies(t *testing.T) {
 	if s.NumReplies(th) != 1 {
 		t.Fatalf("after reply NumReplies = %d", s.NumReplies(th))
 	}
-	posts := s.PostsInThread(th)
+	posts := slices.Collect(s.PostsInThread(th))
 	if len(posts) != 2 || posts[1].ID != p2 || posts[1].Quotes != first.ID {
 		t.Fatalf("PostsInThread = %+v", posts)
 	}
@@ -88,7 +90,7 @@ func TestPostsByActorOrder(t *testing.T) {
 	th := s.AddThread(ew, alice, "t", "p1", day(2))
 	s.AddReply(th, bob, "r1", day(3), 0)
 	s.AddReply(th, alice, "p2", day(4), 0)
-	posts := s.PostsByActor(alice)
+	posts := slices.Collect(s.PostsByActor(alice))
 	if len(posts) != 2 || posts[0].Body != "p1" || posts[1].Body != "p2" {
 		t.Fatalf("PostsByActor = %+v", posts)
 	}
@@ -98,12 +100,12 @@ func TestActivitySpan(t *testing.T) {
 	s, _, ew, alice, bob := buildSmall(t)
 	th := s.AddThread(ew, alice, "t", "p1", day(10))
 	s.AddReply(th, alice, "p2", day(40), 0)
-	first, last, ok := s.ActivitySpan(alice)
-	if !ok || !first.Equal(day(10)) || !last.Equal(day(40)) {
-		t.Fatalf("ActivitySpan = %v %v %v", first, last, ok)
+	first, last, n := s.ActivitySpan(alice)
+	if n != 2 || !first.Equal(day(10)) || !last.Equal(day(40)) {
+		t.Fatalf("ActivitySpan = %v %v %d", first, last, n)
 	}
-	if _, _, ok := s.ActivitySpan(bob); ok {
-		t.Fatal("ActivitySpan for silent actor returned ok")
+	if _, _, n := s.ActivitySpan(bob); n != 0 {
+		t.Fatalf("ActivitySpan for silent actor counted %d posts", n)
 	}
 }
 
@@ -195,5 +197,47 @@ func TestAllThreads(t *testing.T) {
 	s.AddThread(ew, alice, "b", "x", day(2))
 	if got := s.AllThreads(); len(got) != 2 {
 		t.Fatalf("AllThreads = %v", got)
+	}
+}
+
+// TestPostsInPlace holds the post accessors to their contract: ranging
+// over a thread's or an actor's posts allocates nothing, and the posts
+// come out in the store's ID order.
+func TestPostsInPlace(t *testing.T) {
+	s, _, ew, alice, bob := buildSmall(t)
+	th := s.AddThread(ew, alice, "t", "p1", day(2))
+	other := s.AddThread(ew, bob, "u", "q1", day(3))
+	s.AddReply(th, bob, "r1", day(4), 0)
+	s.AddReply(other, alice, "p2", day(5), 0)
+	s.AddReply(th, alice, "p3", day(6), 0)
+
+	ids := func(seq iter.Seq[Post]) []PostID {
+		var out []PostID
+		for p := range seq {
+			out = append(out, p.ID)
+		}
+		return out
+	}
+	if got := ids(s.PostsInThread(th)); !slices.Equal(got, []PostID{1, 3, 5}) {
+		t.Errorf("PostsInThread IDs = %v, want [1 3 5]", got)
+	}
+	if got := ids(s.PostsByActor(alice)); !slices.Equal(got, []PostID{1, 4, 5}) {
+		t.Errorf("PostsByActor IDs = %v, want [1 4 5]", got)
+	}
+
+	var n int
+	if avg := testing.AllocsPerRun(200, func() {
+		for p := range s.PostsInThread(th) {
+			n += len(p.Body)
+		}
+	}); avg != 0 {
+		t.Errorf("ranging a thread's posts: %v allocs, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		for p := range s.PostsByActor(alice) {
+			n += len(p.Body)
+		}
+	}); avg != 0 {
+		t.Errorf("ranging an actor's posts: %v allocs, want 0", avg)
 	}
 }

@@ -2,6 +2,7 @@ package forum
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,8 +46,8 @@ func TestExportImportRoundtrip(t *testing.T) {
 			orig.Author != got.Author || !orig.Created.Equal(got.Created) {
 			t.Fatalf("thread %d differs: %+v vs %+v", tid, orig, got)
 		}
-		op := s.PostsInThread(tid)
-		gp := back.PostsInThread(tid)
+		op := slices.Collect(s.PostsInThread(tid))
+		gp := slices.Collect(back.PostsInThread(tid))
 		if len(op) != len(gp) {
 			t.Fatalf("thread %d post count differs", tid)
 		}

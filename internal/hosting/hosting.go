@@ -118,10 +118,6 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request, path string) {
 		http.Error(w, "service discontinued", http.StatusServiceUnavailable)
 		return
 	}
-	if path == "" || path == "landing" {
-		s.serveLanding(w)
-		return
-	}
 	if s.cfg.RequiresLogin {
 		w.Header().Set("Content-Type", ContentTypeHTML)
 		w.WriteHeader(http.StatusUnauthorized)
@@ -153,24 +149,6 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request, path string) {
 		w.Header().Set("Content-Type", obj.ContentType)
 		w.Write(obj.Data)
 	}
-}
-
-// serveLanding writes the site's landing page, which advertises what
-// kind of site this is; a crawled bare-domain link lands here.
-// Snowball sampling reads the same kind in-process via VisitKind.
-func (s *Site) serveLanding(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", ContentTypeHTML)
-	var kind string
-	switch s.cfg.Kind {
-	case urlx.KindImageSharing:
-		kind = "image-sharing"
-	case urlx.KindCloudStorage:
-		kind = "cloud-storage"
-	default:
-		kind = "other"
-	}
-	fmt.Fprintf(w, "<html><head><meta name=\"site-kind\" content=%q></head><body>%s — %s</body></html>",
-		kind, s.cfg.Domain, kind)
 }
 
 // World is a registry of simulated sites behind one HTTP handler.
@@ -249,8 +227,9 @@ func (w *World) Resolver(baseURL string) func(string) (string, error) {
 	}
 }
 
-// VisitKind reports the kind a site's landing page advertises — the
-// oracle behind snowball sampling. Unregistered domains report false.
+// VisitKind reports a site's kind, as a visit to its landing page
+// would show it — the oracle behind snowball sampling. Unregistered
+// and defunct domains report false.
 func (w *World) VisitKind(domain string) (urlx.Kind, bool) {
 	s, ok := w.Site(domain)
 	if !ok || s.cfg.Defunct {

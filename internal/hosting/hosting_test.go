@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/imagex"
@@ -161,18 +160,6 @@ func TestMissingDomainSegment(t *testing.T) {
 	resp, _ := get(t, srv.URL+"/")
 	if resp.StatusCode != 400 {
 		t.Fatalf("status %d", resp.StatusCode)
-	}
-}
-
-func TestLandingPageAdvertisesKind(t *testing.T) {
-	w, srv := newTestWorld(t)
-	w.AddSite(SiteConfig{Domain: "imgur.com", Kind: urlx.KindImageSharing})
-	resp, body := get(t, srv.URL+"/imgur.com/landing")
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "image-sharing") {
-		t.Fatalf("landing page %q", body)
 	}
 }
 

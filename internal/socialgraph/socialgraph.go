@@ -94,13 +94,13 @@ func (g *Graph) Actors() []forum.ActorID {
 func Build(store *forum.Store, threads []forum.ThreadID) *Graph {
 	g := NewGraph()
 	for _, tid := range threads {
-		posts := store.PostsInThread(tid)
-		if len(posts) == 0 {
-			continue
-		}
-		starter := posts[0].Author
-		g.node(starter) // thread authors are nodes even with no replies
-		for _, p := range posts[1:] {
+		var starter forum.ActorID // IDs are 1-based: 0 until the opener
+		for p := range store.PostsInThread(tid) {
+			if starter == 0 {
+				starter = p.Author
+				g.node(starter) // thread authors are nodes even with no replies
+				continue
+			}
 			target := starter
 			if p.Quotes != 0 {
 				target = store.Post(p.Quotes).Author

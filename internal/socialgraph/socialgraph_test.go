@@ -2,6 +2,7 @@ package socialgraph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,7 +48,7 @@ func TestBuildResponseRules(t *testing.T) {
 	// Bob replies without quoting → responds to thread author alice.
 	s.AddReply(th, bob, "thanks", day(2), 0)
 	// Carol quotes bob's post → responds to bob.
-	bobPost := s.PostsInThread(th)[1]
+	bobPost := slices.Collect(s.PostsInThread(th))[1]
 	s.AddReply(th, carol, "agreed", day(3), bobPost.ID)
 	// Alice replies quoting her own first post → self-loop, ignored.
 	s.AddReply(th, alice, "bump", day(4), first.ID)

@@ -62,7 +62,9 @@ func TestScaledCounts(t *testing.T) {
 	// threads.
 	posts := 0
 	for _, tid := range ew {
-		posts += len(testW.Store.PostsInThread(tid))
+		for range testW.Store.PostsInThread(tid) {
+			posts++
+		}
 	}
 	if posts < 5000 || posts > 30000 {
 		t.Errorf("eWhoring posts = %d, want ≈12.5k", posts)

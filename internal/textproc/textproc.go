@@ -46,32 +46,35 @@ func IsStopWord(tok string) bool {
 // punctuation and ignoring tokens that contain digits, per the paper's
 // preprocessing. Stop words are retained; use TokenizeFiltered to drop
 // them.
+//
+// The text is lowercased once and the tokens are substrings of that
+// copy. Lowercasing keeps every rune's letter and digit class
+// (TestLowerKeepsRuneClass), so splitting the lowercased text finds
+// the same tokens as splitting the original.
 func Tokenize(text string) []string {
+	lower := strings.ToLower(text)
 	var toks []string
-	var cur strings.Builder
-	hasDigit := false
-	flush := func() {
-		if cur.Len() > 0 {
-			if !hasDigit {
-				toks = append(toks, cur.String())
-			}
-			cur.Reset()
-		}
-		hasDigit = false
-	}
-	for _, r := range text {
+	start, hasDigit := -1, false // start < 0 between tokens
+	for i, r := range lower {
 		switch {
 		case unicode.IsLetter(r):
-			cur.WriteRune(unicode.ToLower(r))
 		case unicode.IsDigit(r):
 			// Tokens containing numbers are ignored entirely.
-			cur.WriteRune('0')
 			hasDigit = true
 		default:
-			flush()
+			if start >= 0 && !hasDigit {
+				toks = append(toks, lower[start:i])
+			}
+			start, hasDigit = -1, false
+			continue
+		}
+		if start < 0 {
+			start = i
 		}
 	}
-	flush()
+	if start >= 0 && !hasDigit {
+		toks = append(toks, lower[start:])
+	}
 	return toks
 }
 
@@ -116,6 +119,9 @@ func (v *Vocab) Fit(docs [][]string) {
 		for _, term := range doc {
 			idx, ok := v.index[term]
 			if !ok {
+				// A token shares its document's memory; the
+				// vocabulary outlives the document.
+				term = strings.Clone(term)
 				idx = len(v.terms)
 				v.index[term] = idx
 				v.terms = append(v.terms, term)
@@ -194,47 +200,40 @@ func (s SparseVec) Scale(f float64) SparseVec {
 }
 
 // CountVector returns the raw term-count vector of a tokenised document
-// under the vocabulary. Unknown terms are dropped.
+// under the vocabulary. Unknown terms are dropped. It sorts the known
+// terms' feature indices and counts each run.
 func (v *Vocab) CountVector(doc []string) SparseVec {
-	counts := make(map[int]float64)
+	idx := make([]int, 0, len(doc))
 	for _, term := range doc {
-		if idx, ok := v.index[term]; ok {
-			counts[idx]++
+		if i, ok := v.index[term]; ok {
+			idx = append(idx, i)
 		}
 	}
-	return mapToSparse(counts)
+	sort.Ints(idx)
+	val := make([]float64, 0, len(idx))
+	for k := 0; k < len(idx); {
+		run := k + 1
+		for run < len(idx) && idx[run] == idx[k] {
+			run++
+		}
+		idx[len(val)] = idx[k]
+		val = append(val, float64(run-k))
+		k = run
+	}
+	return SparseVec{Idx: idx[:len(val)], Val: val}
 }
 
 // TFIDFVector returns the L2-normalised TF-IDF vector of a tokenised
 // document under the vocabulary.
 func (v *Vocab) TFIDFVector(doc []string) SparseVec {
-	counts := make(map[int]float64)
-	for _, term := range doc {
-		if idx, ok := v.index[term]; ok {
-			counts[idx]++
-		}
+	vec := v.CountVector(doc)
+	for k, idx := range vec.Idx {
+		vec.Val[k] *= v.IDF(idx)
 	}
-	for idx, tf := range counts {
-		counts[idx] = tf * v.IDF(idx)
-	}
-	vec := mapToSparse(counts)
 	if n := vec.L2Norm(); n > 0 {
 		vec.Scale(1 / n)
 	}
 	return vec
-}
-
-func mapToSparse(m map[int]float64) SparseVec {
-	idx := make([]int, 0, len(m))
-	for i := range m {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	val := make([]float64, len(idx))
-	for k, i := range idx {
-		val[k] = m[i]
-	}
-	return SparseVec{Idx: idx, Val: val}
 }
 
 // TopTerms returns the n terms with the highest document frequency,

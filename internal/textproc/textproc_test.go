@@ -3,9 +3,12 @@ package textproc
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -204,6 +207,113 @@ func TestQuickTFIDFInvariants(t *testing.T) {
 		return n == 0 || math.Abs(n-1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// referenceTokenize is the per-rune tokenizer Tokenize replaced: it
+// lowercases each letter as it appends it to a fresh token buffer.
+func referenceTokenize(text string) []string {
+	var toks []string
+	var cur strings.Builder
+	hasDigit := false
+	flush := func() {
+		if cur.Len() > 0 {
+			if !hasDigit {
+				toks = append(toks, cur.String())
+			}
+			cur.Reset()
+		}
+		hasDigit = false
+	}
+	for _, r := range text {
+		switch {
+		case unicode.IsLetter(r):
+			cur.WriteRune(unicode.ToLower(r))
+		case unicode.IsDigit(r):
+			cur.WriteRune('0')
+			hasDigit = true
+		default:
+			flush()
+		}
+	}
+	flush()
+	return toks
+}
+
+// referenceTFIDF is the map-based TF-IDF TFIDFVector replaced.
+func referenceTFIDF(v *Vocab, doc []string) SparseVec {
+	counts := make(map[int]float64)
+	for _, term := range doc {
+		if idx, ok := v.index[term]; ok {
+			counts[idx]++
+		}
+	}
+	for idx, tf := range counts {
+		counts[idx] = tf * v.IDF(idx)
+	}
+	idx := make([]int, 0, len(counts))
+	for i := range counts {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	val := make([]float64, len(idx))
+	for k, i := range idx {
+		val[k] = counts[i]
+	}
+	vec := SparseVec{Idx: idx, Val: val}
+	if n := vec.L2Norm(); n > 0 {
+		vec.Scale(1 / n)
+	}
+	return vec
+}
+
+// TestLowerKeepsRuneClass checks, over every rune, the property
+// Tokenize relies on to split the lowercased text instead of the
+// original: lowercasing never changes whether a rune is a letter or a
+// digit.
+func TestLowerKeepsRuneClass(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		l := unicode.ToLower(r)
+		if unicode.IsLetter(r) != unicode.IsLetter(l) || unicode.IsDigit(r) != unicode.IsDigit(l) {
+			t.Fatalf("%U lowercases to %U of another class", r, l)
+		}
+	}
+}
+
+func TestTokenizeMatchesReference(t *testing.T) {
+	for _, s := range []string{
+		"", "Selling PACK!!! pm-me, thanks.", "got 50 pics v2 pack",
+		"ÀÉÎ über İstanbul ΣΊΣΥΦΟΣ", "éclair", "bad\xffutf8\xc3", "x²y ٣abc a٣",
+		"Ⅻ ⓐⒷ ǅungla", "trailing", "  lead and   spaces  ",
+	} {
+		if got, want := Tokenize(s), referenceTokenize(s); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokenize(%q) = %q, reference %q", s, got, want)
+		}
+	}
+	f := func(s string) bool { return reflect.DeepEqual(Tokenize(s), referenceTokenize(s)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTFIDFMatchesReference(t *testing.T) {
+	v := NewVocab()
+	v.Fit([][]string{
+		{"alpha", "beta", "gamma"},
+		{"alpha", "delta"},
+		{"beta", "beta", "epsilon"},
+	})
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "junk"}
+	f := func(picks []uint8) bool {
+		doc := make([]string, 0, len(picks))
+		for _, p := range picks {
+			doc = append(doc, words[int(p)%len(words)])
+		}
+		got, want := v.TFIDFVector(doc), referenceTFIDF(v, doc)
+		return slices.Equal(got.Idx, want.Idx) && slices.Equal(got.Val, want.Val)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

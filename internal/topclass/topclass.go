@@ -81,15 +81,28 @@ func (e *Extractor) threadText(tid forum.ThreadID) (string, string) {
 	return th.Heading, e.store.FirstPost(tid).Body
 }
 
+// tokens returns the filtered tokens of a thread's heading and first
+// post: the text both Fit and Vector read.
+func (e *Extractor) tokens(tid forum.ThreadID) []string {
+	h, b := e.threadText(tid)
+	return textproc.TokenizeFiltered(h + " " + b)
+}
+
 // Fit learns the TF-IDF vocabulary from the given threads' headings
 // and first posts. Call before Vector.
 func (e *Extractor) Fit(threads []forum.ThreadID) {
-	docs := make([][]string, 0, len(threads))
-	for _, tid := range threads {
-		h, b := e.threadText(tid)
-		docs = append(docs, textproc.TokenizeFiltered(h+" "+b))
+	e.fit(threads)
+}
+
+// fit is Fit returning each thread's tokens, so a caller that goes on
+// to vectorize the same threads need not tokenize them again.
+func (e *Extractor) fit(threads []forum.ThreadID) [][]string {
+	docs := make([][]string, len(threads))
+	for i, tid := range threads {
+		docs[i] = e.tokens(tid)
 	}
 	e.vocab.Fit(docs)
+	return docs
 }
 
 // Dim returns the feature-space dimensionality (stat features + vocab).
@@ -97,6 +110,11 @@ func (e *Extractor) Dim() int { return numStatFeatures + e.vocab.Size() }
 
 // Vector extracts the feature vector of one thread.
 func (e *Extractor) Vector(tid forum.ThreadID) ml.SparseVec {
+	return e.vector(tid, e.tokens(tid))
+}
+
+// vector is Vector over the thread's already-computed tokens.
+func (e *Extractor) vector(tid forum.ThreadID, tokens []string) ml.SparseVec {
 	heading, body := e.threadText(tid)
 	lower := strings.ToLower(heading)
 
@@ -122,7 +140,7 @@ func (e *Extractor) Vector(tid forum.ThreadID) ml.SparseVec {
 		float64(textproc.CountOccurrences(lower, InfoRequestKeywords)) / 3,
 		float64(textproc.CountOccurrences(lower, TutorialKeywords)) / 2,
 	}
-	tfidf := e.vocab.TFIDFVector(textproc.TokenizeFiltered(heading + " " + body))
+	tfidf := e.vocab.TFIDFVector(tokens)
 
 	idx := make([]int, 0, numStatFeatures+len(tfidf.Idx))
 	val := make([]float64, 0, numStatFeatures+len(tfidf.Val))
@@ -175,11 +193,19 @@ func Heuristic(store *forum.Store, tid forum.ThreadID) bool {
 type Hybrid struct {
 	Extractor *Extractor
 	SVM       *ml.SVM
+
+	// annotated holds the feature vectors of the annotated sample
+	// (train and test), computed once in Train. Every other thread is
+	// vectorized when classified, so the map never outgrows the
+	// annotation budget whatever the corpus size.
+	annotated map[forum.ThreadID]ml.SparseVec
 }
 
 // Train fits the hybrid classifier's ML side on annotated threads
-// (the paper uses 800 of 1 000).
-func Train(store *forum.Store, wl *urlx.Whitelist, train []Labeled, cfg ml.SVMConfig) (*Hybrid, error) {
+// (the paper uses 800 of 1 000). It also featurizes the held-out
+// test threads, reading none of their labels, so that Evaluate and
+// Extract reuse the vectors instead of recomputing them.
+func Train(store *forum.Store, wl *urlx.Whitelist, train, test []Labeled, cfg ml.SVMConfig) (*Hybrid, error) {
 	if len(train) == 0 {
 		return nil, errors.New("topclass: empty training set")
 	}
@@ -188,16 +214,31 @@ func Train(store *forum.Store, wl *urlx.Whitelist, train []Labeled, cfg ml.SVMCo
 	for i, l := range train {
 		tids[i] = l.Thread
 	}
-	ex.Fit(tids)
+	docs := ex.fit(tids)
+	annotated := make(map[forum.ThreadID]ml.SparseVec, len(train)+len(test))
 	examples := make([]ml.Example, len(train))
 	for i, l := range train {
-		examples[i] = ml.Example{X: ex.Vector(l.Thread), Y: l.IsTOP}
+		x := ex.vector(l.Thread, docs[i])
+		annotated[l.Thread] = x
+		examples[i] = ml.Example{X: x, Y: l.IsTOP}
 	}
 	svm, err := ml.TrainSVM(examples, ex.Dim(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Hybrid{Extractor: ex, SVM: svm}, nil
+	for _, l := range test {
+		annotated[l.Thread] = ex.Vector(l.Thread)
+	}
+	return &Hybrid{Extractor: ex, SVM: svm, annotated: annotated}, nil
+}
+
+// vector returns a thread's feature vector: the one Train kept for an
+// annotated thread, a fresh one for any other.
+func (h *Hybrid) vector(tid forum.ThreadID) ml.SparseVec {
+	if x, ok := h.annotated[tid]; ok {
+		return x
+	}
+	return h.Extractor.Vector(tid)
 }
 
 // Vote is the decision breakdown for one thread.
@@ -212,7 +253,7 @@ func (v Vote) IsTOP() bool { return v.ML || v.Heuristic }
 // Classify returns both methods' votes for a thread.
 func (h *Hybrid) Classify(tid forum.ThreadID) Vote {
 	return Vote{
-		ML:        h.SVM.Predict(h.Extractor.Vector(tid)),
+		ML:        h.SVM.Predict(h.vector(tid)),
 		Heuristic: Heuristic(h.Extractor.store, tid),
 	}
 }

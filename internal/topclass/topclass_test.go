@@ -1,6 +1,7 @@
 package topclass
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/forum"
@@ -46,7 +47,7 @@ func TestHeuristicOnGroundTruth(t *testing.T) {
 func TestHybridMatchesPaperBand(t *testing.T) {
 	all := annotated(1000, 5)
 	train, test := splitLabeled(all, 0.8)
-	h, err := Train(world.Store, urlx.DefaultWhitelist(), train, ml.DefaultSVMConfig())
+	h, err := Train(world.Store, urlx.DefaultWhitelist(), train, test, ml.DefaultSVMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestHybridMatchesPaperBand(t *testing.T) {
 func TestHybridBeatsOrMatchesParts(t *testing.T) {
 	all := annotated(800, 9)
 	train, test := splitLabeled(all, 0.8)
-	h, err := Train(world.Store, urlx.DefaultWhitelist(), train, ml.DefaultSVMConfig())
+	h, err := Train(world.Store, urlx.DefaultWhitelist(), train, test, ml.DefaultSVMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +81,8 @@ func TestHybridBeatsOrMatchesParts(t *testing.T) {
 
 func TestExtractOverlapShape(t *testing.T) {
 	all := annotated(800, 21)
-	train, _ := splitLabeled(all, 0.8)
-	h, err := Train(world.Store, urlx.DefaultWhitelist(), train, ml.DefaultSVMConfig())
+	train, test := splitLabeled(all, 0.8)
+	h, err := Train(world.Store, urlx.DefaultWhitelist(), train, test, ml.DefaultSVMConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestExtractOverlapShape(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(world.Store, urlx.DefaultWhitelist(), nil, ml.DefaultSVMConfig()); err == nil {
+	if _, err := Train(world.Store, urlx.DefaultWhitelist(), nil, nil, ml.DefaultSVMConfig()); err == nil {
 		t.Fatal("empty training set accepted")
 	}
 }
@@ -160,5 +161,70 @@ func TestHeuristicRejectsQuestions(t *testing.T) {
 	}
 	if Heuristic(s, tut) {
 		t.Error("tutorial heading accepted")
+	}
+}
+
+// TestReuseMatchesFreshVectors holds the once-per-thread featurization
+// to the per-thread path it replaced: every vector Train keeps equals a
+// fresh Vector from an extractor fitted on the same training set, and
+// Evaluate and Extract equal a Classify loop that recomputes every
+// vector.
+func TestReuseMatchesFreshVectors(t *testing.T) {
+	all := annotated(600, 33)
+	train, test := splitLabeled(all, 0.8)
+	h, err := Train(world.Store, urlx.DefaultWhitelist(), train, test, ml.DefaultSVMConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.annotated) != len(all) {
+		t.Fatalf("kept %d vectors for %d annotated threads", len(h.annotated), len(all))
+	}
+
+	fresh := NewExtractor(world.Store, urlx.DefaultWhitelist())
+	tids := make([]forum.ThreadID, len(train))
+	for i, l := range train {
+		tids[i] = l.Thread
+	}
+	fresh.Fit(tids)
+	for tid, kept := range h.annotated {
+		if want := fresh.Vector(tid); !reflect.DeepEqual(kept, want) {
+			t.Fatalf("thread %d: kept vector %v, fresh %v", tid, kept, want)
+		}
+	}
+
+	classify := func(tid forum.ThreadID) Vote {
+		return Vote{
+			ML:        h.SVM.Predict(fresh.Vector(tid)),
+			Heuristic: Heuristic(world.Store, tid),
+		}
+	}
+	var wantM ml.Metrics
+	for _, l := range test {
+		wantM.Observe(classify(l.Thread).IsTOP(), l.IsTOP)
+	}
+	if got := h.Evaluate(test); got != wantM {
+		t.Errorf("Evaluate = %+v, per-thread loop %+v", got, wantM)
+	}
+
+	var want ExtractResult
+	for _, tid := range world.EWhoringAll() {
+		v := classify(tid)
+		if v.ML {
+			want.MLCount++
+		}
+		if v.Heuristic {
+			want.HeurCount++
+		}
+		if v.ML && v.Heuristic {
+			want.BothCount++
+		}
+		if v.IsTOP() {
+			want.TOPs = append(want.TOPs, tid)
+		}
+	}
+	if got := h.Extract(world.EWhoringAll()); !reflect.DeepEqual(got, want) {
+		t.Errorf("Extract = ML %d heur %d both %d TOPs %d, per-thread loop ML %d heur %d both %d TOPs %d",
+			got.MLCount, got.HeurCount, got.BothCount, len(got.TOPs),
+			want.MLCount, want.HeurCount, want.BothCount, len(want.TOPs))
 	}
 }
