@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
 	"repro/internal/artefact"
+	"repro/internal/imagex"
 	"repro/internal/synth"
 )
 
@@ -162,6 +164,54 @@ func TestResolveArtefacts(t *testing.T) {
 	for _, name := range []string{"table99", "table5", "overview"} {
 		if _, err := ResolveArtefacts(name); err == nil {
 			t.Fatalf("non-artefact name %q accepted", name)
+		}
+	}
+}
+
+// TestCrawledImagesStayImmutable pins the contract of the
+// content-addressed crawl: a pack member that recurs across the crawl
+// is one shared *imagex.Image, so no downstream node may write to a
+// crawled image. It checksums every crawled image right after the
+// crawl node, runs every downstream node, and requires each checksum
+// unchanged and each carried hash still equal to a fresh Hash128Of.
+func TestCrawledImagesStayImmutable(t *testing.T) {
+	s := NewStudy(artefactTestOptions())
+	defer s.Close()
+	s.UseMemo(artefact.NewStore(0))
+	ctx := context.Background()
+	vals, err := s.evaluate(ctx, []string{ArtefactCrawl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := vals[ArtefactCrawl].(crawlValue).results
+	sums := make(map[*imagex.Image]uint32)
+	shared := 0
+	for _, r := range results {
+		if len(r.Hashes) != len(r.Images) {
+			t.Fatalf("result carries %d hashes for %d images", len(r.Hashes), len(r.Images))
+		}
+		for _, im := range r.Images {
+			if _, dup := sums[im]; dup {
+				shared++
+				continue
+			}
+			sums[im] = crc32.ChecksumIEEE(im.Pix)
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no crawled image is shared: the test world exercises nothing")
+	}
+	if _, err := s.evaluate(ctx, []string{ArtefactPhotoDNA, ArtefactNSFV, ArtefactProvenance, ArtefactEarnings}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		for i, im := range r.Images {
+			if crc32.ChecksumIEEE(im.Pix) != sums[im] {
+				t.Fatalf("task %s: a downstream node wrote to a crawled image", r.Task.Link.URL)
+			}
+			if r.Hashes[i] != imagex.Hash128Of(im) {
+				t.Fatalf("task %s: carried hash no longer matches image %d", r.Task.Link.URL, i)
+			}
 		}
 	}
 }

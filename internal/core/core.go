@@ -390,8 +390,8 @@ func (s *Study) CrawlLinks(ctx context.Context, tasks []crawler.Task) ([]crawler
 // SafeImage is a downloaded image that passed the hashlist gate.
 type SafeImage struct {
 	Image *imagex.Image
-	// Hash is the robust hash the gate computed; reverse search reuses
-	// it.
+	// Hash is the crawl's hash of the image, which the gate probed
+	// with; reverse search reuses it.
 	Hash   imagex.Hash128
 	Task   crawler.Task
 	IsPack bool
@@ -427,11 +427,11 @@ type matchOutcome struct {
 	reports []photodna.MatchReport
 }
 
-// matchResult runs the PhotoDNA gate over one crawl result. Each image
-// is hashed exactly once; matches carry the URLs where reverse search
-// finds the same image. Pure: reporting is the caller's job, so the
-// gate can fan out across workers while reports are filed in task
-// order.
+// matchResult runs the PhotoDNA gate over one crawl result, probing
+// the hashlist with the hash the crawl carried for each image; matches
+// carry the URLs where reverse search finds the same image. Pure:
+// reporting is the caller's job, so the gate can fan out across
+// workers while reports are filed in task order.
 func (s *Study) matchResult(r crawler.Result) matchOutcome {
 	var o matchOutcome
 	if r.Outcome != crawler.OutcomeOK || len(r.Images) == 0 {
@@ -440,8 +440,8 @@ func (s *Study) matchResult(r crawler.Result) matchOutcome {
 	// Nearly every image passes the gate, so size the safe set for all
 	// of them up front instead of growing it append by append.
 	o.safe = make([]SafeImage, 0, len(r.Images))
-	for _, im := range r.Images {
-		h := photodna.HashImage(im)
+	for i, im := range r.Images {
+		h := r.Hashes[i]
 		entry, hit := s.World.HashList.MatchHash(h)
 		if !hit {
 			o.safe = append(o.safe, SafeImage{Image: im, Hash: h, Task: r.Task, IsPack: r.IsPack})
@@ -847,12 +847,21 @@ func (s *Study) AnalyzeEarnings(ctx context.Context, ew []forum.ThreadID, whitel
 	res.MonthlyAGC = stats.NewMonthlySeries()
 	res.MonthlyPayPal = stats.NewMonthlySeries()
 	for _, si := range safe {
-		if !clf.IsSFV(si.Image) {
+		v := clf.Classify(si.Image)
+		if !v.SFV {
 			res.FilteredNSFV++
 			continue
 		}
+		// Parse the text the verdict's OCR recognised; only an image
+		// the score cleared without OCR is recognised here.
 		posted := store.Post(si.Task.Post).Created
-		proof, err := earnings.AnnotateImage(si.Image, posted)
+		var proof earnings.Proof
+		var err error
+		if v.Words < 0 {
+			proof, err = earnings.AnnotateImage(si.Image, posted)
+		} else {
+			proof, err = earnings.ParseProofText(v.Text, posted)
+		}
 		if err != nil {
 			res.NotProofs++
 			continue

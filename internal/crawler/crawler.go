@@ -81,8 +81,13 @@ type Result struct {
 	Task    Task
 	Outcome Outcome
 	// Images holds the decoded payload: one image for image-sharing
-	// links, every archive member for pack links.
+	// links, every archive member for pack links. A member that recurs
+	// across the crawl's packs is one shared *imagex.Image: read it,
+	// never write to it.
 	Images []*imagex.Image
+	// Hashes holds each image's Hash128, computed once per distinct
+	// image in the crawl worker; Hashes[i] belongs to Images[i].
+	Hashes []imagex.Hash128
 	// IsPack reports whether the payload was a zip archive.
 	IsPack bool
 	Err    error
@@ -199,6 +204,9 @@ type Crawler struct {
 	cfg     Config
 	client  *http.Client
 	resolve func(string) (string, error)
+	// packs inflates and hashes each distinct pack member once per
+	// crawler, however many packs repeat it.
+	packs imagex.PackDecoder
 
 	mu       sync.Mutex
 	breakers map[string]*breakerState
@@ -335,14 +343,11 @@ func (c *Crawler) fetchOne(ctx context.Context, t Task) (res Result) {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		attempts++
-		outcome, images, isPack, err := c.attempt(ctx, target)
+		got, err := c.attempt(ctx, target)
 		if err == nil {
 			c.recordHost(t.Link.Domain, false)
-			res.Outcome = outcome
-			res.Images = images
-			res.IsPack = isPack
-			res.Err = nil
-			return res
+			got.Task = t
+			return got
 		}
 		lastErr = err
 		if attempt == c.cfg.MaxRetries || !c.takeRetry(t.Link.Domain) {
@@ -394,28 +399,28 @@ func drainClose(body io.ReadCloser) {
 	body.Close()
 }
 
-// attempt performs a single HTTP round trip and decode. A non-nil
-// error means "retryable transport failure"; definitive outcomes
-// return err == nil.
-func (c *Crawler) attempt(ctx context.Context, target string) (Outcome, []*imagex.Image, bool, error) {
+// attempt performs a single HTTP round trip and decode, returning the
+// result without its task. A non-nil error means "retryable transport
+// failure"; definitive outcomes return err == nil.
+func (c *Crawler) attempt(ctx context.Context, target string) (Result, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
-		return OutcomeError, nil, false, err
+		return Result{Outcome: OutcomeError}, err
 	}
 	req.Header.Set("User-Agent", "ewhoring-study-crawler/1.0 (research)")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return OutcomeError, nil, false, err
+		return Result{Outcome: OutcomeError}, err
 	}
 	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusNotFound, http.StatusGone:
-		return OutcomeNotFound, nil, false, nil
+		return Result{Outcome: OutcomeNotFound}, nil
 	case http.StatusUnauthorized, http.StatusForbidden:
-		return OutcomeLoginRequired, nil, false, nil
+		return Result{Outcome: OutcomeLoginRequired}, nil
 	case http.StatusTooManyRequests:
 		// Rate-limited: retryable, honoring the host's backoff request.
-		return OutcomeError, nil, false, &StatusError{
+		return Result{Outcome: OutcomeError}, &StatusError{
 			StatusCode: resp.StatusCode,
 			RetryAfter: faultx.ParseRetryAfter(resp.Header.Get("Retry-After")),
 		}
@@ -423,21 +428,22 @@ func (c *Crawler) attempt(ctx context.Context, target string) (Outcome, []*image
 		if ra := faultx.ParseRetryAfter(resp.Header.Get("Retry-After")); ra > 0 {
 			// A 503 with Retry-After is a host asking for patience, not
 			// the substrate's permanent "service defunct" page — retry.
-			return OutcomeError, nil, false, &StatusError{StatusCode: resp.StatusCode, RetryAfter: ra}
+			return Result{Outcome: OutcomeError}, &StatusError{StatusCode: resp.StatusCode, RetryAfter: ra}
 		}
-		return OutcomeSiteDown, nil, false, nil
+		return Result{Outcome: OutcomeSiteDown}, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		return OutcomeError, nil, false, &StatusError{StatusCode: resp.StatusCode}
+		return Result{Outcome: OutcomeError}, &StatusError{StatusCode: resp.StatusCode}
 	}
 	// Bodies are read into pooled buffers: a crawl reads one body per
-	// page and Decode/DecodePackZip copy every pixel out, so nothing
+	// page, Decode copies an image's pixels out, and the pack decoder
+	// keeps its own copy of each member's compressed bytes, so nothing
 	// below retains the buffer once attempt returns.
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer putBodyBuf(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBodyBytes)); err != nil {
-		return OutcomeError, nil, false, err
+		return Result{Outcome: OutcomeError}, err
 	}
 	body := buf.Bytes()
 	ct := resp.Header.Get("Content-Type")
@@ -445,18 +451,22 @@ func (c *Crawler) attempt(ctx context.Context, target string) (Outcome, []*image
 	case strings.HasPrefix(ct, hosting.ContentTypeSIMG):
 		im, err := imagex.Decode(body)
 		if err != nil {
-			return OutcomeError, nil, false, fmt.Errorf("crawler: bad image payload: %w", err)
+			return Result{Outcome: OutcomeError}, fmt.Errorf("crawler: bad image payload: %w", err)
 		}
-		return OutcomeOK, []*imagex.Image{im}, false, nil
+		return Result{
+			Outcome: OutcomeOK,
+			Images:  []*imagex.Image{im},
+			Hashes:  []imagex.Hash128{imagex.Hash128Of(im)},
+		}, nil
 	case strings.HasPrefix(ct, hosting.ContentTypeZip):
-		images, err := imagex.DecodePackZip(body)
+		images, hashes, err := c.packs.Decode(body)
 		if err != nil {
-			return OutcomeOK, nil, true, fmt.Errorf("crawler: bad pack payload: %w", err)
+			return Result{Outcome: OutcomeOK, IsPack: true}, fmt.Errorf("crawler: bad pack payload: %w", err)
 		}
-		return OutcomeOK, images, true, nil
+		return Result{Outcome: OutcomeOK, Images: images, Hashes: hashes, IsPack: true}, nil
 	default:
 		// HTML or other: treat as an error page without content.
-		return OutcomeNotFound, nil, false, nil
+		return Result{Outcome: OutcomeNotFound}, nil
 	}
 }
 
@@ -543,7 +553,9 @@ func CoverageOf(results []Result) Coverage {
 
 // Summarize computes crawl statistics, including deduplication by
 // exact perceptual hash pair (the paper: "After removing duplicates
-// ... there were 53 948 unique files").
+// ... there were 53 948 unique files"), counted from the hashes each
+// result carries. ImagesFetched counts occurrences and UniqueImages
+// distinct hashes.
 func Summarize(results []Result) Stats {
 	s := Stats{Tasks: len(results), ByOutcome: make(map[Outcome]int)}
 	seen := make(map[imagex.Hash128]struct{})
@@ -559,10 +571,7 @@ func Summarize(results []Result) Stats {
 			s.PreviewImages += len(r.Images)
 		}
 		s.ImagesFetched += len(r.Images)
-		for _, im := range r.Images {
-			// The fused composite hash computes both components in one
-			// traversal of the raster with no allocation.
-			k := imagex.Hash128Of(im)
+		for _, k := range r.Hashes {
 			if _, dup := seen[k]; dup {
 				s.DuplicateCount++
 			} else {

@@ -68,7 +68,8 @@ func TestServePack(t *testing.T) {
 	if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != ContentTypeZip {
 		t.Fatalf("status %d ct %q", resp.StatusCode, resp.Header.Get("Content-Type"))
 	}
-	back, err := imagex.DecodePackZip(body)
+	var d imagex.PackDecoder
+	back, _, err := d.Decode(body)
 	if err != nil {
 		t.Fatal(err)
 	}

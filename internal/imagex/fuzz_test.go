@@ -1,7 +1,12 @@
 package imagex
 
 import (
+	"archive/zip"
 	"bytes"
+	"fmt"
+	"io"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -25,19 +30,82 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzDecodePackZip fuzzes the pack decoder, which reads every zip
 // archive the crawler fetches from cloud storage. Decoding must never
-// panic, and any archive it accepts must re-encode to a pack that
-// decodes to the same pixels. The seed corpus in
-// testdata/fuzz/FuzzDecodePackZip holds a Huffman-only pack, a
-// stored-entry pack, a truncated archive, a pack with a non-SIMG entry
-// and one whose entry has a bad magic.
+// panic. Each input goes twice through one PackDecoder, the second
+// pass served from its memo, and both passes must agree with
+// referenceDecodePackZip: the same error, or the same pixels, with
+// every hash equal to a fresh Hash128Of. An accepted archive must
+// re-encode to a pack that decodes to the same pixels. The seed
+// corpus in testdata/fuzz/FuzzDecodePackZip holds a Huffman-only
+// pack, a stored-entry pack, a truncated archive, a pack with a
+// non-SIMG entry, one whose entry has a bad magic, a pack that repeats
+// a member and one whose member claims a 1 GiB uncompressed size.
 func FuzzDecodePackZip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		images, err := DecodePackZip(data)
-		if err != nil {
-			return
+		want, wantErr := referenceDecodePackZip(data)
+		var d PackDecoder
+		for pass := 1; pass <= 2; pass++ {
+			images, hashes, err := d.Decode(data)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("pass %d: error %v, reference %v", pass, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if len(images) != len(want) || len(hashes) != len(want) {
+				t.Fatalf("pass %d: %d images and %d hashes, reference %d images",
+					pass, len(images), len(hashes), len(want))
+			}
+			for i, im := range images {
+				if im.W != want[i].W || im.H != want[i].H || !bytes.Equal(im.Pix, want[i].Pix) {
+					t.Fatalf("pass %d: image %d differs from the reference", pass, i)
+				}
+				if hashes[i] != Hash128Of(want[i]) {
+					t.Fatalf("pass %d: image %d carries hash %v, fresh %v", pass, i, hashes[i], Hash128Of(want[i]))
+				}
+			}
 		}
-		checkPackRoundTrip(t, images)
+		if wantErr == nil {
+			checkPackRoundTrip(t, want)
+		}
 	})
+}
+
+// referenceDecodePackZip is the pack decoder before members were
+// shared: it inflates every member with io.ReadAll and copies its
+// pixels out with Decode.
+func referenceDecodePackZip(data []byte) ([]*Image, error) {
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return nil, fmt.Errorf("imagex: not a zip archive: %w", err)
+	}
+	names := make([]string, 0, len(zr.File))
+	byName := make(map[string]*zip.File, len(zr.File))
+	for _, f := range zr.File {
+		if !strings.HasSuffix(f.Name, ".simg") {
+			continue
+		}
+		names = append(names, f.Name)
+		byName[f.Name] = f
+	}
+	sort.Strings(names)
+	images := make([]*Image, 0, len(names))
+	for _, name := range names {
+		rc, err := byName[name].Open()
+		if err != nil {
+			return nil, err
+		}
+		payload, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			return nil, err
+		}
+		im, err := Decode(payload)
+		if err != nil {
+			return nil, fmt.Errorf("imagex: entry %s: %w", name, err)
+		}
+		images = append(images, im)
+	}
+	return images, nil
 }
 
 // checkPackRoundTrip encodes images as a pack and requires the pack to
@@ -48,9 +116,10 @@ func checkPackRoundTrip(t *testing.T, images []*Image) {
 	if err != nil {
 		t.Fatalf("EncodePackZip: %v", err)
 	}
-	back, err := DecodePackZip(data)
+	var d PackDecoder
+	back, _, err := d.Decode(data)
 	if err != nil {
-		t.Fatalf("DecodePackZip of a fresh pack: %v", err)
+		t.Fatalf("PackDecoder.Decode of a fresh pack: %v", err)
 	}
 	if len(back) != len(images) {
 		t.Fatalf("pack of %d images decoded to %d", len(images), len(back))

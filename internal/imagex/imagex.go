@@ -602,8 +602,20 @@ func (im *Image) Encode() []byte {
 	return append(buf, im.Pix...)
 }
 
-// Decode parses a SIMG payload.
+// Decode parses a SIMG payload into an image that owns a copy of the
+// pixels, so data may be reused once Decode returns.
 func Decode(data []byte) (*Image, error) {
+	im, err := decodeView(data)
+	if err != nil {
+		return nil, err
+	}
+	im.Pix = bytes.Clone(im.Pix)
+	return im, nil
+}
+
+// decodeView parses a SIMG payload into an image whose pixels alias
+// data: the caller hands data over and must not write to it again.
+func decodeView(data []byte) (*Image, error) {
 	if len(data) < 9 || !bytes.Equal(data[:4], simgMagic) {
 		return nil, ErrBadFormat
 	}
@@ -618,9 +630,7 @@ func Decode(data []byte) (*Image, error) {
 	if len(data)-9 != w*h {
 		return nil, fmt.Errorf("%w: pixel payload %d != %dx%d", ErrBadFormat, len(data)-9, w, h)
 	}
-	pix := make([]byte, w*h)
-	copy(pix, data[9:])
-	return &Image{W: w, H: h, Pix: pix}, nil
+	return &Image{W: w, H: h, Pix: data[9:len(data):len(data)]}, nil
 }
 
 // --- Pack archives ---------------------------------------------------
@@ -726,13 +736,61 @@ func EncodePackZip(images []*Image) ([]byte, error) {
 	return WritePackZip(entries)
 }
 
-// DecodePackZip extracts every .simg entry from a zip archive, in
-// entry-name order. Non-SIMG entries are skipped; a corrupt SIMG entry
-// is an error.
-func DecodePackZip(data []byte) ([]*Image, error) {
+// PackDecoder extracts the images of pack archives, inflating and
+// hashing each distinct member once. Packs repeat members heavily
+// (synth writes a recurring member's compressed bytes verbatim into
+// every pack that holds it), so the decoder keys each member by its
+// method, data-descriptor flag, CRC-32 and both sizes, and confirms a
+// hit by comparing the compressed bytes. Every occurrence of a member
+// therefore yields the same *Image and Hash128: callers share the
+// image and must not write to it. The zero value is ready for use and
+// safe for concurrent use; it keeps every distinct member it has seen
+// (one copy of the compressed bytes plus the image), so its life is
+// one crawl.
+type PackDecoder struct {
+	mu      sync.Mutex
+	members map[memberKey][]*packMember
+}
+
+// memberKey is the central directory's account of a member. Two
+// members with equal keys and equal compressed bytes, whose data
+// descriptors memberBytes has checked, pass or fail every archive/zip
+// check alike, so they decode to the same image.
+type memberKey struct {
+	method       uint16
+	descriptor   bool
+	crc32        uint32
+	csize, usize uint64
+}
+
+func keyOf(f *zip.File) memberKey {
+	return memberKey{
+		method:     f.Method,
+		descriptor: f.Flags&zipDescriptorFlag != 0,
+		crc32:      f.CRC32,
+		csize:      f.CompressedSize64,
+		usize:      f.UncompressedSize64,
+	}
+}
+
+// packMember is one distinct member: its own copy of the compressed
+// bytes (nothing it keeps points into the caller's buffer) and the
+// image and hash its single inflate produced.
+type packMember struct {
+	raw  []byte
+	once sync.Once
+	im   *Image
+	hash Hash128
+	err  error
+}
+
+// Decode extracts every .simg entry from a zip archive, in entry-name
+// order, with each image's Hash128. Non-SIMG entries are skipped; a
+// corrupt SIMG entry is an error.
+func (d *PackDecoder) Decode(data []byte) ([]*Image, []Hash128, error) {
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
-		return nil, fmt.Errorf("imagex: not a zip archive: %w", err)
+		return nil, nil, fmt.Errorf("imagex: not a zip archive: %w", err)
 	}
 	names := make([]string, 0, len(zr.File))
 	byName := make(map[string]*zip.File, len(zr.File))
@@ -744,22 +802,123 @@ func DecodePackZip(data []byte) ([]*Image, error) {
 		byName[f.Name] = f
 	}
 	sort.Strings(names)
+	// A Huffman-only SIMG member inflates to ~1.45x its compressed
+	// bytes and a stored one to 1x, so no honest member of this archive
+	// needs more than twice the archive. The presize stops there: a
+	// header claiming more cannot make the decoder allocate it.
+	limit := 2 * uint64(len(data))
 	images := make([]*Image, 0, len(names))
+	hashes := make([]Hash128, 0, len(names))
 	for _, name := range names {
-		rc, err := byName[name].Open()
+		f := byName[name]
+		m, err := d.member(data, f)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		payload, err := io.ReadAll(rc)
-		rc.Close()
-		if err != nil {
-			return nil, err
+		m.once.Do(func() { m.im, m.hash, m.err = decodeMember(f, limit) })
+		if m.err != nil {
+			if errors.Is(m.err, ErrBadFormat) {
+				return nil, nil, fmt.Errorf("imagex: entry %s: %w", name, m.err)
+			}
+			return nil, nil, m.err
 		}
-		im, err := Decode(payload)
-		if err != nil {
-			return nil, fmt.Errorf("imagex: entry %s: %w", name, err)
-		}
-		images = append(images, im)
+		images = append(images, m.im)
+		hashes = append(hashes, m.hash)
 	}
-	return images, nil
+	return images, hashes, nil
+}
+
+// member returns the entry of f's compressed bytes, adding one on
+// first sight. A member whose bytes or data descriptor are not all in
+// data gets a fresh entry that is not kept, so its inflate reads and
+// fails exactly as archive/zip reads and fails it.
+func (d *PackDecoder) member(data []byte, f *zip.File) (*packMember, error) {
+	off, err := f.DataOffset()
+	if err != nil {
+		return nil, err
+	}
+	raw, ok := memberBytes(data, off, f)
+	if !ok {
+		return new(packMember), nil
+	}
+	k := keyOf(f)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, m := range d.members[k] {
+		if bytes.Equal(m.raw, raw) {
+			return m, nil
+		}
+	}
+	if d.members == nil {
+		d.members = make(map[memberKey][]*packMember)
+	}
+	m := &packMember{raw: bytes.Clone(raw)}
+	d.members[k] = append(d.members[k], m)
+	return m, nil
+}
+
+// zipDescriptorFlag marks a member whose CRC-32 and sizes follow its
+// data in a data descriptor.
+const zipDescriptorFlag = 0x8
+
+// zipDescriptorSig is the optional signature of a data descriptor.
+const zipDescriptorSig = 0x08074b50
+
+// memberBytes returns f's compressed bytes, which start at off in
+// data. ok is false when they run past data, or when f has a data
+// descriptor whose CRC-32 archive/zip would not accept: such a member
+// is never shared, so a hit always stands for a member that passes
+// the descriptor check too.
+func memberBytes(data []byte, off int64, f *zip.File) (raw []byte, ok bool) {
+	if off < 0 || f.CompressedSize64 > uint64(len(data)) ||
+		uint64(off) > uint64(len(data))-f.CompressedSize64 {
+		return nil, false
+	}
+	end := off + int64(f.CompressedSize64)
+	if f.Flags&zipDescriptorFlag != 0 {
+		// archive/zip reads the descriptor's CRC-32 after an optional
+		// signature and compares it to the central directory's.
+		desc := data[end:]
+		crcAt, need := 0, 12
+		if len(desc) >= 4 && binary.LittleEndian.Uint32(desc) == zipDescriptorSig {
+			crcAt, need = 4, 16
+		}
+		if len(desc) < need || binary.LittleEndian.Uint32(desc[crcAt:]) != f.CRC32 {
+			return nil, false
+		}
+	}
+	return data[off:end], true
+}
+
+// decodeMember inflates one member through archive/zip, which checks
+// its size and CRC-32, into a buffer presized from the header's
+// uncompressed size (capped at limit). The image's pixels alias that
+// buffer.
+func decodeMember(f *zip.File, limit uint64) (*Image, Hash128, error) {
+	rc, err := f.Open()
+	if err != nil {
+		return nil, Hash128{}, err
+	}
+	defer rc.Close()
+	// One byte past the payload: the read that returns io.EOF, and
+	// with it archive/zip's checks, finds room without growing.
+	buf := make([]byte, 0, min(f.UncompressedSize64, limit)+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := rc.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, Hash128{}, err
+		}
+	}
+	im, err := decodeView(buf)
+	if err != nil {
+		return nil, Hash128{}, err
+	}
+	return im, Hash128Of(im), nil
 }

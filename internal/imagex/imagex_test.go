@@ -4,8 +4,11 @@ import (
 	"archive/zip"
 	"bytes"
 	"compress/flate"
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -260,7 +263,8 @@ func TestPackZipRoundtrip(t *testing.T) {
 			t.Fatalf("entry %s has method %d, want Deflate", f.Name, f.Method)
 		}
 	}
-	back, err := DecodePackZip(data)
+	var d PackDecoder
+	back, _, err := d.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +356,184 @@ func TestPackEntryReuseMatchesCreate(t *testing.T) {
 }
 
 func TestDecodePackZipRejectsGarbage(t *testing.T) {
-	if _, err := DecodePackZip([]byte("not a zip")); err == nil {
+	var d PackDecoder
+	if _, _, err := d.Decode([]byte("not a zip")); err == nil {
 		t.Fatal("garbage zip accepted")
+	}
+}
+
+// TestPackDecoderSharesRepeatedMembers decodes two packs that share a
+// member's bytes, one of them holding it twice, through one decoder:
+// every occurrence is the same *Image with the same hash, equal to a
+// fresh Hash128Of.
+func TestPackDecoderSharesRepeatedMembers(t *testing.T) {
+	a := DeflatePackEntry(GenModel(3, 0, PoseNude, 40))
+	b := DeflatePackEntry(GenModel(3, 1, PoseDressed, 40))
+	c := DeflatePackEntry(GenLandscape(4, 40, false))
+	var d PackDecoder
+	decode := func(entries ...PackEntry) ([]*Image, []Hash128) {
+		t.Helper()
+		data, err := WritePackZip(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images, hashes, err := d.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(images) != len(entries) || len(hashes) != len(entries) {
+			t.Fatalf("pack of %d members decoded to %d images, %d hashes", len(entries), len(images), len(hashes))
+		}
+		for i, im := range images {
+			if hashes[i] != Hash128Of(im) {
+				t.Fatalf("member %d: carried hash %v, fresh %v", i, hashes[i], Hash128Of(im))
+			}
+		}
+		return images, hashes
+	}
+	im1, h1 := decode(a, b)
+	im2, h2 := decode(c, a, a)
+	if im1[0] != im2[1] || im2[1] != im2[2] {
+		t.Fatal("a repeated member decoded to distinct images")
+	}
+	if h1[0] != h2[1] || h2[1] != h2[2] {
+		t.Fatal("a repeated member decoded to distinct hashes")
+	}
+	if im1[1] == im2[0] {
+		t.Fatal("distinct members share an image")
+	}
+	if n := len(d.members); n != 3 {
+		t.Fatalf("decoder keeps %d keys, want 3", n)
+	}
+}
+
+// TestPackDecoderConcurrent decodes packs that share members from
+// several goroutines at once through one decoder, as a crawl's
+// workers do: every goroutine gets the same images.
+func TestPackDecoderConcurrent(t *testing.T) {
+	a := DeflatePackEntry(GenModel(7, 0, PoseNude, 40))
+	b := DeflatePackEntry(GenModel(7, 1, PoseDressed, 40))
+	packs := make([][]byte, 2)
+	for i, entries := range [][]PackEntry{{a, b}, {b, a}} {
+		data, err := WritePackZip(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packs[i] = data
+	}
+	var d PackDecoder
+	const workers = 8
+	got := make([][]*Image, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			images, _, err := d.Decode(packs[w%2])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if w%2 == 1 {
+				images[0], images[1] = images[1], images[0]
+			}
+			got[w] = images
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := 1; w < workers; w++ {
+		if got[w][0] != got[0][0] || got[w][1] != got[0][1] {
+			t.Fatalf("goroutine %d decoded its own copy of a shared member", w)
+		}
+	}
+}
+
+// TestPackDecoderConfirmsBytes forces a memo entry whose key matches a
+// member but whose compressed bytes differ: the decoder must inflate
+// the member instead of reusing the entry.
+func TestPackDecoderConfirmsBytes(t *testing.T) {
+	im := GenModel(5, 0, PoseNude, 40)
+	e := DeflatePackEntry(im)
+	data, err := WritePackZip([]PackEntry{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keyOf(zr.File[0])
+	other := bytes.Clone(e.Data)
+	other[len(other)/2] ^= 0xff
+	impostor := &packMember{raw: other, im: New(40, 40, 0)}
+	impostor.once.Do(func() {})
+	var d PackDecoder
+	d.members = map[memberKey][]*packMember{key: {impostor}}
+	images, hashes, err := d.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if images[0] == impostor.im {
+		t.Fatal("decoder reused an entry whose bytes differ")
+	}
+	if !bytes.Equal(images[0].Pix, im.Pix) || hashes[0] != Hash128Of(im) {
+		t.Fatal("member decoded to the wrong pixels or hash")
+	}
+	if n := len(d.members[key]); n != 2 {
+		t.Fatalf("key holds %d entries, want 2", n)
+	}
+}
+
+// TestPackDecoderChecksEachDescriptor decodes a member, then the same
+// member bytes behind a data descriptor whose CRC-32 is wrong: the
+// second archive must fail as archive/zip fails it, not reuse the
+// first decode.
+func TestPackDecoderChecksEachDescriptor(t *testing.T) {
+	e := DeflatePackEntry(GenModel(8, 0, PoseNude, 40))
+	good, err := WritePackZip([]PackEntry{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The descriptor follows the member's data: signature, then CRC-32.
+	bad := bytes.Clone(good)
+	sig := bytes.Index(bad, []byte("PK\x07\x08"))
+	if sig < 0 {
+		t.Fatal("pack has no data descriptor")
+	}
+	bad[sig+4] ^= 0xff
+	var d PackDecoder
+	if _, _, err := d.Decode(good); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.Decode(bad); !errors.Is(err, zip.ErrChecksum) {
+		t.Fatalf("member with a bad descriptor CRC-32: error %v, want %v", err, zip.ErrChecksum)
+	}
+}
+
+// TestPackDecoderBoundsLyingSize decodes a member whose headers claim
+// 1 GiB uncompressed: archive/zip's size check still fails it, and
+// the decoder allocates in proportion to the archive, not the claim.
+func TestPackDecoderBoundsLyingSize(t *testing.T) {
+	e := DeflatePackEntry(GenModel(6, 0, PoseNude, 48))
+	e.Size = 1 << 30
+	data, err := WritePackZip([]PackEntry{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d PackDecoder
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = d.Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a member shorter than its claimed size was accepted")
+	}
+	// The flate reader's window and tables are most of the fixed part.
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+256<<10); got > bound {
+		t.Fatalf("decode of a %d-byte archive allocated %d bytes, bound %d", len(data), got, bound)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //     *Stats struct's fields are owned by its package's mutex
 //     helpers, and a bare cross-package increment races.
 //
-// cmd/* and examples/* are exempt: a main function is exactly where a
-// root context is created.
+// cmd/* is exempt: a main function is exactly where a root context is
+// created.
 var CtxHygiene = &lintx.Analyzer{
 	Name: "ctxhygiene",
 	Doc:  "internal packages must thread caller contexts and must not mutate foreign Stats counters",

@@ -60,9 +60,12 @@ func New() *Classifier {
 
 // Verdict is the outcome of classifying one image.
 type Verdict struct {
-	SFV   bool
-	NSFW  float64
+	SFV  bool
+	NSFW float64
+	// Words and Text are what OCR recognised; Words is -1 (and Text
+	// empty) when the score decided alone and OCR did not run.
 	Words int
+	Text  string
 }
 
 // Classify runs Algorithm 1 on the image. It only invokes OCR when the
@@ -76,11 +79,12 @@ func (c *Classifier) Classify(im *imagex.Image) Verdict {
 	case score > t.NSFVAbove:
 		return Verdict{SFV: false, NSFW: score, Words: -1}
 	}
-	words := ocr.WordCount(im)
+	rec := ocr.Recognize(im)
+	limit := t.HighWords
 	if score < t.LowBand {
-		return Verdict{SFV: words > t.LowWords, NSFW: score, Words: words}
+		limit = t.LowWords
 	}
-	return Verdict{SFV: words > t.HighWords, NSFW: score, Words: words}
+	return Verdict{SFV: rec.Words > limit, NSFW: score, Words: rec.Words, Text: rec.Text}
 }
 
 // IsSFV reports whether the image is Safe-For-Viewing.
