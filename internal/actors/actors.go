@@ -6,6 +6,7 @@
 package actors
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -87,12 +88,13 @@ type BucketRow struct {
 // Table8Thresholds are the paper's bucket minima.
 var Table8Thresholds = []int{1, 10, 50, 100, 200, 500, 1000}
 
-// Buckets computes Table 8 over the profiles.
-func Buckets(profiles map[forum.ActorID]*Profile, thresholds []int) []BucketRow {
+// Buckets computes Table 8 over profiles in actor-ID order (see
+// SortProfiles). Each row sums its actors in that order, so the float
+// means are reproducible.
+func Buckets(ordered []*Profile, thresholds []int) []BucketRow {
 	if len(thresholds) == 0 {
 		thresholds = Table8Thresholds
 	}
-	ordered := sortedProfiles(profiles)
 	rows := make([]BucketRow, len(thresholds))
 	for i, min := range thresholds {
 		var n int
@@ -119,8 +121,12 @@ func Buckets(profiles map[forum.ActorID]*Profile, thresholds []int) []BucketRow 
 	return rows
 }
 
-// Samples extracts the per-actor series behind Figure 4 for actors
-// meeting a minimum eWhoring post count.
+// Samples holds the series behind one Figure 4 bucket: one value per
+// actor meeting the bucket's minimum eWhoring post count, each series
+// sorted ascending. A sorted series is its own empirical CDF, so
+// Figure 4 reads its quantiles with stats.QuantileSorted. The series
+// are not aligned per actor: index i of Posts and of Pct may belong
+// to different actors.
 type Samples struct {
 	Posts      []float64
 	Pct        []float64
@@ -128,26 +134,39 @@ type Samples struct {
 	DaysAfter  []float64
 }
 
-// CollectSamples gathers Figure 4 samples for a bucket, in actor-ID
-// order so the series are reproducible.
-func CollectSamples(profiles map[forum.ActorID]*Profile, minPosts int) Samples {
-	var s Samples
-	for _, p := range sortedProfiles(profiles) {
-		if p.EwPosts < minPosts {
-			continue
-		}
-		s.Posts = append(s.Posts, float64(p.EwPosts))
-		s.Pct = append(s.Pct, p.PctEwhoring())
-		s.DaysBefore = append(s.DaysBefore, p.DaysBefore())
-		s.DaysAfter = append(s.DaysAfter, p.DaysAfter())
+// CollectSamples gathers the Figure 4 series of every threshold (nil
+// means Table8Thresholds) from profiles in actor-ID order, and sorts
+// each series once.
+func CollectSamples(ordered []*Profile, thresholds []int) map[int]Samples {
+	if len(thresholds) == 0 {
+		thresholds = Table8Thresholds
 	}
-	return s
+	out := make(map[int]Samples, len(thresholds))
+	for _, min := range thresholds {
+		var s Samples
+		for _, p := range ordered {
+			if p.EwPosts < min {
+				continue
+			}
+			s.Posts = append(s.Posts, float64(p.EwPosts))
+			s.Pct = append(s.Pct, p.PctEwhoring())
+			s.DaysBefore = append(s.DaysBefore, p.DaysBefore())
+			s.DaysAfter = append(s.DaysAfter, p.DaysAfter())
+		}
+		for _, xs := range [][]float64{s.Posts, s.Pct, s.DaysBefore, s.DaysAfter} {
+			slices.Sort(xs)
+		}
+		out[min] = s
+	}
+	return out
 }
 
-// sortedProfiles returns the profiles in actor-ID order. Folds over
+// SortProfiles returns the profiles in actor-ID order. Folds over
 // profiles must not iterate the map directly: float accumulation is
 // order-sensitive, and determinism in the seed is a study invariant.
-func sortedProfiles(profiles map[forum.ActorID]*Profile) []*Profile {
+// The §6 overview sorts once and hands the slice to Buckets and
+// CollectSamples.
+func SortProfiles(profiles map[forum.ActorID]*Profile) []*Profile {
 	out := make([]*Profile, 0, len(profiles))
 	for _, p := range profiles {
 		out = append(out, p)

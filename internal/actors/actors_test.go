@@ -1,6 +1,7 @@
 package actors
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func TestBuildProfiles(t *testing.T) {
 
 func TestBucketsMonotone(t *testing.T) {
 	profiles := BuildProfiles(world.Store, ewAll())
-	rows := Buckets(profiles, nil)
+	rows := Buckets(SortProfiles(profiles), nil)
 	if len(rows) != len(Table8Thresholds) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -61,16 +62,27 @@ func TestBucketsMonotone(t *testing.T) {
 
 func TestCollectSamples(t *testing.T) {
 	profiles := BuildProfiles(world.Store, ewAll())
-	all := CollectSamples(profiles, 1)
-	ten := CollectSamples(profiles, 10)
+	fig := CollectSamples(SortProfiles(profiles), nil)
+	if len(fig) != len(Table8Thresholds) {
+		t.Fatalf("%d buckets for %d thresholds", len(fig), len(Table8Thresholds))
+	}
+	all, ten := fig[1], fig[10]
 	if len(all.Posts) != len(profiles) {
 		t.Fatalf("samples %d != profiles %d", len(all.Posts), len(profiles))
 	}
 	if len(ten.Posts) >= len(all.Posts) {
 		t.Fatal("min-post filter did nothing")
 	}
-	if len(all.Posts) != len(all.Pct) || len(all.Posts) != len(all.DaysBefore) {
-		t.Fatal("sample series misaligned")
+	for thr, s := range fig {
+		n := len(s.Posts)
+		if len(s.Pct) != n || len(s.DaysBefore) != n || len(s.DaysAfter) != n {
+			t.Fatalf("bucket >=%d: series lengths differ", thr)
+		}
+		for name, xs := range map[string][]float64{"posts": s.Posts, "pct": s.Pct, "before": s.DaysBefore, "after": s.DaysAfter} {
+			if !slices.IsSorted(xs) {
+				t.Fatalf("bucket >=%d: %s series not sorted ascending", thr, name)
+			}
+		}
 	}
 }
 

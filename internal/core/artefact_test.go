@@ -173,7 +173,8 @@ func TestResolveArtefacts(t *testing.T) {
 // is one shared *imagex.Image, so no downstream node may write to a
 // crawled image. It checksums every crawled image right after the
 // crawl node, runs every downstream node, and requires each checksum
-// unchanged and each carried hash still equal to a fresh Hash128Of.
+// unchanged and each carried digest (hash and skin statistics) still
+// equal to a fresh computation.
 func TestCrawledImagesStayImmutable(t *testing.T) {
 	s := NewStudy(artefactTestOptions())
 	defer s.Close()
@@ -187,8 +188,8 @@ func TestCrawledImagesStayImmutable(t *testing.T) {
 	sums := make(map[*imagex.Image]uint32)
 	shared := 0
 	for _, r := range results {
-		if len(r.Hashes) != len(r.Images) {
-			t.Fatalf("result carries %d hashes for %d images", len(r.Hashes), len(r.Images))
+		if len(r.Digests) != len(r.Images) {
+			t.Fatalf("result carries %d digests for %d images", len(r.Digests), len(r.Images))
 		}
 		for _, im := range r.Images {
 			if _, dup := sums[im]; dup {
@@ -201,16 +202,33 @@ func TestCrawledImagesStayImmutable(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("no crawled image is shared: the test world exercises nothing")
 	}
-	if _, err := s.evaluate(ctx, []string{ArtefactPhotoDNA, ArtefactNSFV, ArtefactProvenance, ArtefactEarnings}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		for i, im := range r.Images {
-			if crc32.ChecksumIEEE(im.Pix) != sums[im] {
-				t.Fatalf("task %s: a downstream node wrote to a crawled image", r.Task.Link.URL)
+	check := func(after string) {
+		t.Helper()
+		for _, r := range results {
+			for i, im := range r.Images {
+				if crc32.ChecksumIEEE(im.Pix) != sums[im] {
+					t.Fatalf("after %s, task %s: a downstream node wrote to a crawled image", after, r.Task.Link.URL)
+				}
+				if r.Digests[i].Hash != imagex.Hash128Of(im) {
+					t.Fatalf("after %s, task %s: carried hash no longer matches image %d", after, r.Task.Link.URL, i)
+				}
+				if r.Digests[i].Skin != im.SkinStats() {
+					t.Fatalf("after %s, task %s: carried skin statistics no longer match image %d", after, r.Task.Link.URL, i)
+				}
 			}
-			if r.Hashes[i] != imagex.Hash128Of(im) {
-				t.Fatalf("task %s: carried hash no longer matches image %d", r.Task.Link.URL, i)
+		}
+	}
+	for _, name := range []string{ArtefactPhotoDNA, ArtefactNSFV, ArtefactProvenance, ArtefactEarnings} {
+		vals, err := s.evaluate(ctx, []string{name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name)
+		if name == ArtefactPhotoDNA {
+			for _, si := range vals[name].(photodnaValue).safe {
+				if si.Digest != imagex.DigestOf(si.Image) {
+					t.Fatalf("safe image from %s carries a digest that does not match it", si.Task.Link.URL)
+				}
 			}
 		}
 	}

@@ -390,9 +390,10 @@ func (s *Study) CrawlLinks(ctx context.Context, tasks []crawler.Task) ([]crawler
 // SafeImage is a downloaded image that passed the hashlist gate.
 type SafeImage struct {
 	Image *imagex.Image
-	// Hash is the crawl's hash of the image, which the gate probed
-	// with; reverse search reuses it.
-	Hash   imagex.Hash128
+	// Digest is the crawl's digest of the image: the gate probed with
+	// its hash, reverse search reuses the hash, and NSFV and pack
+	// sampling score its skin statistics.
+	Digest imagex.Digest
 	Task   crawler.Task
 	IsPack bool
 }
@@ -428,7 +429,7 @@ type matchOutcome struct {
 }
 
 // matchResult runs the PhotoDNA gate over one crawl result, probing
-// the hashlist with the hash the crawl carried for each image; matches
+// the hashlist with the hash the crawl digested for each image; matches
 // carry the URLs where reverse search finds the same image. Pure:
 // reporting is the caller's job, so the gate can fan out across
 // workers while reports are filed in task order.
@@ -441,15 +442,15 @@ func (s *Study) matchResult(r crawler.Result) matchOutcome {
 	// of them up front instead of growing it append by append.
 	o.safe = make([]SafeImage, 0, len(r.Images))
 	for i, im := range r.Images {
-		h := r.Hashes[i]
-		entry, hit := s.World.HashList.MatchHash(h)
+		dg := r.Digests[i]
+		entry, hit := s.World.HashList.MatchHash(dg.Hash)
 		if !hit {
-			o.safe = append(o.safe, SafeImage{Image: im, Hash: h, Task: r.Task, IsPack: r.IsPack})
+			o.safe = append(o.safe, SafeImage{Image: im, Digest: dg, Task: r.Task, IsPack: r.IsPack})
 			continue
 		}
 		// Report with the URLs where reverse search finds the same
 		// image, reusing the hash already computed for the gate.
-		matches := s.World.Reverse.SearchHash(h)
+		matches := s.World.Reverse.SearchHash(dg.Hash)
 		var urlReports []photodna.URLReport
 		if len(matches) > 0 {
 			urlReports = make([]photodna.URLReport, 0, len(matches))
@@ -495,9 +496,9 @@ const (
 	classPreview
 )
 
-// ClassifyNSFV runs Algorithm 1 over the image-site downloads: the
-// verdicts fan out under Opts.Workers, and the split folds in input
-// order.
+// ClassifyNSFV runs Algorithm 1 over the image-site downloads, scoring
+// each from the skin statistics its digest carries: the verdicts fan
+// out under Opts.Workers, and the split folds in input order.
 func (s *Study) ClassifyNSFV(ctx context.Context, safe []SafeImage) (NSFVResult, error) {
 	clf := nsfv.New()
 	classed := pipeline.Map(ctx, "nsfv §4.4", s.Opts.Workers,
@@ -506,7 +507,7 @@ func (s *Study) ClassifyNSFV(ctx context.Context, safe []SafeImage) (NSFVResult,
 			switch {
 			case si.IsPack:
 				return nsfvClass{si, classPack}
-			case clf.IsSFV(si.Image):
+			case clf.ClassifyScored(si.Image, nsfw.ScoreSkin(si.Digest.Skin)).SFV:
 				return nsfvClass{si, classSFV}
 			default:
 				return nsfvClass{si, classPreview}
@@ -610,7 +611,7 @@ type searchOutcome struct {
 // against the post date and the Wayback archive.
 func (s *Study) searchImage(si SafeImage) searchOutcome {
 	posted := s.World.Store.Post(si.Task.Post).Created
-	matches := s.World.Reverse.SearchHash(si.Hash)
+	matches := s.World.Reverse.SearchHash(si.Digest.Hash)
 	o := searchOutcome{thread: si.Task.Thread, matches: len(matches)}
 	if len(matches) == 0 {
 		return o
@@ -717,7 +718,8 @@ func (f *provFold) finish(s *Study) ProvenanceResult {
 }
 
 // samplePackImages picks k images per (thread, pack link): the lowest,
-// median and highest NSFW-scoring images, as the paper samples.
+// median and highest NSFW-scoring images, as the paper samples. Each
+// image is scored from the skin statistics its digest carries.
 func samplePackImages(packImages []SafeImage, k int) []SafeImage {
 	type packKey struct {
 		thread forum.ThreadID
@@ -746,10 +748,10 @@ func samplePackImages(packImages []SafeImage, k int) []SafeImage {
 	}
 	for _, key := range order {
 		// Score each image once; the comparator would otherwise rescore
-		// (a full raster traversal) on every comparison.
+		// on every comparison.
 		imgs := make([]scored, len(groups[key]))
 		for i, si := range groups[key] {
-			imgs[i] = scored{si: si, score: nsfw.Score(si.Image)}
+			imgs[i] = scored{si: si, score: nsfw.ScoreSkin(si.Digest.Skin)}
 		}
 		sort.Slice(imgs, func(i, j int) bool {
 			return imgs[i].score < imgs[j].score
@@ -847,7 +849,7 @@ func (s *Study) AnalyzeEarnings(ctx context.Context, ew []forum.ThreadID, whitel
 	res.MonthlyAGC = stats.NewMonthlySeries()
 	res.MonthlyPayPal = stats.NewMonthlySeries()
 	for _, si := range safe {
-		v := clf.Classify(si.Image)
+		v := clf.ClassifyScored(si.Image, nsfw.ScoreSkin(si.Digest.Skin))
 		if !v.SFV {
 			res.FilteredNSFV++
 			continue
@@ -924,7 +926,8 @@ func (s *Study) ExchangeAnalysis(profiles map[forum.ActorID]*actors.Profile) ear
 type ActorAnalysis struct {
 	Profiles map[forum.ActorID]*actors.Profile
 	Table8   []actors.BucketRow
-	// Samples per bucket threshold feed Figure 4.
+	// Samples per bucket threshold feed Figure 4; each series is
+	// sorted ascending.
 	Fig4 map[int]actors.Samples
 	Key  actors.KeyActors
 	// Inputs holds the per-criterion scores (exported for reporting).
@@ -940,11 +943,9 @@ func (s *Study) AnalyzeActors(ew []forum.ThreadID, tops []forum.ThreadID, proofs
 	store := s.World.Store
 	out := ActorAnalysis{}
 	out.Profiles = actors.BuildProfiles(store, ew)
-	out.Table8 = actors.Buckets(out.Profiles, nil)
-	out.Fig4 = map[int]actors.Samples{}
-	for _, thr := range actors.Table8Thresholds {
-		out.Fig4[thr] = actors.CollectSamples(out.Profiles, thr)
-	}
+	ordered := actors.SortProfiles(out.Profiles)
+	out.Table8 = actors.Buckets(ordered, nil)
+	out.Fig4 = actors.CollectSamples(ordered, nil)
 
 	graph := socialgraph.Build(store, ew)
 	packs := make(map[forum.ActorID]int)

@@ -85,9 +85,10 @@ type Result struct {
 	// across the crawl's packs is one shared *imagex.Image: read it,
 	// never write to it.
 	Images []*imagex.Image
-	// Hashes holds each image's Hash128, computed once per distinct
-	// image in the crawl worker; Hashes[i] belongs to Images[i].
-	Hashes []imagex.Hash128
+	// Digests holds each image's hash and skin statistics, computed
+	// once per distinct image in the crawl worker; Digests[i] belongs
+	// to Images[i].
+	Digests []imagex.Digest
 	// IsPack reports whether the payload was a zip archive.
 	IsPack bool
 	Err    error
@@ -204,7 +205,7 @@ type Crawler struct {
 	cfg     Config
 	client  *http.Client
 	resolve func(string) (string, error)
-	// packs inflates and hashes each distinct pack member once per
+	// packs inflates and digests each distinct pack member once per
 	// crawler, however many packs repeat it.
 	packs imagex.PackDecoder
 
@@ -456,14 +457,14 @@ func (c *Crawler) attempt(ctx context.Context, target string) (Result, error) {
 		return Result{
 			Outcome: OutcomeOK,
 			Images:  []*imagex.Image{im},
-			Hashes:  []imagex.Hash128{imagex.Hash128Of(im)},
+			Digests: []imagex.Digest{imagex.DigestOf(im)},
 		}, nil
 	case strings.HasPrefix(ct, hosting.ContentTypeZip):
-		images, hashes, err := c.packs.Decode(body)
+		images, digests, err := c.packs.Decode(body)
 		if err != nil {
 			return Result{Outcome: OutcomeOK, IsPack: true}, fmt.Errorf("crawler: bad pack payload: %w", err)
 		}
-		return Result{Outcome: OutcomeOK, Images: images, Hashes: hashes, IsPack: true}, nil
+		return Result{Outcome: OutcomeOK, Images: images, Digests: digests, IsPack: true}, nil
 	default:
 		// HTML or other: treat as an error page without content.
 		return Result{Outcome: OutcomeNotFound}, nil
@@ -571,11 +572,11 @@ func Summarize(results []Result) Stats {
 			s.PreviewImages += len(r.Images)
 		}
 		s.ImagesFetched += len(r.Images)
-		for _, k := range r.Hashes {
-			if _, dup := seen[k]; dup {
+		for _, d := range r.Digests {
+			if _, dup := seen[d.Hash]; dup {
 				s.DuplicateCount++
 			} else {
-				seen[k] = struct{}{}
+				seen[d.Hash] = struct{}{}
 			}
 		}
 	}

@@ -102,7 +102,7 @@ func TestCrawlOutcomes(t *testing.T) {
 	if res[4].Outcome != OutcomeOK || len(res[4].Images) != 1 {
 		t.Errorf("tos: %v", res[4].Outcome)
 	}
-	if f, _ := res[4].Images[0].SkinStats(); f > 0.01 {
+	if f := res[4].Images[0].SkinStats().Fraction; f > 0.01 {
 		t.Error("tos banner contains the original content")
 	}
 }

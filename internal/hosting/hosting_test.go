@@ -113,7 +113,7 @@ func TestTakedownOnImageSiteServesBanner(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The banner must be a text image, not the original model photo.
-	if f, _ := banner.SkinStats(); f > 0.01 {
+	if f := banner.SkinStats().Fraction; f > 0.01 {
 		t.Fatal("takedown served the original image")
 	}
 }

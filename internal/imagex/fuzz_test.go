@@ -33,7 +33,8 @@ func FuzzDecode(f *testing.F) {
 // panic. Each input goes twice through one PackDecoder, the second
 // pass served from its memo, and both passes must agree with
 // referenceDecodePackZip: the same error, or the same pixels, with
-// every hash equal to a fresh Hash128Of. An accepted archive must
+// every carried digest (hash and skin statistics) equal to a fresh
+// DigestOf. An accepted archive must
 // re-encode to a pack that decodes to the same pixels. The seed
 // corpus in testdata/fuzz/FuzzDecodePackZip holds a Huffman-only
 // pack, a stored-entry pack, a truncated archive, a pack with a
@@ -44,23 +45,23 @@ func FuzzDecodePackZip(f *testing.F) {
 		want, wantErr := referenceDecodePackZip(data)
 		var d PackDecoder
 		for pass := 1; pass <= 2; pass++ {
-			images, hashes, err := d.Decode(data)
+			images, digests, err := d.Decode(data)
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("pass %d: error %v, reference %v", pass, err, wantErr)
 			}
 			if err != nil {
 				continue
 			}
-			if len(images) != len(want) || len(hashes) != len(want) {
-				t.Fatalf("pass %d: %d images and %d hashes, reference %d images",
-					pass, len(images), len(hashes), len(want))
+			if len(images) != len(want) || len(digests) != len(want) {
+				t.Fatalf("pass %d: %d images and %d digests, reference %d images",
+					pass, len(images), len(digests), len(want))
 			}
 			for i, im := range images {
 				if im.W != want[i].W || im.H != want[i].H || !bytes.Equal(im.Pix, want[i].Pix) {
 					t.Fatalf("pass %d: image %d differs from the reference", pass, i)
 				}
-				if hashes[i] != Hash128Of(want[i]) {
-					t.Fatalf("pass %d: image %d carries hash %v, fresh %v", pass, i, hashes[i], Hash128Of(want[i]))
+				if fresh := DigestOf(want[i]); digests[i] != fresh {
+					t.Fatalf("pass %d: image %d carries digest %v, fresh %v", pass, i, digests[i], fresh)
 				}
 			}
 		}

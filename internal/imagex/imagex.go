@@ -88,39 +88,46 @@ func (im *Image) Clone() *Image {
 	return &Image{W: im.W, H: im.H, Pix: pix}
 }
 
-// SkinStats returns the fraction of pixels inside the skin band and
-// the skin coherence: the mean horizontal run length of skin pixels,
-// normalised by image width. Bodies are contiguous (high coherence);
-// scattered skin-valued noise is not. Every skin pixel belongs to
-// exactly one run, so one run-length fold yields both; the NSFW
-// scorer combines them.
-func (im *Image) SkinStats() (fraction, coherence float64) {
+// Skin is an image's skin statistics: the fraction of pixels inside
+// the skin band and the skin coherence, the mean horizontal run length
+// of skin pixels normalised by image width. Bodies are contiguous
+// (high coherence); scattered skin-valued noise is not. The NSFW
+// scorer combines the two.
+type Skin struct {
+	Fraction, Coherence float64
+}
+
+// skinBand[p] is 1 when pixel value p lies in the skin band.
+var skinBand = func() (band [256]uint8) {
+	for p := SkinLo; p <= SkinHi; p++ {
+		band[p] = 1
+	}
+	return band
+}()
+
+// SkinStats returns the image's skin statistics. Every skin pixel
+// belongs to exactly one run, so the kernel counts skin pixels and
+// run starts (a skin pixel whose left neighbour in the row is not
+// skin) with table lookups and no branch per pixel.
+func (im *Image) SkinStats() Skin {
 	if im.W <= 0 || im.H <= 0 || len(im.Pix) == 0 {
-		return 0, 0
+		return Skin{}
 	}
-	totalRun, runs := 0, 0
+	skin, runs := 0, 0
 	for y := 0; y < im.H; y++ {
-		row := im.Pix[y*im.W : (y+1)*im.W]
-		run := 0
-		for _, p := range row {
-			if p >= SkinLo && p <= SkinHi {
-				run++
-			} else if run > 0 {
-				totalRun += run
-				runs++
-				run = 0
-			}
-		}
-		if run > 0 {
-			totalRun += run
-			runs++
+		var prev uint8
+		for _, p := range im.Pix[y*im.W : (y+1)*im.W] {
+			in := skinBand[p]
+			skin += int(in)
+			runs += int(in &^ prev)
+			prev = in
 		}
 	}
-	fraction = float64(totalRun) / float64(len(im.Pix))
+	s := Skin{Fraction: float64(skin) / float64(len(im.Pix))}
 	if runs > 0 {
-		coherence = float64(totalRun) / float64(runs) / float64(im.W)
+		s.Coherence = float64(skin) / float64(runs) / float64(im.W)
 	}
-	return fraction, coherence
+	return s
 }
 
 // FillRect fills the rectangle [x0,x1)x[y0,y1) with value v plus
@@ -573,6 +580,20 @@ func (h Hash128) Distance(other Hash128) int {
 // String formats the hash as 32 hex digits.
 func (h Hash128) String() string { return h.A.String() + h.D.String() }
 
+// Digest is what the study reads of an image's pixels: its composite
+// hash and its skin statistics. The crawl computes it once per
+// distinct image, where the image is decoded, and every later stage
+// reads it instead of rescanning the raster.
+type Digest struct {
+	Hash Hash128
+	Skin Skin
+}
+
+// DigestOf computes the digest of an image.
+func DigestOf(im *Image) Digest {
+	return Digest{Hash: Hash128Of(im), Skin: im.SkinStats()}
+}
+
 // --- SIMG container -------------------------------------------------
 
 // simgMagic identifies the SIMG container format.
@@ -737,12 +758,12 @@ func EncodePackZip(images []*Image) ([]byte, error) {
 }
 
 // PackDecoder extracts the images of pack archives, inflating and
-// hashing each distinct member once. Packs repeat members heavily
+// digesting each distinct member once. Packs repeat members heavily
 // (synth writes a recurring member's compressed bytes verbatim into
 // every pack that holds it), so the decoder keys each member by its
 // method, data-descriptor flag, CRC-32 and both sizes, and confirms a
 // hit by comparing the compressed bytes. Every occurrence of a member
-// therefore yields the same *Image and Hash128: callers share the
+// therefore yields the same *Image and Digest: callers share the
 // image and must not write to it. The zero value is ready for use and
 // safe for concurrent use; it keeps every distinct member it has seen
 // (one copy of the compressed bytes plus the image), so its life is
@@ -775,19 +796,19 @@ func keyOf(f *zip.File) memberKey {
 
 // packMember is one distinct member: its own copy of the compressed
 // bytes (nothing it keeps points into the caller's buffer) and the
-// image and hash its single inflate produced.
+// image and digest its single inflate produced.
 type packMember struct {
-	raw  []byte
-	once sync.Once
-	im   *Image
-	hash Hash128
-	err  error
+	raw    []byte
+	once   sync.Once
+	im     *Image
+	digest Digest
+	err    error
 }
 
 // Decode extracts every .simg entry from a zip archive, in entry-name
-// order, with each image's Hash128. Non-SIMG entries are skipped; a
+// order, with each image's Digest. Non-SIMG entries are skipped; a
 // corrupt SIMG entry is an error.
-func (d *PackDecoder) Decode(data []byte) ([]*Image, []Hash128, error) {
+func (d *PackDecoder) Decode(data []byte) ([]*Image, []Digest, error) {
 	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, nil, fmt.Errorf("imagex: not a zip archive: %w", err)
@@ -808,14 +829,14 @@ func (d *PackDecoder) Decode(data []byte) ([]*Image, []Hash128, error) {
 	// header claiming more cannot make the decoder allocate it.
 	limit := 2 * uint64(len(data))
 	images := make([]*Image, 0, len(names))
-	hashes := make([]Hash128, 0, len(names))
+	digests := make([]Digest, 0, len(names))
 	for _, name := range names {
 		f := byName[name]
 		m, err := d.member(data, f)
 		if err != nil {
 			return nil, nil, err
 		}
-		m.once.Do(func() { m.im, m.hash, m.err = decodeMember(f, limit) })
+		m.once.Do(func() { m.im, m.digest, m.err = decodeMember(f, limit) })
 		if m.err != nil {
 			if errors.Is(m.err, ErrBadFormat) {
 				return nil, nil, fmt.Errorf("imagex: entry %s: %w", name, m.err)
@@ -823,9 +844,9 @@ func (d *PackDecoder) Decode(data []byte) ([]*Image, []Hash128, error) {
 			return nil, nil, m.err
 		}
 		images = append(images, m.im)
-		hashes = append(hashes, m.hash)
+		digests = append(digests, m.digest)
 	}
-	return images, hashes, nil
+	return images, digests, nil
 }
 
 // member returns the entry of f's compressed bytes, adding one on
@@ -892,12 +913,12 @@ func memberBytes(data []byte, off int64, f *zip.File) (raw []byte, ok bool) {
 
 // decodeMember inflates one member through archive/zip, which checks
 // its size and CRC-32, into a buffer presized from the header's
-// uncompressed size (capped at limit). The image's pixels alias that
-// buffer.
-func decodeMember(f *zip.File, limit uint64) (*Image, Hash128, error) {
+// uncompressed size (capped at limit), and digests the image. The
+// image's pixels alias that buffer.
+func decodeMember(f *zip.File, limit uint64) (*Image, Digest, error) {
 	rc, err := f.Open()
 	if err != nil {
-		return nil, Hash128{}, err
+		return nil, Digest{}, err
 	}
 	defer rc.Close()
 	// One byte past the payload: the read that returns io.EOF, and
@@ -913,12 +934,12 @@ func decodeMember(f *zip.File, limit uint64) (*Image, Hash128, error) {
 			break
 		}
 		if err != nil {
-			return nil, Hash128{}, err
+			return nil, Digest{}, err
 		}
 	}
 	im, err := decodeView(buf)
 	if err != nil {
-		return nil, Hash128{}, err
+		return nil, Digest{}, err
 	}
-	return im, Hash128Of(im), nil
+	return im, DigestOf(im), nil
 }

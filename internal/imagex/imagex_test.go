@@ -53,11 +53,11 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestSkinFraction(t *testing.T) {
 	im := New(10, 10, 0)
-	if f, _ := im.SkinStats(); f != 0 {
+	if f := im.SkinStats().Fraction; f != 0 {
 		t.Fatal("black image has skin")
 	}
 	im.FillRect(randx.New(1), 0, 0, 10, 5, (SkinLo+SkinHi)/2, 0)
-	if got, _ := im.SkinStats(); got != 0.5 {
+	if got := im.SkinStats().Fraction; got != 0.5 {
 		t.Fatalf("skin fraction = %v want 0.5", got)
 	}
 }
@@ -70,8 +70,8 @@ func TestSkinCoherenceContiguousVsScattered(t *testing.T) {
 	for i := 0; i < 200; i += 2 {
 		scattered.Pix[i] = skin
 	}
-	_, c := contiguous.SkinStats()
-	_, s := scattered.SkinStats()
+	c := contiguous.SkinStats().Coherence
+	s := scattered.SkinStats().Coherence
 	if c <= s {
 		t.Fatalf("coherence: contiguous %.3f <= scattered %.3f", c, s)
 	}
@@ -364,32 +364,32 @@ func TestDecodePackZipRejectsGarbage(t *testing.T) {
 
 // TestPackDecoderSharesRepeatedMembers decodes two packs that share a
 // member's bytes, one of them holding it twice, through one decoder:
-// every occurrence is the same *Image with the same hash, equal to a
-// fresh Hash128Of.
+// every occurrence is the same *Image with the same digest, equal to a
+// fresh DigestOf.
 func TestPackDecoderSharesRepeatedMembers(t *testing.T) {
 	a := DeflatePackEntry(GenModel(3, 0, PoseNude, 40))
 	b := DeflatePackEntry(GenModel(3, 1, PoseDressed, 40))
 	c := DeflatePackEntry(GenLandscape(4, 40, false))
 	var d PackDecoder
-	decode := func(entries ...PackEntry) ([]*Image, []Hash128) {
+	decode := func(entries ...PackEntry) ([]*Image, []Digest) {
 		t.Helper()
 		data, err := WritePackZip(entries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		images, hashes, err := d.Decode(data)
+		images, digests, err := d.Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(images) != len(entries) || len(hashes) != len(entries) {
-			t.Fatalf("pack of %d members decoded to %d images, %d hashes", len(entries), len(images), len(hashes))
+		if len(images) != len(entries) || len(digests) != len(entries) {
+			t.Fatalf("pack of %d members decoded to %d images, %d digests", len(entries), len(images), len(digests))
 		}
 		for i, im := range images {
-			if hashes[i] != Hash128Of(im) {
-				t.Fatalf("member %d: carried hash %v, fresh %v", i, hashes[i], Hash128Of(im))
+			if digests[i] != DigestOf(im) {
+				t.Fatalf("member %d: carried digest %v, fresh %v", i, digests[i], DigestOf(im))
 			}
 		}
-		return images, hashes
+		return images, digests
 	}
 	im1, h1 := decode(a, b)
 	im2, h2 := decode(c, a, a)
@@ -397,7 +397,7 @@ func TestPackDecoderSharesRepeatedMembers(t *testing.T) {
 		t.Fatal("a repeated member decoded to distinct images")
 	}
 	if h1[0] != h2[1] || h2[1] != h2[2] {
-		t.Fatal("a repeated member decoded to distinct hashes")
+		t.Fatal("a repeated member decoded to distinct digests")
 	}
 	if im1[1] == im2[0] {
 		t.Fatal("distinct members share an image")
@@ -472,15 +472,15 @@ func TestPackDecoderConfirmsBytes(t *testing.T) {
 	impostor.once.Do(func() {})
 	var d PackDecoder
 	d.members = map[memberKey][]*packMember{key: {impostor}}
-	images, hashes, err := d.Decode(data)
+	images, digests, err := d.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if images[0] == impostor.im {
 		t.Fatal("decoder reused an entry whose bytes differ")
 	}
-	if !bytes.Equal(images[0].Pix, im.Pix) || hashes[0] != Hash128Of(im) {
-		t.Fatal("member decoded to the wrong pixels or hash")
+	if !bytes.Equal(images[0].Pix, im.Pix) || digests[0] != DigestOf(im) {
+		t.Fatal("member decoded to the wrong pixels or digest")
 	}
 	if n := len(d.members[key]); n != 2 {
 		t.Fatalf("key holds %d entries, want 2", n)
@@ -543,7 +543,7 @@ func TestGenModelPoseSkinOrdering(t *testing.T) {
 		sum := 0.0
 		const n = 40
 		for i := 0; i < n; i++ {
-			f, _ := GenModel(uint64(1000+i), 0, pose, 48).SkinStats()
+			f := GenModel(uint64(1000+i), 0, pose, 48).SkinStats().Fraction
 			sum += f
 		}
 		return sum / n
@@ -560,7 +560,7 @@ func TestGenModelPoseSkinOrdering(t *testing.T) {
 
 func TestGenScreenshotLowSkin(t *testing.T) {
 	im := GenScreenshot(5, []string{"PAYPAL: $500.00 RECEIVED", "FROM: CUSTOMER"}, 120, 60)
-	if f, _ := im.SkinStats(); f > 0.02 {
+	if f := im.SkinStats().Fraction; f > 0.02 {
 		t.Fatalf("screenshot skin fraction %.4f too high", f)
 	}
 }
@@ -568,8 +568,8 @@ func TestGenScreenshotLowSkin(t *testing.T) {
 func TestGenLandscapeSkinLike(t *testing.T) {
 	plain := GenLandscape(8, 48, false)
 	sandy := GenLandscape(8, 48, true)
-	s, _ := sandy.SkinStats()
-	p, _ := plain.SkinStats()
+	s := sandy.SkinStats().Fraction
+	p := plain.SkinStats().Fraction
 	if s <= p {
 		t.Fatalf("skinLike landscape %.3f <= plain %.3f", s, p)
 	}
@@ -591,7 +591,7 @@ func TestGenErrorBannerHasText(t *testing.T) {
 
 func TestGenThumbnailGridMixesSignals(t *testing.T) {
 	im := GenThumbnailGrid(3, 77, 100, 60)
-	if f, _ := im.SkinStats(); f == 0 {
+	if f := im.SkinStats().Fraction; f == 0 {
 		t.Fatal("thumbnail grid has no skin pixels")
 	}
 	ink := false

@@ -140,6 +140,52 @@ func refSkinCoherence(im *Image) float64 {
 	return float64(totalRun) / float64(runs) / float64(im.W)
 }
 
+// TestSkinStatsMatchesBranchyLoop pins the table-driven SkinStats to
+// the branchy per-pixel references, bit for bit, on the rasters the
+// study scores (models in every pose, screenshots, banners) and on
+// random rasters with all-skin and no-skin rows and band-edge values.
+func TestSkinStatsMatchesBranchyLoop(t *testing.T) {
+	var ims []*Image
+	for i := 0; i < 12; i++ {
+		ims = append(ims, GenModel(uint64(i), i%5, Pose(i%3), 48))
+	}
+	ims = append(ims,
+		GenScreenshot(9, []string{"TOTAL: $129.99", "PAYPAL BALANCE"}, 150, 60),
+		GenErrorBanner(3, "IMAGE REMOVED", 160, 40),
+		GenLandscape(5, 48, true))
+	rng := randx.New(0x5c1)
+	edges := []byte{0, SkinLo - 1, SkinLo, SkinHi, SkinHi + 1, 255}
+	for _, sz := range kernelSizes {
+		for trial := 0; trial < 4; trial++ {
+			im := randImage(rng, sz[0], sz[1])
+			for y := 0; y < im.H; y++ {
+				row := im.Pix[y*im.W : (y+1)*im.W]
+				switch rng.Intn(4) {
+				case 0: // all skin
+					for x := range row {
+						row[x] = byte(SkinLo + rng.Intn(SkinHi-SkinLo+1))
+					}
+				case 1: // no skin
+					for x := range row {
+						row[x] = byte(rng.Intn(SkinLo))
+					}
+				case 2: // band edges only
+					for x := range row {
+						row[x] = edges[rng.Intn(len(edges))]
+					}
+				}
+			}
+			ims = append(ims, im)
+		}
+	}
+	for i, im := range ims {
+		want := Skin{Fraction: refSkinFraction(im), Coherence: refSkinCoherence(im)}
+		if got := im.SkinStats(); got != want {
+			t.Fatalf("image %d (%dx%d): SkinStats = %+v, reference %+v", i, im.W, im.H, got, want)
+		}
+	}
+}
+
 // kernelSizes spans the shapes the study generates (48x48 models,
 // wide screenshots) plus degenerate and upsampling cases.
 var kernelSizes = [][2]int{
@@ -172,7 +218,8 @@ func TestKernelsMatchReference(t *testing.T) {
 					t.Fatalf("Shade(%v, %g) diverged from reference", sz, frac)
 				}
 			}
-			fraction, coherence := im.SkinStats()
+			sk := im.SkinStats()
+			fraction, coherence := sk.Fraction, sk.Coherence
 			if want := refSkinFraction(im); fraction != want {
 				t.Fatalf("SkinStats(%v) fraction = %v, reference %v", sz, fraction, want)
 			}

@@ -71,8 +71,14 @@ type Verdict struct {
 // Classify runs Algorithm 1 on the image. It only invokes OCR when the
 // decision needs it, as the pipeline does (OCR is the expensive step).
 func (c *Classifier) Classify(im *imagex.Image) Verdict {
+	return c.ClassifyScored(im, nsfw.Score(im))
+}
+
+// ClassifyScored runs Algorithm 1 on an image whose nudity score is
+// already known (the study scores crawled images from their digests),
+// reading the image only if the decision needs OCR.
+func (c *Classifier) ClassifyScored(im *imagex.Image, score float64) Verdict {
 	t := c.Thresholds
-	score := nsfw.Score(im)
 	switch {
 	case score < t.SafeBelow:
 		return Verdict{SFV: true, NSFW: score, Words: -1}

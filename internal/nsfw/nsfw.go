@@ -18,6 +18,11 @@ import (
 )
 
 // Score returns the nudity score of the image in [0, 1].
+func Score(im *imagex.Image) float64 { return ScoreSkin(im.SkinStats()) }
+
+// ScoreSkin maps an image's skin statistics to its nudity score in
+// [0, 1]. The study scores crawled images from the statistics their
+// digest carries, so no stage rescans a crawled raster to score it.
 //
 // The mapping is convex (a power curve), mirroring how OpenNSFW
 // behaves on real imagery: clearly innocuous photos — even ones
@@ -25,13 +30,12 @@ import (
 // score well below 0.01, while the score climbs steeply once skin
 // dominates the frame. The calibration is fixed: a coherence gain of
 // 3, a response exponent of 1.7 and a final gain of 1.6.
-func Score(im *imagex.Image) float64 {
-	f, c := im.SkinStats()
-	cmul := 3 * c
+func ScoreSkin(s imagex.Skin) float64 {
+	cmul := 3 * s.Coherence
 	if cmul > 1 {
 		cmul = 1
 	}
-	raw := f * (0.6 + 1.4*cmul)
+	raw := s.Fraction * (0.6 + 1.4*cmul)
 	score := 1.6 * math.Pow(raw, 1.7)
 	if score > 1 {
 		score = 1

@@ -15,7 +15,6 @@ package ocr
 
 import (
 	"bytes"
-	"cmp"
 	"math/bits"
 	"slices"
 	"strings"
@@ -144,7 +143,7 @@ func Recognize(im *imagex.Image) Result {
 		}
 	}
 
-	glyphs := resolve(cands)
+	glyphs := resolve(cands, w, h)
 	words, text := group(glyphs)
 	return Result{Glyphs: glyphs, Words: words, Text: text}
 }
@@ -202,31 +201,71 @@ type candidate struct {
 	area int
 }
 
-// resolve removes overlapping candidate matches. Sparse punctuation
-// templates ('.', '-') can ghost-match across line boundaries inside
-// another glyph's cell; preferring the candidate with the larger ink
-// area keeps the true glyph.
-func resolve(cands []candidate) []Glyph {
-	slices.SortFunc(cands, func(a, b candidate) int {
-		return cmp.Or(cmp.Compare(b.area, a.area), cmp.Compare(a.g.Y, b.g.Y), cmp.Compare(a.g.X, b.g.X))
-	})
-	var accepted []Glyph
+// resolve removes overlapping candidate matches from a w x h image.
+// Sparse punctuation templates ('.', '-') can ghost-match across line
+// boundaries inside another glyph's cell; preferring the candidate
+// with the larger ink area keeps the true glyph. Candidates are
+// visited by ink area descending, then Y, then X: they arrive in
+// (Y, X) order, so a stable counting sort on area gives that order in
+// linear time. Accepted glyphs never overlap, so a GlyphW x GlyphH
+// cell of the image holds the origin of at most one of them, and a
+// candidate can only overlap an accepted glyph whose origin lies in
+// its own cell or one of the eight around it. The accepted glyphs
+// come back in candidate order, which is (Y, X).
+func resolve(cands []candidate, w, h int) []Glyph {
+	if len(cands) == 0 {
+		return nil
+	}
+	// Counting sort on maxArea-area, a key in [0, maxArea).
+	const maxArea = imagex.GlyphW * imagex.GlyphH
+	var next [maxArea + 1]int
 	for _, c := range cands {
+		next[maxArea-c.area+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	order := make([]int32, len(cands))
+	for i, c := range cands {
+		k := maxArea - c.area
+		order[next[k]] = int32(i)
+		next[k]++
+	}
+
+	// grid holds, per cell, 1 + the index of the accepted candidate
+	// whose origin lies in it, or 0.
+	gw := (w-imagex.GlyphW)/imagex.GlyphW + 1
+	gh := (h-imagex.GlyphH)/imagex.GlyphH + 1
+	grid := make([]int32, gw*gh)
+	cell := func(g Glyph) int { return g.Y/imagex.GlyphH*gw + g.X/imagex.GlyphW }
+	accepted := 0
+	for _, i := range order {
+		g := cands[i].g
+		cx, cy := g.X/imagex.GlyphW, g.Y/imagex.GlyphH
 		overlap := false
-		for _, a := range accepted {
-			if abs(c.g.Y-a.Y) < imagex.GlyphH && abs(c.g.X-a.X) < imagex.GlyphW {
-				overlap = true
-				break
+		for ny := max(cy-1, 0); !overlap && ny <= min(cy+1, gh-1); ny++ {
+			for nx := max(cx-1, 0); nx <= min(cx+1, gw-1); nx++ {
+				if a := grid[ny*gw+nx]; a != 0 {
+					o := cands[a-1].g
+					if abs(g.Y-o.Y) < imagex.GlyphH && abs(g.X-o.X) < imagex.GlyphW {
+						overlap = true
+						break
+					}
+				}
 			}
 		}
 		if !overlap {
-			accepted = append(accepted, c.g)
+			grid[cell(g)] = i + 1
+			accepted++
 		}
 	}
-	slices.SortFunc(accepted, func(a, b Glyph) int {
-		return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
-	})
-	return accepted
+	out := make([]Glyph, 0, accepted)
+	for i, c := range cands {
+		if grid[cell(c.g)] == int32(i)+1 {
+			out = append(out, c.g)
+		}
+	}
+	return out
 }
 
 func abs(v int) int {

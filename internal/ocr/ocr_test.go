@@ -1,9 +1,11 @@
 package ocr
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -248,9 +250,67 @@ func referenceRecognize(im *imagex.Image) Result {
 			}
 		}
 	}
-	glyphs := resolve(cands)
+	glyphs := referenceResolve(cands)
 	words, text := group(glyphs)
 	return Result{Glyphs: glyphs, Words: words, Text: text}
+}
+
+// referenceResolve is the quadratic overlap resolution resolve
+// replaced: sort every candidate by (area desc, Y, X), test each
+// against every glyph accepted so far, then sort the accepted glyphs
+// by (Y, X). It sorts cands in place.
+func referenceResolve(cands []candidate) []Glyph {
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(b.area, a.area), cmp.Compare(a.g.Y, b.g.Y), cmp.Compare(a.g.X, b.g.X))
+	})
+	var accepted []Glyph
+	for _, c := range cands {
+		overlap := false
+		for _, a := range accepted {
+			if abs(c.g.Y-a.Y) < imagex.GlyphH && abs(c.g.X-a.X) < imagex.GlyphW {
+				overlap = true
+				break
+			}
+		}
+		if !overlap {
+			accepted = append(accepted, c.g)
+		}
+	}
+	slices.SortFunc(accepted, func(a, b Glyph) int {
+		return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
+	})
+	return accepted
+}
+
+// TestResolveMatchesReference compares resolve with the quadratic
+// reference on random candidate sets in the (Y, X) order Recognize
+// emits them: dense sets where most candidates overlap, sparse ones
+// where few do, areas drawn from the font's whole range so area ties
+// are common, and origins on every cell boundary of small and odd
+// image sizes.
+func TestResolveMatchesReference(t *testing.T) {
+	rng := randx.New(0x0c5e)
+	for trial := 0; trial < 2000; trial++ {
+		w := imagex.GlyphW + rng.Intn(60)
+		h := imagex.GlyphH + rng.Intn(40)
+		density := []float64{0.02, 0.1, 0.4, 0.9}[trial%4]
+		var cands []candidate
+		for y := 0; y+imagex.GlyphH <= h; y++ {
+			for x := 0; x+imagex.GlyphW <= w; x++ {
+				if rng.Bool(density) {
+					area := 1 + rng.Intn(imagex.GlyphW*imagex.GlyphH)
+					if rng.Bool(0.5) {
+						area = 9 + rng.Intn(4) // a narrow band: many ties
+					}
+					cands = append(cands, candidate{Glyph{R: rune('A' + rng.Intn(26)), X: x, Y: y}, area})
+				}
+			}
+		}
+		want := referenceResolve(slices.Clone(cands))
+		if got := resolve(cands, w, h); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%dx%d, %d candidates): resolve %v, reference %v", trial, w, h, len(cands), got, want)
+		}
+	}
 }
 
 // referenceMatchAt returns the first template in rune order whose
@@ -429,11 +489,12 @@ func allocsFromEmptyPool(f func()) float64 {
 // kernel keeps its ink flags in the pooled mask, which drops the
 // per-image rowHasInk slice, and sorting candidates with
 // slices.SortFunc instead of sort.Slice drops the reflect swappers.
-// The bound is the 21 measured when the mask pool moved into ocr.
+// The mask pool moving into ocr left 21; the linear resolve, which
+// sizes its accepted glyphs once instead of appending them, leaves 16.
 func TestRecognizeAllocs(t *testing.T) {
 	im := allocScreenshot()
-	if avg := allocsFromEmptyPool(func() { Recognize(im) }); avg > 21 {
-		t.Fatalf("Recognize made %.1f allocations per call, want at most 21", avg)
+	if avg := allocsFromEmptyPool(func() { Recognize(im) }); avg > 16 {
+		t.Fatalf("Recognize made %.1f allocations per call, want at most 16", avg)
 	}
 }
 

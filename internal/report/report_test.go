@@ -2,10 +2,12 @@ package report
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/actors"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -87,4 +89,52 @@ func TestEmptyFigure3(t *testing.T) {
 	if !strings.Contains(out, "no proof series") {
 		t.Fatalf("empty Figure 3 = %q", out)
 	}
+}
+
+// TestFigure4AllocsIndependentOfSampleCount renders Figure 4 for two
+// worlds whose buckets differ several-fold in size: the series arrive
+// sorted, so the render reads order statistics and its allocations
+// must not grow with the sample count.
+func TestFigure4AllocsIndependentOfSampleCount(t *testing.T) {
+	w := synth.Generate(synth.Config{Seed: 31, Scale: 0.06, SkipImages: true})
+	big := actors.CollectSamples(actors.SortProfiles(actors.BuildProfiles(w.Store, w.EWhoringAll())), nil)
+	// Keep the buckets both worlds fill, so both renders write the
+	// same rows.
+	small := make(map[int]actors.Samples)
+	for thr, s := range res(t).Actors.Fig4 {
+		if len(s.Posts) > 0 && len(big[thr].Posts) > 0 {
+			small[thr] = s
+		}
+	}
+	for thr := range big {
+		if _, ok := small[thr]; !ok {
+			delete(big, thr)
+		}
+	}
+	if n, m := len(small[1].Posts), len(big[1].Posts); m < 2*n {
+		t.Fatalf("worlds too alike: %d and %d samples in the >=1 bucket", n, m)
+	}
+	a := testing.AllocsPerRun(20, func() { Figure4(small) })
+	b := testing.AllocsPerRun(20, func() { Figure4(big) })
+	if b > a {
+		t.Fatalf("Figure 4 allocates %.0f times per render at %d samples, %.0f at %d", b, len(big[1].Posts), a, len(small[1].Posts))
+	}
+	// A copy-and-sort per quantile allocates once per call at any size,
+	// so the bytes are what would grow.
+	ab, bb := bytesPerRun(20, func() { Figure4(small) }), bytesPerRun(20, func() { Figure4(big) })
+	if bb > 2*ab {
+		t.Fatalf("Figure 4 allocates %d B per render at %d samples, %d B at %d", bb, len(big[1].Posts), ab, len(small[1].Posts))
+	}
+}
+
+// bytesPerRun returns the mean heap bytes one call of f allocates.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

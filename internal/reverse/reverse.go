@@ -46,11 +46,21 @@ type Match struct {
 }
 
 // Index is the searchable image index. Safe for concurrent use.
+//
+// The web repeats images: many records share one hash (6.7 per
+// distinct hash at scale 1.0). The index keeps each distinct hash
+// once, with the indices of the records filed under it, so a search
+// computes one distance per distinct hash.
 type Index struct {
 	mu      sync.RWMutex
 	radius  int
-	hashes  []imagex.Hash128
 	records []Record
+	// hashes holds each distinct hash once, in first-seen order;
+	// groups[g] lists, ascending, the records filed under hashes[g],
+	// and slot maps a hash to its g.
+	hashes []imagex.Hash128
+	groups [][]int32
+	slot   map[imagex.Hash128]int32
 }
 
 // NewIndex returns an empty index with the given radius
@@ -66,7 +76,17 @@ func NewIndex(radius int) *Index {
 func (ix *Index) Add(h imagex.Hash128, rec Record) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.hashes = append(ix.hashes, h)
+	g, ok := ix.slot[h]
+	if !ok {
+		if ix.slot == nil {
+			ix.slot = make(map[imagex.Hash128]int32)
+		}
+		g = int32(len(ix.hashes))
+		ix.slot[h] = g
+		ix.hashes = append(ix.hashes, h)
+		ix.groups = append(ix.groups, nil)
+	}
+	ix.groups[g] = append(ix.groups[g], int32(len(ix.records)))
 	ix.records = append(ix.records, rec)
 }
 
@@ -79,35 +99,46 @@ func (ix *Index) AddImage(im *imagex.Image, rec Record) {
 func (ix *Index) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.hashes)
+	return len(ix.records)
 }
 
 // SearchHash returns every record within the radius of h, sorted by
 // ascending distance, then URL, then record index. It scans every
-// record: see DESIGN.md for why a chunk index loses on the study's
-// hash distribution.
+// distinct hash and expands the groups inside the radius: see
+// DESIGN.md for why a chunk index loses on the study's hash
+// distribution.
 func (ix *Index) SearchHash(h imagex.Hash128) []Match {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	var out []Match
-	for i, eh := range ix.hashes {
+	type hit struct {
+		rec  int32
+		dist int
+	}
+	var hits []hit
+	for g, eh := range ix.hashes {
 		if d := h.Distance(eh); d <= ix.radius {
-			out = append(out, Match{
-				Record:   ix.records[i],
-				Score:    1 - float64(d)/128,
-				Distance: d,
-			})
+			for _, i := range ix.groups[g] {
+				hits = append(hits, hit{i, d})
+			}
 		}
 	}
-	// out is in record order, so the stable sort makes the record index
-	// the last key: records tied on distance and URL keep the order they
-	// were indexed in.
-	slices.SortStableFunc(out, func(a, b Match) int {
-		if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
-			return c
-		}
-		return strings.Compare(a.URL, b.URL)
+	if len(hits) == 0 {
+		return nil
+	}
+	slices.SortFunc(hits, func(a, b hit) int {
+		return cmp.Or(
+			cmp.Compare(a.dist, b.dist),
+			strings.Compare(ix.records[a.rec].URL, ix.records[b.rec].URL),
+			cmp.Compare(a.rec, b.rec))
 	})
+	out := make([]Match, len(hits))
+	for k, ht := range hits {
+		out[k] = Match{
+			Record:   ix.records[ht.rec],
+			Score:    1 - float64(ht.dist)/128,
+			Distance: ht.dist,
+		}
+	}
 	return out
 }
 

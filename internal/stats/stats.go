@@ -54,16 +54,21 @@ func Summarize(xs []float64) Summary {
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. The input need not be sorted.
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return QuantileSorted(sorted, q)
 }
 
-func quantileSorted(sorted []float64, q float64) float64 {
+// QuantileSorted is Quantile over a series already sorted ascending:
+// it reads two order statistics and neither copies nor sorts. A
+// sorted series is its own empirical CDF, so callers that read many
+// quantiles of one series sort it once and call this. It returns NaN
+// for an empty series.
+func QuantileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return math.NaN()
+	}
 	if q <= 0 {
 		return sorted[0]
 	}
@@ -110,10 +115,7 @@ func (e *ECDF) At(x float64) float64 {
 
 // Quantile returns the q-quantile of the sample.
 func (e *ECDF) Quantile(q float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return quantileSorted(e.sorted, q)
+	return QuantileSorted(e.sorted, q)
 }
 
 // Point is one (x, cumulative-percentage) pair in a CDF series.

@@ -260,16 +260,23 @@ func (w *World) uploadPack(st *forumState, model *Model) (string, bool) {
 	// The status draw ran after the pack upload in the sequential code,
 	// but the upload consumes no randomness, so drawing it here is
 	// identical.
-	var status hosting.ObjectStatus
-	setStatus := false
+	status := hosting.StatusLive
 	if !flagged {
 		r := rng.Float64()
 		switch {
 		case r < 0.17:
-			status, setStatus = hosting.StatusDeleted, true
+			status = hosting.StatusDeleted
 		case r < 0.27:
-			status, setStatus = hosting.StatusTakedown, true
+			status = hosting.StatusTakedown
 		}
+	}
+	// A deleted or taken-down pack, or one on a login-walled or
+	// defunct site, is never served: the site answers from its status
+	// or its config and never reads the archive. It is stored with its
+	// status alone, so its members are neither deflated nor zipped.
+	if cfg := site.Config(); status != hosting.StatusLive || cfg.RequiresLogin || cfg.Defunct {
+		site.Put(path, hosting.Object{ContentType: hosting.ContentTypeZip, Status: status})
+		return url, flagged
 	}
 	w.do(func() {
 		entries := make([]imagex.PackEntry, len(members))
@@ -280,9 +287,6 @@ func (w *World) uploadPack(st *forumState, model *Model) (string, bool) {
 		// already committed to the URL.
 		data, _ := imagex.WritePackZip(entries)
 		site.Put(path, hosting.Object{Data: data, ContentType: hosting.ContentTypeZip})
-		if setStatus {
-			site.SetStatus(path, status)
-		}
 	}, nil)
 	return url, flagged
 }
