@@ -48,12 +48,19 @@ perfbench-check:
 # All runs land in one benchstat-ready text file and one fresh JSON
 # artifact for CI upload, kept distinct from the committed
 # BENCH_smoke.json baseline so a smoke run never clobbers the
-# regression reference.
+# regression reference. Each run lands in its own pass file first, as
+# in bench-scale-runs, so a failing benchmark fails the target instead
+# of exiting with tee's status.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^Benchmark(StudyRun(OneWorker|Concurrent)|SweepCrossSeed|ArtefactReuse)$$' -skip='^BenchmarkArtefactReuse$$/^warm$$' -benchtime=3x . | tee bench_smoke.txt
-	$(GO) test -run='^$$' -bench='^BenchmarkArtefactReuse$$/^warm$$' -benchtime=2000x . | tee -a bench_smoke.txt
-	$(GO) test -run='^$$' -bench='^Benchmark(Crawl|PhotoDNAFilter|HashImage)$$' -benchmem . | tee -a bench_smoke.txt
-	$(GO) test -run='^$$' -bench='^BenchmarkRecognize(Screenshot|ModelPhoto)$$' -benchmem ./internal/ocr | tee -a bench_smoke.txt
+	rm -f bench_smoke.txt
+	$(GO) test -run='^$$' -bench='^Benchmark(StudyRun(OneWorker|Concurrent)|SweepCrossSeed|ArtefactReuse)$$' -skip='^BenchmarkArtefactReuse$$/^warm$$' -benchtime=3x . > bench_smoke.pass.txt || { cat bench_smoke.pass.txt; exit 1; }
+	tee -a bench_smoke.txt < bench_smoke.pass.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkArtefactReuse$$/^warm$$' -benchtime=2000x . > bench_smoke.pass.txt || { cat bench_smoke.pass.txt; exit 1; }
+	tee -a bench_smoke.txt < bench_smoke.pass.txt
+	$(GO) test -run='^$$' -bench='^Benchmark(Crawl|PhotoDNAFilter|HashImage)$$' -benchmem . > bench_smoke.pass.txt || { cat bench_smoke.pass.txt; exit 1; }
+	tee -a bench_smoke.txt < bench_smoke.pass.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkRecognize(Screenshot|ModelPhoto)$$' -benchmem ./internal/ocr > bench_smoke.pass.txt || { cat bench_smoke.pass.txt; exit 1; }
+	tee -a bench_smoke.txt < bench_smoke.pass.txt
 	$(GO) run ./cmd/benchjson -in bench_smoke.txt -out BENCH_smoke.fresh.json
 
 # Benchmark-regression gate: a fresh smoke run must stay within
@@ -161,9 +168,8 @@ chaos:
 # and canonicalization, of the SIMG and pack-zip decoders that read
 # every crawled image and pack, of the OCR row-code kernel against its
 # byte-matcher reference, of the Retry-After and traceparent header
-# parsers, of the fault-profile grammar behind POST /v1/study
-# "faults", and of the forum JSONL loader that reads ewsynth -export
-# dumps. The committed seed corpora (internal/*/testdata/fuzz) run on
+# parsers, and of the fault-profile grammar behind POST /v1/study
+# "faults". The committed seed corpora (internal/*/testdata/fuzz) run on
 # every plain `go test`; this target explores past them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalize -fuzztime=10s ./internal/studysvc
@@ -173,9 +179,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseRetryAfter -fuzztime=10s ./internal/faultx
 	$(GO) test -run='^$$' -fuzz=FuzzParseProfile -fuzztime=10s ./internal/faultx
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=10s ./internal/tracex
-	$(GO) test -run='^$$' -fuzz=FuzzImport -fuzztime=10s ./internal/forum
 
 clean:
-	rm -f bench_smoke.txt bench_smoke_runs.txt bench_scale1.txt bench_scale1.pass.txt BENCH_smoke.fresh.json \
+	rm -f bench_smoke.txt bench_smoke.pass.txt bench_smoke_runs.txt bench_scale1.txt bench_scale1.pass.txt BENCH_smoke.fresh.json \
 		BENCH_scale1.fresh.json BENCH_load.fresh.json ewserve_load.log ewserve_load_bin \
 		trace_load.perfetto.json sweep_adversarial.json

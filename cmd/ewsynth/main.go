@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -21,7 +20,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "corpus scale (1.0 ≈ paper scale)")
 	workers := flag.Int("workers", 0, "generation workers (0 = GOMAXPROCS, 1 = sequential)")
 	noImages := flag.Bool("noimages", false, "skip the image world")
-	export := flag.String("export", "", "write the forum corpus as JSONL to this file")
 	flag.Parse()
 
 	cfg := synth.Config{Seed: *seed, Scale: *scale, SkipImages: *noImages, Workers: *workers}
@@ -33,23 +31,6 @@ func main() {
 	fmt.Printf("generated in %v (workers=%d, heap %d MiB, peak sys %d MiB)\n\n",
 		elapsed.Round(time.Millisecond), cfg.EffectiveWorkers(),
 		ms.HeapAlloc>>20, ms.Sys>>20)
-
-	if *export != "" {
-		f, err := os.Create(*export)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ewsynth:", err)
-			os.Exit(1)
-		}
-		if err := w.Store.Export(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ewsynth: export:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ewsynth: export:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("corpus exported to %s\n", *export)
-	}
 
 	fmt.Printf("forums:  %d\n", w.Store.NumForums())
 	fmt.Printf("boards:  %d\n", w.Store.NumBoards())

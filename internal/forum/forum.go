@@ -14,6 +14,8 @@ package forum
 import (
 	"fmt"
 	"iter"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -83,48 +85,91 @@ type Actor struct {
 // Store is an in-memory CrimeBB-like dataset. The zero value is not
 // usable; construct with NewStore. Store is not safe for concurrent
 // mutation; concurrent reads after loading are safe.
+//
+// Posts, about thirty to a thread, are kept as compact records and
+// built into a Post when read. The indexes keyed by forum, board,
+// thread or actor are dense: entry id-1 lists that parent's children
+// in ID order.
 type Store struct {
 	forums  []Forum
 	boards  []Board
 	threads []Thread
-	posts   []Post
+	posts   []postRecord
 	actors  []Actor
 
 	forumByName    map[string]ForumID
-	boardsByForum  map[ForumID][]BoardID
-	threadsByBoard map[BoardID][]ThreadID
-	postsByThread  map[ThreadID][]PostID
-	postsByActor   map[ActorID][]PostID
-	threadsByActor map[ActorID][]ThreadID
+	boardsByForum  [][]BoardID
+	threadsByBoard [][]ThreadID
+	threadsByActor [][]ThreadID
+	postsByThread  [][]int32 // post IDs
+	postsByActor   [][]int32 // post IDs
+}
+
+// postRecord is a Post as the store keeps it: 40 bytes against Post's 72.
+// Its ID is its index + 1; the IDs it names are narrowed to int32, and
+// its time is an instant in Unix nanoseconds, read back in UTC.
+type postRecord struct {
+	body    string
+	created int64
+	thread  int32
+	author  int32
+	quotes  int32
+}
+
+// narrow returns an ID as an int32, and panics if it does not fit:
+// wrapped, it would name another row.
+func narrow[T ~int](kind string, id T) int32 {
+	if T(int32(id)) != id {
+		panic(fmt.Sprintf("forum: %s ID %d does not fit in 32 bits", kind, id))
+	}
+	return int32(id)
+}
+
+// Post times are kept as int64 Unix nanoseconds, which span these
+// instants.
+var (
+	minPostTime = time.Unix(0, math.MinInt64)
+	maxPostTime = time.Unix(0, math.MaxInt64)
+)
+
+// unixNano returns t in Unix nanoseconds, and panics if t lies outside
+// the years 1678–2262 that an int64 of nanoseconds holds.
+func unixNano(t time.Time) int64 {
+	if t.Before(minPostTime) || t.After(maxPostTime) {
+		panic(fmt.Sprintf("forum: post time %v outside the storable range", t))
+	}
+	return t.UnixNano()
+}
+
+// utc reads a stored post time back as a UTC instant.
+func utc(nanos int64) time.Time { return time.Unix(0, nanos).UTC() }
+
+// row returns the entry of a dense index for a 1-based ID, or nil for
+// an ID the index does not hold.
+func row[T any](index [][]T, id int) []T {
+	if id < 1 || id > len(index) {
+		return nil
+	}
+	return index[id-1]
 }
 
 // NewStore returns an empty dataset.
 func NewStore() *Store {
-	return &Store{
-		forumByName:    make(map[string]ForumID),
-		boardsByForum:  make(map[ForumID][]BoardID),
-		threadsByBoard: make(map[BoardID][]ThreadID),
-		postsByThread:  make(map[ThreadID][]PostID),
-		postsByActor:   make(map[ActorID][]PostID),
-		threadsByActor: make(map[ActorID][]ThreadID),
-	}
+	return &Store{forumByName: make(map[string]ForumID)}
 }
 
 // Reserve pre-sizes the backing slices for a dataset of roughly the
 // given shape. Loading a paper-scale corpus otherwise spends a large
 // share of its time in append's doubling copies of the posts slice
-// (~600k elements at scale 1.0). Capacity never affects contents:
+// (~2.5M records at scale 1.0). Capacity never affects contents:
 // a reserved store and an unreserved one are DeepEqual.
 func (s *Store) Reserve(threads, posts, actors int) {
-	if n := len(s.threads) + threads; n > cap(s.threads) {
-		s.threads = append(make([]Thread, 0, n), s.threads...)
-	}
-	if n := len(s.posts) + posts; n > cap(s.posts) {
-		s.posts = append(make([]Post, 0, n), s.posts...)
-	}
-	if n := len(s.actors) + actors; n > cap(s.actors) {
-		s.actors = append(make([]Actor, 0, n), s.actors...)
-	}
+	s.threads = slices.Grow(s.threads, threads)
+	s.postsByThread = slices.Grow(s.postsByThread, threads)
+	s.posts = slices.Grow(s.posts, posts)
+	s.actors = slices.Grow(s.actors, actors)
+	s.threadsByActor = slices.Grow(s.threadsByActor, actors)
+	s.postsByActor = slices.Grow(s.postsByActor, actors)
 }
 
 // AddForum registers a forum and returns its ID. Forum names must be
@@ -136,6 +181,7 @@ func (s *Store) AddForum(name string) ForumID {
 	id := ForumID(len(s.forums) + 1)
 	s.forums = append(s.forums, Forum{ID: id, Name: name})
 	s.forumByName[name] = id
+	s.boardsByForum = append(s.boardsByForum, nil)
 	return id
 }
 
@@ -144,7 +190,8 @@ func (s *Store) AddBoard(forum ForumID, name, category string) BoardID {
 	s.mustForum(forum)
 	id := BoardID(len(s.boards) + 1)
 	s.boards = append(s.boards, Board{ID: id, Forum: forum, Name: name, Category: category})
-	s.boardsByForum[forum] = append(s.boardsByForum[forum], id)
+	s.boardsByForum[forum-1] = append(s.boardsByForum[forum-1], id)
+	s.threadsByBoard = append(s.threadsByBoard, nil)
 	return id
 }
 
@@ -153,6 +200,8 @@ func (s *Store) AddActor(forum ForumID, name string, registered time.Time) Actor
 	s.mustForum(forum)
 	id := ActorID(len(s.actors) + 1)
 	s.actors = append(s.actors, Actor{ID: id, Forum: forum, Name: name, Registered: registered})
+	s.threadsByActor = append(s.threadsByActor, nil)
+	s.postsByActor = append(s.postsByActor, nil)
 	return id
 }
 
@@ -161,13 +210,15 @@ func (s *Store) AddActor(forum ForumID, name string, registered time.Time) Actor
 // thread author.
 func (s *Store) AddThread(board BoardID, author ActorID, heading, firstPost string, created time.Time) ThreadID {
 	b := s.mustBoard(board)
+	s.mustActor(author)
 	id := ThreadID(len(s.threads) + 1)
 	s.threads = append(s.threads, Thread{
 		ID: id, Board: board, Forum: b.Forum, Author: author,
 		Heading: heading, Created: created,
 	})
-	s.threadsByBoard[board] = append(s.threadsByBoard[board], id)
-	s.threadsByActor[author] = append(s.threadsByActor[author], id)
+	s.threadsByBoard[board-1] = append(s.threadsByBoard[board-1], id)
+	s.threadsByActor[author-1] = append(s.threadsByActor[author-1], id)
+	s.postsByThread = append(s.postsByThread, nil)
 	s.addPost(id, author, firstPost, created, 0)
 	return id
 }
@@ -176,18 +227,23 @@ func (s *Store) AddThread(board BoardID, author ActorID, heading, firstPost stri
 // quote) or the ID of an earlier post in any thread.
 func (s *Store) AddReply(thread ThreadID, author ActorID, body string, created time.Time, quotes PostID) PostID {
 	s.mustThread(thread)
+	s.mustActor(author)
 	return s.addPost(thread, author, body, created, quotes)
 }
 
+// addPost files a post by a known actor in a known thread.
 func (s *Store) addPost(thread ThreadID, author ActorID, body string, created time.Time, quotes PostID) PostID {
-	id := PostID(len(s.posts) + 1)
-	s.posts = append(s.posts, Post{
-		ID: id, Thread: thread, Author: author,
-		Body: body, Created: created, Quotes: quotes,
+	id := narrow("post", len(s.posts)+1)
+	s.posts = append(s.posts, postRecord{
+		body:    body,
+		created: unixNano(created),
+		thread:  narrow("thread", thread),
+		author:  narrow("actor", author),
+		quotes:  narrow("quoted post", quotes),
 	})
-	s.postsByThread[thread] = append(s.postsByThread[thread], id)
-	s.postsByActor[author] = append(s.postsByActor[author], id)
-	return id
+	s.postsByThread[thread-1] = append(s.postsByThread[thread-1], id)
+	s.postsByActor[author-1] = append(s.postsByActor[author-1], id)
+	return PostID(id)
 }
 
 func (s *Store) mustForum(id ForumID) Forum {
@@ -209,6 +265,13 @@ func (s *Store) mustThread(id ThreadID) Thread {
 		panic(fmt.Sprintf("forum: unknown thread %d", id))
 	}
 	return s.threads[id-1]
+}
+
+func (s *Store) mustActor(id ActorID) Actor {
+	if id < 1 || int(id) > len(s.actors) {
+		panic(fmt.Sprintf("forum: unknown actor %d", id))
+	}
+	return s.actors[id-1]
 }
 
 // Forum returns the forum with the given ID.
@@ -234,23 +297,31 @@ func (s *Store) Post(id PostID) Post {
 	if id < 1 || int(id) > len(s.posts) {
 		panic(fmt.Sprintf("forum: unknown post %d", id))
 	}
-	return s.posts[id-1]
+	return s.post(int32(id))
+}
+
+// post builds the Post with the given ID from its record.
+func (s *Store) post(id int32) Post {
+	r := &s.posts[id-1]
+	return Post{
+		ID:      PostID(id),
+		Thread:  ThreadID(r.thread),
+		Author:  ActorID(r.author),
+		Body:    r.body,
+		Created: utc(r.created),
+		Quotes:  PostID(r.quotes),
+	}
 }
 
 // Actor returns the actor with the given ID.
-func (s *Store) Actor(id ActorID) Actor {
-	if id < 1 || int(id) > len(s.actors) {
-		panic(fmt.Sprintf("forum: unknown actor %d", id))
-	}
-	return s.actors[id-1]
-}
+func (s *Store) Actor(id ActorID) Actor { return s.mustActor(id) }
 
 // Forums returns all forums in creation order.
 func (s *Store) Forums() []Forum { return s.forums }
 
 // Boards returns the boards of a forum in creation order.
 func (s *Store) Boards(forum ForumID) []Board {
-	ids := s.boardsByForum[forum]
+	ids := row(s.boardsByForum, int(forum))
 	out := make([]Board, len(ids))
 	for i, id := range ids {
 		out[i] = s.boards[id-1]
@@ -260,7 +331,7 @@ func (s *Store) Boards(forum ForumID) []Board {
 
 // BoardByName returns the first board of the forum with the given name.
 func (s *Store) BoardByName(forum ForumID, name string) (Board, bool) {
-	for _, id := range s.boardsByForum[forum] {
+	for _, id := range row(s.boardsByForum, int(forum)) {
 		if b := s.boards[id-1]; b.Name == name {
 			return b, true
 		}
@@ -279,20 +350,21 @@ func (s *Store) NumActors() int  { return len(s.actors) }
 // ThreadsInBoard returns the IDs of all threads in a board, in
 // creation order.
 func (s *Store) ThreadsInBoard(board BoardID) []ThreadID {
-	return s.threadsByBoard[board]
+	return row(s.threadsByBoard, int(board))
 }
 
 // PostsInThread yields the posts of a thread in posting (ID) order,
-// read in place from the store: ranging over it allocates nothing.
+// each built from its record as it is yielded: ranging over it
+// allocates nothing.
 func (s *Store) PostsInThread(thread ThreadID) iter.Seq[Post] {
-	return s.postsOf(s.postsByThread[thread])
+	return s.postsOf(row(s.postsByThread, int(thread)))
 }
 
 // postsOf yields the posts with the given IDs, in order.
-func (s *Store) postsOf(ids []PostID) iter.Seq[Post] {
+func (s *Store) postsOf(ids []int32) iter.Seq[Post] {
 	return func(yield func(Post) bool) {
 		for _, id := range ids {
-			if !yield(s.posts[id-1]) {
+			if !yield(s.post(id)) {
 				return
 			}
 		}
@@ -301,31 +373,32 @@ func (s *Store) postsOf(ids []PostID) iter.Seq[Post] {
 
 // FirstPost returns the opening post of a thread.
 func (s *Store) FirstPost(thread ThreadID) Post {
-	ids := s.postsByThread[thread]
+	ids := row(s.postsByThread, int(thread))
 	if len(ids) == 0 {
 		panic(fmt.Sprintf("forum: thread %d has no posts", thread))
 	}
-	return s.posts[ids[0]-1]
+	return s.post(ids[0])
 }
 
 // NumReplies returns the number of posts in a thread beyond the opener.
 func (s *Store) NumReplies(thread ThreadID) int {
-	n := len(s.postsByThread[thread])
+	n := len(row(s.postsByThread, int(thread)))
 	if n == 0 {
 		return 0
 	}
 	return n - 1
 }
 
-// PostsByActor yields an actor's posts in posting (ID) order, read in
-// place from the store: ranging over it allocates nothing.
+// PostsByActor yields an actor's posts in posting (ID) order, each
+// built from its record as it is yielded: ranging over it allocates
+// nothing.
 func (s *Store) PostsByActor(actor ActorID) iter.Seq[Post] {
-	return s.postsOf(s.postsByActor[actor])
+	return s.postsOf(row(s.postsByActor, int(actor)))
 }
 
 // ThreadsByActor returns the IDs of threads the actor started.
 func (s *Store) ThreadsByActor(actor ActorID) []ThreadID {
-	return s.threadsByActor[actor]
+	return row(s.threadsByActor, int(actor))
 }
 
 // AllThreads returns the IDs of every thread in the dataset.
@@ -360,22 +433,17 @@ func (s *Store) SearchHeadings(keywords ...string) []ThreadID {
 // and how many posts the actor wrote; n is 0 if the actor never
 // posted.
 func (s *Store) ActivitySpan(actor ActorID) (first, last time.Time, n int) {
-	posts := s.postsByActor[actor]
-	if len(posts) == 0 {
+	ids := row(s.postsByActor, int(actor))
+	if len(ids) == 0 {
 		return time.Time{}, time.Time{}, 0
 	}
-	first = s.posts[posts[0]-1].Created
-	last = first
-	for _, id := range posts[1:] {
-		t := s.posts[id-1].Created
-		if t.Before(first) {
-			first = t
-		}
-		if t.After(last) {
-			last = t
-		}
+	lo := s.posts[ids[0]-1].created
+	hi := lo
+	for _, id := range ids[1:] {
+		t := s.posts[id-1].created
+		lo, hi = min(lo, t), max(hi, t)
 	}
-	return first, last, len(posts)
+	return utc(lo), utc(hi), len(ids)
 }
 
 // Span returns the times of the earliest and latest posts in the
@@ -384,18 +452,13 @@ func (s *Store) Span() (first, last time.Time, ok bool) {
 	if len(s.posts) == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	first = s.posts[0].Created
-	last = first
+	lo := s.posts[0].created
+	hi := lo
 	for i := range s.posts {
-		t := s.posts[i].Created
-		if t.Before(first) {
-			first = t
-		}
-		if t.After(last) {
-			last = t
-		}
+		t := s.posts[i].created
+		lo, hi = min(lo, t), max(hi, t)
 	}
-	return first, last, true
+	return utc(lo), utc(hi), true
 }
 
 // ThreadSet is a set of thread IDs with deterministic iteration order.

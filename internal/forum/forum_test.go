@@ -1,7 +1,10 @@
 package forum
 
 import (
+	"fmt"
 	"iter"
+	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -240,4 +243,154 @@ func TestPostsInPlace(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("ranging an actor's posts: %v allocs, want 0", avg)
 	}
+}
+
+// TestPostRecordsRoundTrip holds the compact post records to the Posts
+// they were added as: every field, the time to the nanosecond and in
+// UTC, through every reader, plus the reads of IDs the store does not
+// hold.
+func TestPostRecordsRoundTrip(t *testing.T) {
+	s, hf, ew, alice, bob := buildSmall(t)
+	lounge := s.AddBoard(hf, "The Lounge", "Lounge")
+	carol := s.AddActor(hf, "carol", day(2))
+	at := func(d, ns int) time.Time { return day(d).Add(time.Duration(ns)) }
+
+	var want []Post
+	add := func(id PostID, th ThreadID, a ActorID, body string, created time.Time, quotes PostID) {
+		want = append(want, Post{ID: id, Thread: th, Author: a, Body: body, Created: created, Quotes: quotes})
+	}
+	t1 := s.AddThread(ew, alice, "pack", "opener", at(10, 123_456_789))
+	add(1, t1, alice, "opener", at(10, 123_456_789), 0)
+	t2 := s.AddThread(lounge, bob, "hi", "", at(3, 1))
+	add(2, t2, bob, "", at(3, 1), 0)
+	add(s.AddReply(t1, bob, "thanks", at(9, 999_999_999), 1), t1, bob, "thanks", at(9, 999_999_999), 1)
+	add(s.AddReply(t2, alice, "quote", at(3, 0), 2), t2, alice, "quote", at(3, 0), 2)
+	add(s.AddReply(t1, alice, "bump", at(10, 123_456_790), math.MaxInt32), t1, alice, "bump", at(10, 123_456_790), math.MaxInt32)
+
+	if s.NumPosts() != len(want) {
+		t.Fatalf("NumPosts = %d, want %d", s.NumPosts(), len(want))
+	}
+	for _, w := range want {
+		if got := s.Post(w.ID); got != w {
+			t.Errorf("Post(%d) = %+v, want %+v", w.ID, got, w)
+		}
+	}
+	filter := func(keep func(Post) bool) []Post {
+		var out []Post
+		for _, p := range want {
+			if keep(p) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	for _, th := range []ThreadID{t1, t2} {
+		in := filter(func(p Post) bool { return p.Thread == th })
+		if got := slices.Collect(s.PostsInThread(th)); !slices.Equal(got, in) {
+			t.Errorf("PostsInThread(%d) = %+v, want %+v", th, got, in)
+		}
+		if got := s.FirstPost(th); got != in[0] {
+			t.Errorf("FirstPost(%d) = %+v, want %+v", th, got, in[0])
+		}
+		if got := s.NumReplies(th); got != len(in)-1 {
+			t.Errorf("NumReplies(%d) = %d, want %d", th, got, len(in)-1)
+		}
+	}
+	for _, a := range []ActorID{alice, bob, carol} {
+		by := filter(func(p Post) bool { return p.Author == a })
+		if got := slices.Collect(s.PostsByActor(a)); !slices.Equal(got, by) {
+			t.Errorf("PostsByActor(%d) = %+v, want %+v", a, got, by)
+		}
+		first, last, n := s.ActivitySpan(a)
+		var wantFirst, wantLast time.Time
+		if len(by) > 0 {
+			wantFirst = slices.MinFunc(by, func(p, q Post) int { return p.Created.Compare(q.Created) }).Created
+			wantLast = slices.MaxFunc(by, func(p, q Post) int { return p.Created.Compare(q.Created) }).Created
+		}
+		if first != wantFirst || last != wantLast || n != len(by) {
+			t.Errorf("ActivitySpan(%d) = %v, %v, %d; want %v, %v, %d", a, first, last, n, wantFirst, wantLast, len(by))
+		}
+	}
+	if first, last, ok := s.Span(); !ok || first != at(3, 0) || last != at(10, 123_456_790) {
+		t.Errorf("Span = %v, %v, %v; want %v, %v", first, last, ok, at(3, 0), at(10, 123_456_790))
+	}
+
+	// IDs the store does not hold read as they always have: empty,
+	// zero, or a panic.
+	for _, th := range []ThreadID{0, -1, t2 + 1} {
+		if got := slices.Collect(s.PostsInThread(th)); len(got) != 0 {
+			t.Errorf("PostsInThread(%d) = %+v, want none", th, got)
+		}
+		if got := s.NumReplies(th); got != 0 {
+			t.Errorf("NumReplies(%d) = %d, want 0", th, got)
+		}
+		mustPanic(t, fmt.Sprintf("FirstPost(%d)", th), func() { s.FirstPost(th) })
+	}
+	for _, a := range []ActorID{0, -1, carol + 1} {
+		if got := slices.Collect(s.PostsByActor(a)); len(got) != 0 {
+			t.Errorf("PostsByActor(%d) = %+v, want none", a, got)
+		}
+		if got := s.ThreadsByActor(a); got != nil {
+			t.Errorf("ThreadsByActor(%d) = %v, want nil", a, got)
+		}
+		if _, _, n := s.ActivitySpan(a); n != 0 {
+			t.Errorf("ActivitySpan(%d) counted %d posts", a, n)
+		}
+	}
+	for _, b := range []BoardID{0, lounge + 1} {
+		if got := s.ThreadsInBoard(b); got != nil {
+			t.Errorf("ThreadsInBoard(%d) = %v, want nil", b, got)
+		}
+	}
+	if got := s.Boards(hf + 1); got == nil || len(got) != 0 {
+		t.Errorf("Boards(unknown) = %#v, want an empty slice", got)
+	}
+	if _, ok := s.BoardByName(0, "eWhoring"); ok {
+		t.Error("BoardByName found a board of forum 0")
+	}
+	for _, id := range []PostID{0, -1, PostID(len(want) + 1)} {
+		mustPanic(t, fmt.Sprintf("Post(%d)", id), func() { s.Post(id) })
+	}
+}
+
+// TestPostRecordGuards holds the narrowed record fields to their
+// range: an ID or a time the record cannot hold panics when it is
+// added, before the store changes, instead of wrapping.
+func TestPostRecordGuards(t *testing.T) {
+	if size := reflect.TypeOf(postRecord{}).Size(); size > 40 {
+		t.Errorf("postRecord is %d bytes, want at most 40", size)
+	}
+	if got := narrow("post", PostID(math.MaxInt32)); got != math.MaxInt32 {
+		t.Errorf("narrow(MaxInt32) = %d", got)
+	}
+	for _, id := range []PostID{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 40} {
+		mustPanic(t, fmt.Sprintf("narrow(%d)", id), func() { narrow("post", id) })
+	}
+
+	s, _, ew, alice, _ := buildSmall(t)
+	th := s.AddThread(ew, alice, "t", "p", day(1))
+	cases := map[string]func(){
+		"quote past MaxInt32":  func() { s.AddReply(th, alice, "x", day(2), math.MaxInt32+1) },
+		"author past MaxInt32": func() { s.AddReply(th, math.MaxInt32+1, "x", day(2), 0) },
+		"unknown author":       func() { s.AddReply(th, 9, "x", day(2), 0) },
+		"thread past MaxInt32": func() { s.AddReply(math.MaxInt32+1, alice, "x", day(2), 0) },
+		"zero time":            func() { s.AddReply(th, alice, "x", time.Time{}, 0) },
+		"year 2300":            func() { s.AddReply(th, alice, "x", day(2).AddDate(285, 0, 0), 0) },
+	}
+	for name, fn := range cases {
+		mustPanic(t, name, fn)
+	}
+	if s.NumPosts() != 1 || s.NumReplies(th) != 0 {
+		t.Errorf("after the panics: %d posts, %d replies; want 1, 0", s.NumPosts(), s.NumReplies(th))
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", what)
+		}
+	}()
+	fn()
 }

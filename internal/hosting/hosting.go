@@ -71,6 +71,10 @@ type Site struct {
 	cfg     SiteConfig
 	mu      sync.RWMutex
 	objects map[string]*Object
+	// banners memoizes the encoded takedown banner by path length,
+	// its only varying input. Only stored paths reach it, so it holds
+	// at most one banner per distinct stored path length.
+	banners sync.Map // int → []byte
 }
 
 // Config returns the site's configuration.
@@ -139,9 +143,8 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request, path string) {
 			// Image hosts show a banner image in place of the removed
 			// content — the crawler downloads it, and the NSFV stage
 			// later routes it to SFV.
-			banner := imagex.GenErrorBanner(uint64(len(path)), "IMAGE REMOVED TOS VIOLATION", 160, 40)
 			w.Header().Set("Content-Type", ContentTypeSIMG)
-			w.Write(banner.Encode())
+			w.Write(s.takedownBanner(len(path)))
 			return
 		}
 		http.Error(w, "file removed for terms of service violation", http.StatusGone)
@@ -149,6 +152,16 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request, path string) {
 		w.Header().Set("Content-Type", obj.ContentType)
 		w.Write(obj.Data)
 	}
+}
+
+// takedownBanner returns the encoded banner an image host serves in
+// place of a taken-down object whose path is n bytes long.
+func (s *Site) takedownBanner(n int) []byte {
+	if b, ok := s.banners.Load(n); ok {
+		return b.([]byte)
+	}
+	b, _ := s.banners.LoadOrStore(n, imagex.GenErrorBanner(uint64(n), "IMAGE REMOVED TOS VIOLATION", 160, 40).Encode())
+	return b.([]byte)
 }
 
 // World is a registry of simulated sites behind one HTTP handler.

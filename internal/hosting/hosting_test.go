@@ -1,9 +1,13 @@
 package hosting
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/imagex"
@@ -116,6 +120,52 @@ func TestTakedownOnImageSiteServesBanner(t *testing.T) {
 	if f := banner.SkinStats().Fraction; f > 0.01 {
 		t.Fatal("takedown served the original image")
 	}
+}
+
+// TestTakedownBannerMemoized holds the memoized takedown banner to a
+// fresh render: concurrent requests for taken-down paths of several
+// lengths, two of them sharing a length, all get the bytes
+// GenErrorBanner encodes for their path length.
+func TestTakedownBannerMemoized(t *testing.T) {
+	w, srv := newTestWorld(t)
+	site := w.AddSite(SiteConfig{Domain: "imgur.com", Kind: urlx.KindImageSharing})
+	paths := []string{"a", "bc", "xyz", "uvw", "aB3dE", strings.Repeat("q", 37)}
+	for _, p := range paths {
+		site.Put(p, Object{ContentType: ContentTypeSIMG, Status: StatusTakedown})
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range paths {
+				p := paths[(g+i)%len(paths)]
+				if err := checkBanner(srv.URL+"/imgur.com/"+p, len(p)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// checkBanner fetches url and compares the reply with a fresh render
+// of the banner for a path of n bytes.
+func checkBanner(url string, n int) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	want := imagex.GenErrorBanner(uint64(n), "IMAGE REMOVED TOS VIOLATION", 160, 40).Encode()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+		return fmt.Errorf("%s: status %d, %d bytes; want 200 and the %d-byte fresh banner", url, resp.StatusCode, len(body), len(want))
+	}
+	return nil
 }
 
 func TestTakedownOnCloudStorageReturns410(t *testing.T) {

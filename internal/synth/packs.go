@@ -145,7 +145,7 @@ func (w *World) uploadPreview(st *forumState, model *Model, created time.Time) s
 	// Every branch draws its randomness on the walk, in the original
 	// order; the rendering and upload run as a deferred job. Paths are
 	// unique (nextToken) and hosting sites are mutex-protected maps, so
-	// concurrent Put+SetStatus pairs commute — no ordered apply needed.
+	// concurrent Puts commute — no ordered apply needed.
 	// model may be captured directly: the forum phase never mutates
 	// models.
 	r := rng.Float64()
@@ -153,10 +153,9 @@ func (w *World) uploadPreview(st *forumState, model *Model, created time.Time) s
 	case r < 0.21:
 		// Rotted: never registered → 404.
 	case r < 0.41:
-		w.do(func() {
-			site.PutImage(path, imagex.New(8, 8, 0)) // placeholder, then takedown
-			site.SetStatus(path, hosting.StatusTakedown)
-		}, nil)
+		// Taken down: status only, as the server never reads the
+		// payload of a takedown.
+		site.Put(path, hosting.Object{ContentType: hosting.ContentTypeSIMG, Status: hosting.StatusTakedown})
 	case r < 0.51 && model != nil:
 		gseed := rng.Uint64()
 		w.do(func() {
